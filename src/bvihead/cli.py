@@ -12,9 +12,7 @@ import argparse
 import copy
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -351,19 +349,11 @@ def cmd_compare(args) -> int:
         args.mc_samples if args.mc_samples is not None else cfg["inference"]["mc_samples"]
     )
 
-    def job(idx_variant):
-        idx, variant = idx_variant
+    results = {}
+    for idx, variant in enumerate(VARIANTS):
         head = _train_one(cfg, variant, out_dir, seed_offset=idx, tag=variant)
         bundle = _eval_one(cfg, head, out_dir, out_dir / f"eval_{variant}", mc_samples)
-        return variant, bundle.summary
-
-    jobs = list(enumerate(VARIANTS))
-    workers = max(1, int(os.environ.get("BVI_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = dict(pool.map(job, jobs))
-    else:
-        results = dict(map(job, jobs))
+        results[variant] = bundle.summary
 
     md, csv_text = comparison_tables(results)
     atomic_write_text(out_dir / "compare.md", md)
@@ -381,9 +371,18 @@ def cmd_hist(args) -> int:
                 f"column {args.column!r} not in {args.input} (has {header})"
             )
         col = header.index(args.column)
-        for line in fh:
-            if line.strip():
-                rows.append(float(line.strip().split(",")[col]))
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.strip().split(",")
+            try:
+                rows.append(float(cells[col]))
+            except (IndexError, ValueError):
+                cell = repr(cells[col]) if col < len(cells) else "missing cell"
+                raise ParseError(
+                    f"{args.input}: line {lineno}, column {col + 1} ({args.column!r}):"
+                    f" {cell} is not a number"
+                ) from None
     from .evaluate import density_histogram
 
     hist = density_histogram(rows, args.bins, args.lo, args.hi)

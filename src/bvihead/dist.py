@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
 
@@ -45,29 +47,48 @@ class DiagonalGaussian:
     def shape(self) -> tuple[int, ...]:
         return self.mu.shape
 
-    def std(self) -> Tensor:
-        return softplus_std(self.rho)
-
 
 def softplus_std(rho: Tensor) -> Tensor:
     """Positive scale ln(1 + exp(rho)), saturating to rho above 30."""
     return rho.softplus()
 
 
-def sample(g: DiagonalGaussian, eps: Tensor) -> Tensor:
-    """Reparameterized draw w = mu + softplus(rho) * eps."""
+def sample(g: DiagonalGaussian, eps, std: Tensor | None = None) -> Tensor:
+    """Reparameterized draw w = mu + std * eps, std = softplus(rho) by default.
+
+    `eps` is a Tensor or a constant array of the posterior's shape; pass
+    `std` when softplus(rho) is already computed, to share it with the KL.
+    """
     if eps.shape != g.shape:
         raise ShapeError(f"eps shape {eps.shape} != posterior shape {g.shape}")
-    return g.mu + softplus_std(g.rho) * eps
+    s = softplus_std(g.rho) if std is None else std
+    return g.mu + s * eps
 
 
-def kl_to_prior(g: DiagonalGaussian, prior: PriorSpec = PriorSpec()) -> Tensor:
-    """Closed-form KL[q || p] summed over elements, differentiable in mu/rho.
+def kl_to_prior(
+    g: DiagonalGaussian, prior: PriorSpec = PriorSpec(), std: Tensor | None = None
+) -> Tensor:
+    """Closed-form KL[q || p] summed over elements, as one graph node.
 
-    Per element: ln(s_p/s_q) + (s_q^2 + (m_q - m_p)^2) / (2 s_p^2) - 1/2.
+    Per element: ln(s_p/s_q) + (s_q^2 + (m_q - m_p)^2) / (2 s_p^2) - 1/2,
+    with gradients (m_q - m_p)/s_p^2 in mu and s_q/s_p^2 - 1/s_q in s_q.
+    `std` is an already-computed s_q = softplus(rho) to reuse; without it
+    the KL computes its own, and gradients reach rho either way.
     """
-    s_q = softplus_std(g.rho)
-    dm = g.mu - prior.mean
-    quad = (s_q * s_q + dm * dm) * (1.0 / (2.0 * prior.std**2))
-    per_element = quad - s_q.log() + (math.log(prior.std) - 0.5)
-    return per_element.sum()
+    s_q = softplus_std(g.rho) if std is None else std
+    if s_q.shape != g.shape:
+        raise ShapeError(f"std shape {s_q.shape} != posterior shape {g.shape}")
+    mu = g.mu
+    s = s_q.data
+    dm = mu.data - prior.mean
+    quad = (s * s + dm * dm) * (1.0 / (2.0 * prior.std**2))
+    per_element = quad - np.log(s) + (math.log(prior.std) - 0.5)
+    out = Tensor(per_element.sum(), (mu, s_q), _op="kl")
+    inv_var = 1.0 / prior.std**2
+
+    def _bw(grad):
+        mu.accumulate_grad(grad * inv_var * dm)
+        s_q.accumulate_grad(grad * (s * inv_var - 1.0 / s))
+
+    out._backward_fn = _bw
+    return out

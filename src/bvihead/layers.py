@@ -90,9 +90,14 @@ def dense_forward(layer: DenseDeterministic, x: Tensor) -> Tensor:
     return (x @ layer.weight) + layer.bias
 
 
-def _layer_kl(layer: DenseVariational) -> Tensor:
-    return kl_to_prior(layer.weight_post, layer.prior) + kl_to_prior(
-        layer.bias_post, layer.prior
+def _posterior_stds(layer: DenseVariational) -> tuple[Tensor, Tensor]:
+    """softplus(rho) of the weight and bias posteriors, shared by sample and KL."""
+    return softplus_std(layer.weight_post.rho), softplus_std(layer.bias_post.rho)
+
+
+def _layer_kl(layer: DenseVariational, w_std: Tensor, b_std: Tensor) -> Tensor:
+    return kl_to_prior(layer.weight_post, layer.prior, w_std) + kl_to_prior(
+        layer.bias_post, layer.prior, b_std
     )
 
 
@@ -103,9 +108,10 @@ def variational_forward_reparam(
     if layer.estimator != REPARAM:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
     _check_input(layer, x)
-    w = sample(layer.weight_post, Tensor(noise.weight_eps))
-    b = sample(layer.bias_post, Tensor(noise.bias_eps))
-    return (x @ w) + b, _layer_kl(layer)
+    w_std, b_std = _posterior_stds(layer)
+    w = sample(layer.weight_post, noise.weight_eps, w_std)
+    b = sample(layer.bias_post, noise.bias_eps, b_std)
+    return (x @ w) + b, _layer_kl(layer, w_std, b_std)
 
 
 def variational_forward_flipout(
@@ -129,11 +135,12 @@ def variational_forward_flipout(
             f"sign shapes {noise.sign_in.shape}/{noise.sign_out.shape} do not match"
             f" batch {m} with dims ({d_in}, {d_out})"
         )
-    delta = softplus_std(layer.weight_post.rho) * Tensor(noise.weight_eps)
+    w_std, b_std = _posterior_stds(layer)
+    delta = w_std * noise.weight_eps
     mean_out = x @ layer.weight_post.mu
-    perturbed = ((x * Tensor(noise.sign_in)) @ delta) * Tensor(noise.sign_out)
-    b = sample(layer.bias_post, Tensor(noise.bias_eps))
-    return (mean_out + perturbed) + b, _layer_kl(layer)
+    perturbed = ((x * noise.sign_in) @ delta) * noise.sign_out
+    b = sample(layer.bias_post, noise.bias_eps, b_std)
+    return (mean_out + perturbed) + b, _layer_kl(layer, w_std, b_std)
 
 
 def dropout_forward(
@@ -151,7 +158,7 @@ def dropout_forward(
         got = None if mask_noise is None else mask_noise.shape
         raise ShapeError(f"mask noise shape {got} does not match input {x.shape}")
     keep = (mask_noise >= spec.rate).astype(np.float64) / (1.0 - spec.rate)
-    return x * Tensor(keep)
+    return x * keep
 
 
 def _check_input(layer: DenseVariational, x: Tensor) -> None:

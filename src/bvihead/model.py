@@ -224,13 +224,34 @@ def _encode_array(arr: np.ndarray) -> list[str]:
     return [repr(float(v)) for v in arr.reshape(-1)]
 
 
-def _decode_array(values: list[str], shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.array([float(v) for v in values], dtype=np.float64)
+def _decode_array(entry: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """entry[key] as a float64 array of `shape`; ConfigError naming the key otherwise."""
+    values = _field(entry, key, list, where)
+    where = f"{where}.{key}"
+    if not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"{where} must hold decimal strings")
+    try:
+        arr = np.array([float(v) for v in values], dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     if arr.size != int(np.prod(shape)):
-        raise ConfigError(
-            f"checkpoint array has {arr.size} values, expected shape {shape}"
-        )
+        raise ConfigError(f"{where} has {arr.size} values, expected shape {shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where} holds non-finite values")
     return arr.reshape(shape)
+
+
+def _field(obj, key: str, kind, where: str):
+    """obj[key], checked to be a `kind` (never a bool); ConfigError otherwise."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ConfigError(f"{where} lacks key {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "/".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ConfigError(f"{where}.{key} must be {expected}, got {type(value).__name__}")
+    return value
 
 
 def head_to_dict(head: Head) -> dict:
@@ -270,35 +291,46 @@ def head_to_dict(head: Head) -> dict:
 
 
 def head_from_dict(doc: dict) -> Head:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(
             f"unsupported checkpoint format_version {doc.get('format_version')!r}"
         )
-    c = doc["config"]
+    c = _field(doc, "config", dict, "checkpoint")
+    hidden = _field(c, "hidden_dims", list, "config")
+    if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
+        raise ConfigError("config.hidden_dims must be a list of integers")
     cfg = HeadConfig(
-        input_dim=int(c["input_dim"]),
-        hidden_dims=tuple(int(h) for h in c["hidden_dims"]),
-        num_classes=int(c["num_classes"]),
-        variant=c["variant"],
-        dropout_rate=float(c["dropout_rate"]),
-        estimator=c["estimator"],
+        input_dim=_field(c, "input_dim", int, "config"),
+        hidden_dims=tuple(hidden),
+        num_classes=_field(c, "num_classes", int, "config"),
+        variant=_field(c, "variant", str, "config"),
+        dropout_rate=float(_field(c, "dropout_rate", (int, float), "config")),
+        estimator=_field(c, "estimator", str, "config"),
     )
     head = build_head(cfg, init_seed=0)
-    if len(doc["layers"]) != 3:
-        raise ConfigError(f"checkpoint has {len(doc['layers'])} layers, expected 3")
-    for layer, entry, (d_in, d_out) in zip(head.layers, doc["layers"], cfg.layer_dims):
+    entries = _field(doc, "layers", list, "checkpoint")
+    if len(entries) != 3:
+        raise ConfigError(f"checkpoint has {len(entries)} layers, expected 3")
+    for i, (layer, entry, (d_in, d_out)) in enumerate(
+        zip(head.layers, entries, cfg.layer_dims)
+    ):
+        where = f"layers[{i}]"
+        kind = _field(entry, "kind", str, where)
+        w_shape, b_shape = (d_in, d_out), (d_out,)
         if isinstance(layer, DenseDeterministic):
-            if entry["kind"] != "deterministic":
+            if kind != "deterministic":
                 raise ConfigError("checkpoint layer kind does not match variant")
-            layer.weight.data = _decode_array(entry["weight"], (d_in, d_out))
-            layer.bias.data = _decode_array(entry["bias"], (d_out,))
+            layer.weight.data = _decode_array(entry, "weight", w_shape, where)
+            layer.bias.data = _decode_array(entry, "bias", b_shape, where)
         else:
-            if entry["kind"] != "variational":
+            if kind != "variational":
                 raise ConfigError("checkpoint layer kind does not match variant")
-            layer.weight_post.mu.data = _decode_array(entry["weight_mu"], (d_in, d_out))
-            layer.weight_post.rho.data = _decode_array(entry["weight_rho"], (d_in, d_out))
-            layer.bias_post.mu.data = _decode_array(entry["bias_mu"], (d_out,))
-            layer.bias_post.rho.data = _decode_array(entry["bias_rho"], (d_out,))
+            layer.weight_post.mu.data = _decode_array(entry, "weight_mu", w_shape, where)
+            layer.weight_post.rho.data = _decode_array(entry, "weight_rho", w_shape, where)
+            layer.bias_post.mu.data = _decode_array(entry, "bias_mu", b_shape, where)
+            layer.bias_post.rho.data = _decode_array(entry, "bias_rho", b_shape, where)
     return head
 
 
@@ -307,5 +339,14 @@ def save_head(head: Head, path) -> None:
 
 
 def load_head(path) -> Head:
-    with open(path, "r", encoding="utf-8") as fh:
-        return head_from_dict(json.load(fh))
+    """Read a checkpoint; a malformed one raises ConfigError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: checkpoint is not valid JSON: {exc}") from None
+    try:
+        return head_from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -6,10 +6,18 @@ softplus, log, row-wise log-softmax, negative log-likelihood and
 summation. Every operation validates its output and raises NumericError
 on NaN/Inf instead of letting bad values propagate.
 
+The second operand of an elementwise op may be a Tensor, a Python scalar
+or a constant ``np.ndarray`` of exactly the first operand's shape (a
+noise draw, a sign vector, a dropout mask). Constants get no graph node
+and no gradient; a constant of any other shape raises ShapeError.
+
 The recorded graph doubles as the gradient tape: each node keeps its
-parents and a backward closure, ``backward()`` zero-initialises the
-gradient buffers of every reachable node and then replays the closures
-in reverse topological order. A root can be walked backward only once.
+parents and a backward closure, and ``backward()`` replays the closures
+in reverse topological order. It first resets the grad of every
+reachable node to None; a node's first gradient contribution is then
+assigned as its grad and later ones are added out of place, so no
+zero-filled buffers are allocated and no grad is ever mutated after it
+is handed on. A root can be walked backward only once.
 """
 
 from __future__ import annotations
@@ -26,16 +34,13 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below; never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class Tensor:
-    """A value in the computation graph: float64 data plus a grad buffer."""
+    """A value in the computation graph: float64 data plus its gradient."""
 
     __slots__ = ("data", "grad", "_parents", "_backward_fn", "_consumed")
 
@@ -51,18 +56,12 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
 
-    # ---- construction helpers -------------------------------------------
-
-    @staticmethod
-    def zeros(shape) -> "Tensor":
-        return Tensor(np.zeros(shape))
+    def accumulate_grad(self, g) -> None:
+        """Add one gradient contribution: assign the first, add later ones out of place."""
+        self.grad = g if self.grad is None else self.grad + g
 
     # ---- elementwise arithmetic -----------------------------------------
 
@@ -78,34 +77,37 @@ class Tensor:
         raise ShapeError(f"{op}: shapes {self.shape} and {other.shape} are incompatible")
 
     def _binary(self, other, op: str, fwd, bwd_self, bwd_other):
-        if isinstance(other, (int, float)):
-            c = float(other)
-            out = Tensor(fwd(self.data, c), (self,), _op=op)
+        if isinstance(other, Tensor):
+            bias_row = self._binary_shapes(other, op)
+            out = Tensor(fwd(self.data, other.data), (self, other), _op=op)
 
-            def _bw_scalar(g):
-                self.grad += bwd_self(g, self.data, c)
+            def _bw(g):
+                self.accumulate_grad(bwd_self(g, self.data, other.data))
+                go = bwd_other(g, self.data, other.data)
+                if bias_row:
+                    go = go.sum(axis=0).reshape(other.shape)
+                other.accumulate_grad(go)
 
-            out._backward_fn = _bw_scalar
+            out._backward_fn = _bw
             return out
 
-        if not isinstance(other, Tensor):
-            raise TypeError(f"{op}: expected Tensor or scalar, got {type(other).__name__}")
-        bias_row = self._binary_shapes(other, op)
-        out = Tensor(fwd(self.data, other.data), (self, other), _op=op)
-
-        def _bw(g):
-            self.grad += bwd_self(g, self.data, other.data)
-            go = bwd_other(g, self.data, other.data)
-            if bias_row:
-                go = go.sum(axis=0).reshape(other.shape)
-            other.grad += go
-
-        out._backward_fn = _bw
+        if isinstance(other, (int, float)):
+            c = float(other)
+        elif isinstance(other, np.ndarray):
+            if other.shape != self.shape:
+                raise ShapeError(
+                    f"{op}: shapes {self.shape} and constant {other.shape} are incompatible"
+                )
+            c = other
+        else:
+            raise TypeError(
+                f"{op}: expected Tensor, scalar or ndarray, got {type(other).__name__}"
+            )
+        out = Tensor(fwd(self.data, c), (self,), _op=op)
+        out._backward_fn = lambda g: self.accumulate_grad(bwd_self(g, self.data, c))
         return out
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return self._binary(other, "add", lambda a, c: a + c, lambda g, a, c: g, None)
         return self._binary(
             other, "add",
             lambda a, b: a + b,
@@ -116,8 +118,6 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self._binary(other, "sub", lambda a, c: a - c, lambda g, a, c: g, None)
         return self._binary(
             other, "sub",
             lambda a, b: a - b,
@@ -129,8 +129,6 @@ class Tensor:
         return (self * -1.0) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self._binary(other, "mul", lambda a, c: a * c, lambda g, a, c: g * c, None)
         return self._binary(
             other, "mul",
             lambda a, b: a * b,
@@ -156,20 +154,12 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out = Tensor(np.where(mask, self.data, 0.0), (self,), _op="relu")
-
-        def _bw(g):
-            self.grad += np.where(mask, g, 0.0)
-
-        out._backward_fn = _bw
+        out._backward_fn = lambda g: self.accumulate_grad(np.where(mask, g, 0.0))
         return out
 
     def log(self) -> "Tensor":
         out = Tensor(np.log(self.data), (self,), _op="log")
-
-        def _bw(g):
-            self.grad += g / self.data
-
-        out._backward_fn = _bw
+        out._backward_fn = lambda g: self.accumulate_grad(g / self.data)
         return out
 
     def softplus(self) -> "Tensor":
@@ -178,20 +168,12 @@ class Tensor:
         big = x > 30.0
         out_data = np.where(big, x, np.log1p(np.exp(np.minimum(x, 30.0))))
         out = Tensor(out_data, (self,), _op="softplus")
-
-        def _bw(g):
-            self.grad += g * _sigmoid(x)
-
-        out._backward_fn = _bw
+        out._backward_fn = lambda g: self.accumulate_grad(g * _sigmoid(x))
         return out
 
     def sum(self) -> "Tensor":
         out = Tensor(self.data.sum(), (self,), _op="sum")
-
-        def _bw(g):
-            self.grad += np.broadcast_to(g, self.data.shape)
-
-        out._backward_fn = _bw
+        out._backward_fn = lambda g: self.accumulate_grad(np.full_like(self.data, g))
         return out
 
     def log_softmax(self) -> "Tensor":
@@ -205,9 +187,9 @@ class Tensor:
     def backward(self) -> None:
         """Propagate gradients from this scalar to every node in its graph.
 
-        Gradient buffers of all reachable nodes are zeroed first, so no
-        manual reset between passes is needed. Raises TapeError when this
-        root has already been walked.
+        The grads of all reachable nodes are reset first, so no manual
+        reset between passes is needed. Raises TapeError when this root
+        has already been walked.
         """
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar root, got shape {self.shape}")
@@ -221,6 +203,7 @@ class Tensor:
         while stack:
             node, processed = stack.pop()
             if processed:
+                node.grad = None
                 topo.append(node)
                 continue
             if id(node) in visited:
@@ -231,8 +214,6 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        for node in topo:
-            node.grad = np.zeros_like(node.data)
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None:
@@ -249,27 +230,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, (a, b), _op="matmul")
 
     def _bw(g):
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
+        a.accumulate_grad(g @ b.data.T)
+        b.accumulate_grad(a.data.T @ g)
 
     out._backward_fn = _bw
     return out
-
-
-def add(a: Tensor, b) -> Tensor:
-    return a + b
-
-
-def sub(a: Tensor, b) -> Tensor:
-    return a - b
-
-
-def mul(a: Tensor, b) -> Tensor:
-    return a * b
-
-
-def relu(a: Tensor) -> Tensor:
-    return a.relu()
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -284,11 +249,9 @@ def log_softmax(logits: Tensor) -> Tensor:
     out_data = shifted - logsumexp
     out = Tensor(out_data, (logits,), _op="log_softmax")
     probs = np.exp(out_data)
-
-    def _bw(g):
-        logits.grad += g - probs * g.sum(axis=1, keepdims=True)
-
-    out._backward_fn = _bw
+    out._backward_fn = lambda g: logits.accumulate_grad(
+        g - probs * g.sum(axis=1, keepdims=True)
+    )
     return out
 
 
@@ -311,7 +274,7 @@ def nll(log_probs: Tensor, labels) -> Tensor:
     def _bw(g):
         buf = np.zeros_like(log_probs.data)
         buf[rows, idx] = -g / m
-        log_probs.grad += buf
+        log_probs.accumulate_grad(buf)
 
     out._backward_fn = _bw
     return out

@@ -253,16 +253,26 @@ def test_gen_data_classes_preset(tiny_config, tmp_path, capsys):
     assert "ood 100" in captured  # 5 classes * 20 per class
 
 
-def test_compare_parallel_matches_serial(tiny_config, tmp_path, monkeypatch):
-    out_serial = tmp_path / "serial"
-    out_par = tmp_path / "par"
-    monkeypatch.setenv("BVI_THREADS", "1")
-    run(["compare", "--config", tiny_config, "--out", str(out_serial)])
-    monkeypatch.setenv("BVI_THREADS", "3")
-    run(["compare", "--config", tiny_config, "--out", str(out_par)])
-    for rel in (
-        "compare.csv",
-        "eval_stochastic-vi/summary.json",
-        "eval_deterministic/summary.json",
-    ):
-        assert (out_serial / rel).read_bytes() == (out_par / rel).read_bytes(), rel
+def test_eval_malformed_checkpoint_exits_2(tiny_config, tmp_path, capsys):
+    out = tmp_path / "ws"
+    run(["gen-data", "--config", tiny_config, "--out", str(out)])
+    ckpt = tmp_path / "broken.json"
+    argv = ["eval", "--config", tiny_config, "--out", str(out), "--checkpoint", str(ckpt)]
+    for text, key in (("[1, 2", "not valid JSON"), ('{"format_version": 1}', "'config'")):
+        ckpt.write_text(text)
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "broken.json" in err and key in err
+
+
+def test_hist_non_numeric_cell_exits_3_with_position(tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    csv.write_text("a,b\n1,0.5\n2,oops\n")
+    code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert "line 3" in err and "column 2" in err and "'oops'" in err
+    csv.write_text("a,b\n1,0.5\n2\n")
+    code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])
+    assert code == EXIT_IO
+    assert "line 3" in capsys.readouterr().err

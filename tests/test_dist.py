@@ -168,3 +168,45 @@ def test_prior_spec_rejects_bad_std():
 def test_diagonal_gaussian_shape_mismatch():
     with pytest.raises(ShapeError):
         DiagonalGaussian(Tensor([0.0, 1.0]), Tensor([0.0]))
+
+
+def test_fused_kl_gradient_matches_finite_differences_with_shared_std():
+    rng = np.random.default_rng(23)
+    mu = rng.normal(size=(3, 2))
+    rho = rng.uniform(-3, 2, size=(3, 2))
+    eps = rng.standard_normal((3, 2))
+    prior = PriorSpec(-0.4, 0.8)
+
+    def own_std(ts):
+        return kl_to_prior(DiagonalGaussian(ts[0], ts[1]), prior)
+
+    def shared_std(ts):
+        # one softplus feeds both the draw and the KL, as in the layers
+        g = DiagonalGaussian(ts[0], ts[1])
+        std = softplus_std(g.rho)
+        w = sample(g, eps, std)
+        return (w * w).sum() + kl_to_prior(g, prior, std) * 0.7
+
+    assert_gradients_match(own_std, [mu, rho], rel=1e-7)
+    assert_gradients_match(shared_std, [mu, rho], rel=1e-7)
+
+
+def test_fused_kl_is_one_node_with_closed_form_gradients():
+    mu = np.array([0.5, -1.0, 2.0])
+    rho = np.array([-1.0, 0.0, 1.5])
+    prior = PriorSpec(0.2, 1.7)
+    g = _gaussian(mu, rho)
+    std = softplus_std(g.rho)
+    kl = kl_to_prior(g, prior, std)
+    assert kl._parents == (g.mu, std)
+    kl.backward()
+    s = np.log1p(np.exp(rho))
+    np.testing.assert_allclose(g.mu.grad, (mu - prior.mean) / prior.std**2, rtol=1e-14)
+    np.testing.assert_allclose(std.grad, s / prior.std**2 - 1.0 / s, rtol=1e-14)
+    assert float(kl.data) == pytest.approx(float(kl_to_prior(g, prior).data), rel=1e-15)
+
+
+def test_kl_rejects_std_of_wrong_shape():
+    g = _gaussian([0.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ShapeError):
+        kl_to_prior(g, PriorSpec(), Tensor([1.0]))

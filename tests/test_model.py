@@ -159,3 +159,73 @@ def test_checkpoint_arrays_are_decimal_strings(tmp_path):
     sample = doc["layers"][0]["weight_mu"][0]
     assert isinstance(sample, str)
     assert float(sample) == head.layers[0].weight_post.mu.data.reshape(-1)[0]
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "head.json"
+    save_head(build_head(small_config(STOCHASTIC_VI), init_seed=16), path)
+    return path
+
+
+def test_load_head_non_json_raises_config_error(tmp_path):
+    path = tmp_path / "head.json"
+    path.write_text("{not json")
+    with pytest.raises(ConfigError, match=r"head\.json.*not valid JSON"):
+        load_head(path)
+    path.write_bytes(b"\xff\xfe\x00binary")
+    with pytest.raises(ConfigError, match=r"head\.json.*not valid JSON"):
+        load_head(path)
+
+
+def test_load_head_missing_config_names_file_and_key(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["config"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"head\.json.*'config'"):
+        load_head(path)
+    doc = head_to_dict(build_head(small_config(STOCHASTIC_VI), init_seed=16))
+    del doc["config"]["variant"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"head\.json.*'variant'"):
+        load_head(path)
+
+
+def test_load_head_missing_layers_names_file_and_key(tmp_path):
+    path = _saved_checkpoint(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["layers"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"head\.json.*'layers'"):
+        load_head(path)
+    doc = head_to_dict(build_head(small_config(STOCHASTIC_VI), init_seed=16))
+    del doc["layers"][1]["bias_rho"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"head\.json.*layers\[1\].*'bias_rho'"):
+        load_head(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [
+        (lambda d: d.__setitem__("config", [1, 2]), "config"),
+        (lambda d: d["config"].__setitem__("input_dim", "5"), "input_dim"),
+        (lambda d: d["config"].__setitem__("input_dim", 5.5), "input_dim"),
+        (lambda d: d["config"].__setitem__("hidden_dims", 7), "hidden_dims"),
+        (lambda d: d["config"].__setitem__("hidden_dims", [7, True]), "hidden_dims"),
+        (lambda d: d["config"].__setitem__("dropout_rate", None), "dropout_rate"),
+        (lambda d: d.__setitem__("layers", "abc"), "layers"),
+        (lambda d: d["layers"].__setitem__(0, "layer"), r"layers\[0\]"),
+        (lambda d: d["layers"][0].__setitem__("weight_mu", 3), "weight_mu"),
+        (lambda d: d["layers"][0]["weight_mu"].__setitem__(0, 1.5), "weight_mu"),
+        (lambda d: d["layers"][0]["weight_mu"].__setitem__(0, "x"), "weight_mu"),
+        (lambda d: d["layers"][2]["bias_rho"].__setitem__(0, "nan"), "bias_rho"),
+    ],
+)
+def test_load_head_wrong_types_raise_config_error(tmp_path, corrupt, where):
+    path = _saved_checkpoint(tmp_path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=rf"head\.json.*{where}"):
+        load_head(path)

@@ -232,3 +232,40 @@ def test_composed_mlp_loss_gradient():
         return nll(log_softmax(logits), labels)
 
     assert_gradients_match(loss, [w1, b1, w2, b2], rel=1e-5)
+
+
+def test_constant_operand_has_no_node_and_correct_gradient():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, 4))
+    c = rng.normal(size=(3, 4))
+    t = Tensor(x)
+    out = t * c
+    assert out._parents == (t,)
+    out.sum().backward()
+    np.testing.assert_array_equal(t.grad, c)
+    assert_gradients_match(lambda ts: ((ts[0] - c) * c + c).sum(), [x], rel=1e-6)
+
+
+def test_constant_operand_of_wrong_shape_raises_shape_error():
+    t = Tensor(np.zeros((2, 3)))
+    for bad in (np.zeros(3), np.zeros((3, 2)), np.zeros((1, 3))):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*constant"):
+            t * bad
+        with pytest.raises(ShapeError):
+            t + bad
+
+
+def test_leaf_used_twice_accumulates_without_aliasing():
+    x = Tensor([1.0, 2.0])
+    y = x + x
+    z = y * 3.0
+    z.sum().backward()
+    np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+    # the first path's contribution is y's grad itself; the second add must
+    # not have written into it
+    np.testing.assert_array_equal(y.grad, [3.0, 3.0])
+    assert not np.shares_memory(x.grad, y.grad)
+    # a later graph over the same leaf starts from a fresh grad
+    (x * x).sum().backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    np.testing.assert_array_equal(y.grad, [3.0, 3.0])

@@ -273,3 +273,23 @@ def test_report_csv_format():
     assert lines[0] == "epoch,nll,kl,loss,accuracy,seconds"
     assert len(lines) == 3
     assert lines[1].startswith("0,")
+
+
+def test_vi_flipout_step_computes_each_softplus_once(monkeypatch):
+    # one softplus per posterior (3 layers x weight/bias), shared by the
+    # sample and the KL
+    calls = []
+    original = Tensor.softplus
+
+    def counting(self):
+        calls.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(Tensor, "softplus", counting)
+    head = small_head(STOCHASTIC_VI)
+    data = blobs_2class(n_per_class=4)
+    train(head, data, TrainConfig(epochs=1, batch_size=data.n))
+    assert len(calls) == 6
+    assert sorted(calls) == sorted(
+        s for layer in head.layers for s in (layer.weight_post.shape, layer.bias_post.shape)
+    )
