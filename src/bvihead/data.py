@@ -31,7 +31,6 @@ class LabeledFeatureSet:
     features: np.ndarray
     labels: np.ndarray
     is_ood: np.ndarray
-    class_names: list[str] | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -61,9 +60,7 @@ class LabeledFeatureSet:
         return int(in_dist.max()) + 1 if in_dist.size else 0
 
     def subset(self, idx: np.ndarray) -> "LabeledFeatureSet":
-        return LabeledFeatureSet(
-            self.features[idx], self.labels[idx], self.is_ood[idx], self.class_names
-        )
+        return LabeledFeatureSet(self.features[idx], self.labels[idx], self.is_ood[idx])
 
 
 @dataclass(frozen=True)
@@ -130,17 +127,22 @@ def _ood_centers(
     return np.asarray(centers)
 
 
+def _centers(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(in-distribution, OOD) class centers, deterministic in center_seed."""
+    center_rng = np.random.default_rng(spec.center_seed)
+    in_centers = center_rng.uniform(
+        -spec.center_scale, spec.center_scale, (spec.k_in, spec.feature_dim)
+    )
+    return in_centers, _ood_centers(center_rng, spec, in_centers)
+
+
 def generate(spec: SynthSpec) -> tuple[LabeledFeatureSet, LabeledFeatureSet, LabeledFeatureSet]:
     """Build (train, val, ood) sets, deterministic in the spec's two seeds.
 
     Train/val is an 80/20 split stratified by class; OOD rows carry the -1
     sentinel label.
     """
-    center_rng = np.random.default_rng(spec.center_seed)
-    in_centers = center_rng.uniform(
-        -spec.center_scale, spec.center_scale, (spec.k_in, spec.feature_dim)
-    )
-    out_centers = _ood_centers(center_rng, spec, in_centers)
+    in_centers, out_centers = _centers(spec)
 
     noise_rng = np.random.default_rng(spec.noise_seed)
     train_x, train_y, val_x, val_y = [], [], [], []
@@ -179,11 +181,7 @@ def generate(spec: SynthSpec) -> tuple[LabeledFeatureSet, LabeledFeatureSet, Lab
 
 def min_center_gap(spec: SynthSpec) -> float:
     """Smallest distance between any OOD center and any in-dist center."""
-    center_rng = np.random.default_rng(spec.center_seed)
-    in_centers = center_rng.uniform(
-        -spec.center_scale, spec.center_scale, (spec.k_in, spec.feature_dim)
-    )
-    out_centers = _ood_centers(center_rng, spec, in_centers)
+    in_centers, out_centers = _centers(spec)
     gaps = np.linalg.norm(
         in_centers[:, None, :] - out_centers[None, :, :], axis=2
     )
@@ -231,7 +229,7 @@ def _load_csv(path) -> LabeledFeatureSet:
         if len(header) < 3 or header[-2:] != ["label", "is_ood"]:
             raise ParseError(f"{path}: line 1: expected header f0..fN,label,is_ood")
         f_dim = len(header) - 2
-        feats, labels = [], []
+        feats, labels, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -244,15 +242,33 @@ def _load_csv(path) -> LabeledFeatureSet:
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
             try:
-                labels.append(int(row[f_dim]))
+                label = int(row[f_dim])
             except ValueError:
                 raise ParseError(
                     f"{path}: line {lineno}: non-integer label {row[f_dim]!r}"
                 ) from None
+            flag = row[f_dim + 1].strip()
+            if flag not in ("0", "1"):
+                raise ParseError(f"{path}: line {lineno}: is_ood must be 0 or 1, got {flag!r}")
+            if (flag == "1") != (label == OOD_LABEL):
+                raise ParseError(
+                    f"{path}: line {lineno}: is_ood={flag} disagrees with label {label}"
+                    f" (OOD rows, and only they, carry label {OOD_LABEL})"
+                )
+            labels.append(label)
+            linenos.append(lineno)
     if not feats:
         raise ParseError(f"{path}: no data rows")
+    feats = np.asarray(feats)
+    bad = np.argwhere(~np.isfinite(feats))
+    if bad.size:
+        r, c = bad[0]
+        raise ParseError(
+            f"{path}: line {linenos[r]}, column {c + 1} ({header[c]!r}):"
+            f" non-finite feature {feats[r, c]!r}"
+        )
     labels = np.asarray(labels)
-    return LabeledFeatureSet(np.asarray(feats), labels, labels == OOD_LABEL)
+    return LabeledFeatureSet(feats, labels, labels == OOD_LABEL)
 
 
 # ---- BFV binary format -------------------------------------------------------
@@ -282,6 +298,13 @@ def _load_bfv(path) -> LabeledFeatureSet:
             f"{path}: byte {len(raw)}: expected {expected} bytes for N={n}, F={f}"
         )
     feats = np.frombuffer(raw, dtype="<f4", count=n * f, offset=12).reshape(n, f)
+    bad = np.argwhere(~np.isfinite(feats))
+    if bad.size:
+        r, c = bad[0]
+        raise ParseError(
+            f"{path}: byte {12 + (r * f + c) * 4}: row {r}, feature {c}:"
+            f" non-finite value {float(feats[r, c])!r}"
+        )
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=12 + feat_bytes)
     labels = labels.astype(np.int64)
     return LabeledFeatureSet(feats.astype(np.float64), labels, labels == OOD_LABEL)

@@ -3,8 +3,9 @@
 Each parameter tensor of a variational layer owns a DiagonalGaussian whose
 scale is kept positive through a softplus of the raw `rho` values. The KL
 divergence to an independent Gaussian prior has a closed form, so it is
-computed analytically; the Monte Carlo estimator exists only in the tests
-as an oracle.
+computed analytically (``kl_array`` on plain arrays, ``kl_to_prior`` as a
+graph node over the same formula); the Monte Carlo estimator exists only
+in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -65,29 +66,36 @@ def sample(g: DiagonalGaussian, eps, std: Tensor | None = None) -> Tensor:
     return g.mu + s * eps
 
 
+def kl_array(mu: np.ndarray, std: np.ndarray, prior: PriorSpec) -> np.float64:
+    """Closed-form KL[N(mu, std^2) || prior] summed over elements, on plain arrays.
+
+    Per element: ln(s_p/s_q) + (s_q^2 + (m_q - m_p)^2) / (2 s_p^2) - 1/2.
+    """
+    dm = mu - prior.mean
+    quad = (std * std + dm * dm) * (1.0 / (2.0 * prior.std**2))
+    return (quad - np.log(std) + (math.log(prior.std) - 0.5)).sum()
+
+
 def kl_to_prior(
     g: DiagonalGaussian, prior: PriorSpec = PriorSpec(), std: Tensor | None = None
 ) -> Tensor:
     """Closed-form KL[q || p] summed over elements, as one graph node.
 
-    Per element: ln(s_p/s_q) + (s_q^2 + (m_q - m_p)^2) / (2 s_p^2) - 1/2,
-    with gradients (m_q - m_p)/s_p^2 in mu and s_q/s_p^2 - 1/s_q in s_q.
-    `std` is an already-computed s_q = softplus(rho) to reuse; without it
-    the KL computes its own, and gradients reach rho either way.
+    The value is ``kl_array``; the node adds the gradients (m_q - m_p)/s_p^2
+    in mu and s_q/s_p^2 - 1/s_q in s_q. `std` is an already-computed
+    s_q = softplus(rho) to reuse; without it the KL computes its own, and
+    gradients reach rho either way.
     """
     s_q = softplus_std(g.rho) if std is None else std
     if s_q.shape != g.shape:
         raise ShapeError(f"std shape {s_q.shape} != posterior shape {g.shape}")
     mu = g.mu
     s = s_q.data
-    dm = mu.data - prior.mean
-    quad = (s * s + dm * dm) * (1.0 / (2.0 * prior.std**2))
-    per_element = quad - np.log(s) + (math.log(prior.std) - 0.5)
-    out = Tensor(per_element.sum(), (mu, s_q), _op="kl")
+    out = Tensor(kl_array(mu.data, s, prior), (mu, s_q), _op="kl")
     inv_var = 1.0 / prior.std**2
 
     def _bw(grad):
-        mu.accumulate_grad(grad * inv_var * dm)
+        mu.accumulate_grad(grad * inv_var * (mu.data - prior.mean))
         s_q.accumulate_grad(grad * (s * inv_var - 1.0 / s))
 
     out._backward_fn = _bw

@@ -17,7 +17,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError, UndefinedCurveError
 from .fsio import atomic_write_text
-from .uncertainty import PredictiveDistribution, UncertaintyReport, report
+from .uncertainty import (
+    PredictiveDistribution,
+    UncertaintyReport,
+    report_arrays,
+    reports_from_arrays,
+)
 
 
 @dataclass(frozen=True)
@@ -210,13 +215,14 @@ def evaluation_suite(
     if len(pds) == 0:
         raise DataError("nothing to evaluate")
 
+    shapes = {pd.sample_probs.shape for pd in pds}
+    if len(shapes) != 1:
+        raise DataError(f"distributions differ in T x K shape: {sorted(shapes)}")
     k = pds[0].k
     mean_probs = np.stack([pd.mean_probs for pd in pds])
-    reps = [report(pd) for pd in pds]
-    predicted = np.array([r.predicted_class for r in reps])
-    confidence = np.array([r.confidence for r in reps])
-    pred_entropy = np.array([r.predictive_entropy for r in reps])
-    bald_scores = np.array([r.bald for r in reps])
+    fields = report_arrays(mean_probs, np.stack([pd.sample_probs for pd in pds]))
+    predicted, confidence, pred_entropy, _, bald_scores = fields
+    reps = reports_from_arrays(fields)
 
     in_dist = ~ood_flags
     bundle = EvalBundle(summary={key: None for key in SUMMARY_KEYS}, reports=reps)

@@ -3,6 +3,10 @@
 Noise is always supplied by the caller as plain arrays, so every forward
 is a pure function of (parameters, input, noise). That keeps stochastic
 passes reproducible and lets tests freeze the noise.
+
+Every forward takes its input as a Tensor, recording graph nodes for
+training, or as a plain array, running the same operations in the same
+order on the parameters' arrays and recording nothing (inference).
 """
 
 from __future__ import annotations
@@ -11,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiagonalGaussian, PriorSpec, kl_to_prior, sample, softplus_std
+from .dist import DiagonalGaussian, PriorSpec, kl_array, kl_to_prior, sample, softplus_std
 from .errors import ConfigError, ContractError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, softplus_array
 
 REPARAM = "reparam"
 FLIPOUT = "flipout"
@@ -81,42 +85,52 @@ class NoiseDraw:
     sign_out: np.ndarray | None = None
 
 
-def dense_forward(layer: DenseDeterministic, x: Tensor) -> Tensor:
+def dense_forward(layer: DenseDeterministic, x):
     """x W + b with the bias broadcast across rows."""
     if len(x.shape) != 2 or x.shape[1] != layer.weight.shape[0]:
         raise ShapeError(
             f"input {x.shape} does not match weight {layer.weight.shape}"
         )
-    return (x @ layer.weight) + layer.bias
+    if isinstance(x, Tensor):
+        return (x @ layer.weight) + layer.bias
+    return (x @ layer.weight.data) + layer.bias.data
 
 
-def _posterior_stds(layer: DenseVariational) -> tuple[Tensor, Tensor]:
-    """softplus(rho) of the weight and bias posteriors, shared by sample and KL."""
-    return softplus_std(layer.weight_post.rho), softplus_std(layer.bias_post.rho)
+def _posterior_terms(layer: DenseVariational, noise: NoiseDraw, tape: bool):
+    """(weight mean, weight std, bias draw, KL) of one forward.
+
+    softplus(rho) is computed once per posterior and shared by the draws
+    and the KL. With `tape` the terms are graph nodes over the
+    parameters, otherwise plain arrays from the same formulas.
+    """
+    wp, bp = layer.weight_post, layer.bias_post
+    if noise.weight_eps.shape != wp.shape or noise.bias_eps.shape != bp.shape:
+        raise ShapeError(
+            f"eps shapes {noise.weight_eps.shape}/{noise.bias_eps.shape} do not match"
+            f" posterior shapes {wp.shape}/{bp.shape}"
+        )
+    if tape:
+        w_std, b_std = softplus_std(wp.rho), softplus_std(bp.rho)
+        b = sample(bp, noise.bias_eps, b_std)
+        kl = kl_to_prior(wp, layer.prior, w_std) + kl_to_prior(bp, layer.prior, b_std)
+        return wp.mu, w_std, b, kl
+    w_std, b_std = softplus_array(wp.rho.data), softplus_array(bp.rho.data)
+    b = bp.mu.data + b_std * noise.bias_eps
+    kl = kl_array(wp.mu.data, w_std, layer.prior) + kl_array(bp.mu.data, b_std, layer.prior)
+    return wp.mu.data, w_std, b, kl
 
 
-def _layer_kl(layer: DenseVariational, w_std: Tensor, b_std: Tensor) -> Tensor:
-    return kl_to_prior(layer.weight_post, layer.prior, w_std) + kl_to_prior(
-        layer.bias_post, layer.prior, b_std
-    )
-
-
-def variational_forward_reparam(
-    layer: DenseVariational, x: Tensor, noise: NoiseDraw
-) -> tuple[Tensor, Tensor]:
+def variational_forward_reparam(layer: DenseVariational, x, noise: NoiseDraw):
     """One weight/bias draw shared by the whole batch: x W_sample + b_sample."""
     if layer.estimator != REPARAM:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
     _check_input(layer, x)
-    w_std, b_std = _posterior_stds(layer)
-    w = sample(layer.weight_post, noise.weight_eps, w_std)
-    b = sample(layer.bias_post, noise.bias_eps, b_std)
-    return (x @ w) + b, _layer_kl(layer, w_std, b_std)
+    w_mu, w_std, b, kl = _posterior_terms(layer, noise, isinstance(x, Tensor))
+    w = w_mu + w_std * noise.weight_eps
+    return (x @ w) + b, kl
 
 
-def variational_forward_flipout(
-    layer: DenseVariational, x: Tensor, noise: NoiseDraw
-) -> tuple[Tensor, Tensor]:
+def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
     """Pseudo-independent per-example weight perturbations.
 
     Row n sees x_n W_mu + ((x_n * r_n) (std * eps)) * s_n with a shared
@@ -135,17 +149,14 @@ def variational_forward_flipout(
             f"sign shapes {noise.sign_in.shape}/{noise.sign_out.shape} do not match"
             f" batch {m} with dims ({d_in}, {d_out})"
         )
-    w_std, b_std = _posterior_stds(layer)
+    w_mu, w_std, b, kl = _posterior_terms(layer, noise, isinstance(x, Tensor))
     delta = w_std * noise.weight_eps
-    mean_out = x @ layer.weight_post.mu
+    mean_out = x @ w_mu
     perturbed = ((x * noise.sign_in) @ delta) * noise.sign_out
-    b = sample(layer.bias_post, noise.bias_eps, b_std)
-    return (mean_out + perturbed) + b, _layer_kl(layer, w_std, b_std)
+    return (mean_out + perturbed) + b, kl
 
 
-def dropout_forward(
-    spec: DropoutSpec, x: Tensor, mask_noise: np.ndarray | None, phase: str
-) -> Tensor:
+def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str):
     """Inverted dropout: zero with probability rate, scale survivors.
 
     DeterministicInference is the identity map regardless of rate.
@@ -161,7 +172,7 @@ def dropout_forward(
     return x * keep
 
 
-def _check_input(layer: DenseVariational, x: Tensor) -> None:
+def _check_input(layer: DenseVariational, x) -> None:
     if len(x.shape) != 2 or x.shape[1] != layer.weight_post.shape[0]:
         raise ShapeError(
             f"input {x.shape} does not match weight posterior {layer.weight_post.shape}"

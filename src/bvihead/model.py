@@ -5,6 +5,10 @@ three dense layers (F -> H1 -> H2 -> K) with ReLU between them. The
 variant decides the layer family: plain deterministic (with training-time
 dropout), MC dropout (dropout also active at inference), or stochastic
 variational layers whose weights carry mean-field Gaussian posteriors.
+
+Only a training forward records the autodiff graph. An inference forward
+runs on the parameters' plain arrays and returns its two results as leaf
+tensors, so a Monte Carlo pass allocates no graph nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .layers import (
     ESTIMATORS,
     FLIPOUT,
     MC_INFERENCE,
+    PHASES,
+    TRAIN,
     DenseDeterministic,
     DenseVariational,
     DropoutSpec,
@@ -32,7 +38,7 @@ from .layers import (
     variational_forward_reparam,
     zero_layer_noise,
 )
-from .tensor import Tensor
+from .tensor import Tensor, log_softmax_array
 
 DETERMINISTIC = "deterministic"
 MC_DROPOUT = "mc-dropout"
@@ -171,7 +177,9 @@ def forward(head: Head, x: Tensor, noise: list, phase: str) -> tuple[Tensor, Ten
     """Batched forward pass returning (log_probs, total KL).
 
     KL is zero for non-variational variants. Any non-finite intermediate
-    raises NumericError naming the offending layer.
+    raises NumericError naming the offending layer. TRAIN records the
+    autodiff graph; the inference phases run the same layer functions on
+    the parameters' arrays, record no graph and return two leaf tensors.
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -181,11 +189,15 @@ def forward(head: Head, x: Tensor, noise: list, phase: str) -> tuple[Tensor, Ten
         raise ConfigError(
             f"noise bundle has {len(noise)} entries for {len(head.layers)} layers"
         )
-    kl_total: Tensor | None = None
-    h = x
+    if phase not in PHASES:
+        raise ConfigError(f"unknown phase {phase!r}")
+    tape = phase == TRAIN
+    kl_total = None
+    h = x if tape else x.data
     for i, layer in enumerate(head.layers):
         if isinstance(layer, DenseVariational) and noise[i] is None:
             raise ConfigError(f"layer {i}: variational layer needs a noise draw")
+        kl = None
         try:
             if isinstance(layer, DenseVariational):
                 if layer.estimator == FLIPOUT:
@@ -195,8 +207,11 @@ def forward(head: Head, x: Tensor, noise: list, phase: str) -> tuple[Tensor, Ten
                 kl_total = kl if kl_total is None else kl_total + kl
             else:
                 h = dense_forward(layer, h)
+            # checked before relu, which would hide an overflow to -inf
+            if not tape and not (np.isfinite(h).all() and (kl is None or np.isfinite(kl))):
+                raise NumericError("forward produced non-finite values")
             if i < 2:
-                h = h.relu()
+                h = h.relu() if tape else np.maximum(h, 0.0)
                 if head.dropout is not None:
                     drop_phase = phase
                     if phase == MC_INFERENCE and not head.dropout.mc_at_inference:
@@ -204,10 +219,14 @@ def forward(head: Head, x: Tensor, noise: list, phase: str) -> tuple[Tensor, Ten
                     h = dropout_forward(head.dropout, h, noise[i], drop_phase)
         except NumericError as exc:
             raise NumericError(f"layer {i}: {exc}") from exc
-    log_probs = h.log_softmax()
+    if not tape:
+        return (
+            Tensor(log_softmax_array(h), _op="log_softmax"),
+            Tensor(0.0 if kl_total is None else kl_total, _op="kl"),
+        )
     if kl_total is None:
         kl_total = Tensor(0.0)
-    return log_probs, kl_total
+    return h.log_softmax(), kl_total
 
 
 def inference_phase(head: Head) -> str:

@@ -11,6 +11,11 @@ or a constant ``np.ndarray`` of exactly the first operand's shape (a
 noise draw, a sign vector, a dropout mask). Constants get no graph node
 and no gradient; a constant of any other shape raises ShapeError.
 
+Only training records a graph. Inference runs the same formulas on plain
+arrays: ``softplus_array`` and ``log_softmax_array`` hold the math that
+the graph nodes and the array-only inference forward share, so both give
+bit-identical values.
+
 The recorded graph doubles as the gradient tape: each node keeps its
 parents and a backward closure, and ``backward()`` replays the closures
 in reverse topological order. It first resets the grad of every
@@ -31,6 +36,17 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     return arr
+
+
+def softplus_array(x: np.ndarray) -> np.ndarray:
+    """ln(1 + exp(x)), overflow-safe: returns x itself above 30."""
+    return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
+
+
+def log_softmax_array(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a 2-D array with max-subtraction for stability."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -165,9 +181,7 @@ class Tensor:
     def softplus(self) -> "Tensor":
         """ln(1 + exp(x)), overflow-safe: returns x itself above 30."""
         x = self.data
-        big = x > 30.0
-        out_data = np.where(big, x, np.log1p(np.exp(np.minimum(x, 30.0))))
-        out = Tensor(out_data, (self,), _op="softplus")
+        out = Tensor(softplus_array(x), (self,), _op="softplus")
         out._backward_fn = lambda g: self.accumulate_grad(g * _sigmoid(x))
         return out
 
@@ -243,10 +257,7 @@ def log_softmax(logits: Tensor) -> Tensor:
         raise ShapeError(f"log_softmax: expected a 2-D tensor, got shape {logits.shape}")
     if logits.shape[1] < 2:
         raise ContractError(f"log_softmax: need at least 2 classes, got {logits.shape[1]}")
-    x = logits.data
-    shifted = x - x.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_data = shifted - logsumexp
+    out_data = log_softmax_array(logits.data)
     out = Tensor(out_data, (logits,), _op="log_softmax")
     probs = np.exp(out_data)
     out._backward_fn = lambda g: logits.accumulate_grad(

@@ -6,6 +6,10 @@ confidence (max mean probability), the predictive entropy, the expected
 per-pass entropy, and their difference, the mutual-information disagreement
 score. All entropies are in nats with probabilities clamped at 1e-12
 before the log.
+
+Each pass runs the inference forward, which records no autodiff graph.
+The summaries are array operations over all examples at once
+(``report_arrays``); the per-example functions run the same formulas.
 """
 
 from __future__ import annotations
@@ -75,24 +79,28 @@ class UncertaintyReport:
     bald: float
 
 
-def _entropy(probs: np.ndarray) -> float:
+def _entropies(probs: np.ndarray) -> np.ndarray:
+    """Entropy along the last axis, in nats."""
     p = np.clip(probs, PROB_CLAMP, 1.0)
-    return float(-(p * np.log(p)).sum())
+    return -(p * np.log(p)).sum(axis=-1)
+
+
+def _expected_entropies(sample_probs: np.ndarray) -> np.ndarray:
+    """Mean over passes (axis -2) of the per-pass entropy, in nats."""
+    ents = _entropies(sample_probs)
+    # averaging equal values must not introduce rounding
+    identical = (ents == ents[..., :1]).all(axis=-1)
+    return np.where(identical, ents[..., 0], ents.mean(axis=-1))
 
 
 def predictive_entropy(pd: PredictiveDistribution) -> float:
     """Entropy of the mean predictive probabilities, in nats."""
-    return _entropy(pd.mean_probs)
+    return float(_entropies(pd.mean_probs))
 
 
 def expected_entropy(pd: PredictiveDistribution) -> float:
     """Mean over passes of the per-pass entropy, in nats."""
-    p = np.clip(pd.sample_probs, PROB_CLAMP, 1.0)
-    ents = -(p * np.log(p)).sum(axis=1)
-    if (ents == ents[0]).all():
-        # averaging equal values must not introduce rounding
-        return float(ents[0])
-    return float(ents.mean())
+    return float(_expected_entropies(pd.sample_probs))
 
 
 def bald(pd: PredictiveDistribution) -> float:
@@ -100,18 +108,27 @@ def bald(pd: PredictiveDistribution) -> float:
     return predictive_entropy(pd) - expected_entropy(pd)
 
 
+def report_arrays(mean_probs: np.ndarray, sample_probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The UncertaintyReport fields of M examples at once, as five arrays.
+
+    `mean_probs` is M x K and `sample_probs` M x T x K. Argmax ties break
+    toward the lowest index.
+    """
+    predicted = np.argmax(mean_probs, axis=1)
+    confidence = mean_probs[np.arange(mean_probs.shape[0]), predicted]
+    pe = _entropies(mean_probs)
+    ee = _expected_entropies(sample_probs)
+    return predicted, confidence, pe, ee, pe - ee
+
+
+def reports_from_arrays(fields: tuple[np.ndarray, ...]) -> list[UncertaintyReport]:
+    """One UncertaintyReport per row of the arrays `report_arrays` returns."""
+    return [UncertaintyReport(*row) for row in zip(*(a.tolist() for a in fields))]
+
+
 def report(pd: PredictiveDistribution) -> UncertaintyReport:
     """Summarise one example; argmax ties break toward the lowest index."""
-    predicted = int(np.argmax(pd.mean_probs))
-    pe = predictive_entropy(pd)
-    ee = expected_entropy(pd)
-    return UncertaintyReport(
-        predicted_class=predicted,
-        confidence=float(pd.mean_probs[predicted]),
-        predictive_entropy=pe,
-        expected_entropy=ee,
-        bald=pe - ee,
-    )
+    return reports_from_arrays(report_arrays(pd.mean_probs[None], pd.sample_probs[None]))[0]
 
 
 def mc_predict(

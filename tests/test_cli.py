@@ -114,6 +114,22 @@ def test_train_missing_data_exits_3(tiny_config, tmp_path):
     assert code == EXIT_IO
 
 
+def test_train_on_csv_with_mismatched_is_ood_exits_3(tiny_config, tmp_path, capsys):
+    cfg = json.loads(open(tiny_config).read())
+    cfg["data"]["formats"] = ["csv"]
+    cfg_path = tmp_path / "csv.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "ws"
+    assert run(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    lines = (out / "train.csv").read_text().splitlines()
+    lines[1] = lines[1][: -len(",0")] + ",1"  # an in-distribution label marked OOD
+    (out / "train.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run(["train", "--config", str(cfg_path), "--out", str(out), "--variant", "deterministic"])
+    assert code == EXIT_IO
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_train_unknown_variant_usage_error(tiny_config, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         run(["train", "--config", tiny_config, "--out", str(tmp_path), "--variant", "bogus"])

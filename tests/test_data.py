@@ -222,3 +222,41 @@ def test_spec_validation():
         tiny_spec(per_class=0)
     with pytest.raises(ConfigError):
         tiny_spec(within_std=0.0)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.0,5,1", "disagrees with label 5"),
+        ("1.0,-1,0", "disagrees with label -1"),
+        ("1.0,0,2", "must be 0 or 1"),
+        ("1.0,0,yes", "must be 0 or 1"),
+    ],
+)
+def test_csv_is_ood_must_be_binary_and_match_label(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,label,is_ood\n2.0,0,0\n{row}\n")
+    with pytest.raises(ParseError, match=f"line 3: .*{message}"):
+        load_features(path, "csv")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_csv_non_finite_feature_names_line_and_column(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label,is_ood\n1.0,2.0,0,0\n\n3.0,{value},1,0\n")
+    with pytest.raises(ParseError, match=r"line 4, column 2 \('f1'\): non-finite"):
+        load_features(path, "csv")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_bfv_non_finite_feature_names_row_and_index(tmp_path, value):
+    train, _, _ = generate(tiny_spec())
+    path = tmp_path / "t.bfv"
+    save_features(train, path, "bfv")
+    raw = bytearray(path.read_bytes())
+    f = train.feature_dim
+    offset = 12 + (3 * f + 2) * 4
+    raw[offset : offset + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match=f"byte {offset}: row 3, feature 2: non-finite"):
+        load_features(path, "bfv")

@@ -15,7 +15,7 @@ from bvihead.evaluate import (
     top_k_accuracy,
     write_bundle,
 )
-from bvihead.uncertainty import PredictiveDistribution
+from bvihead.uncertainty import PredictiveDistribution, UncertaintyReport, report
 
 
 def brute_force_auc(scores, labels):
@@ -299,6 +299,38 @@ def test_suite_length_mismatch():
     pds, labels, flags = suite_fixture(rng, n_in=4, n_ood=0)
     with pytest.raises(DataError):
         evaluation_suite(pds, labels[:-1], flags)
+
+
+def test_suite_rejects_distributions_of_unequal_t():
+    rng = np.random.default_rng(12)
+    pds, labels, flags = suite_fixture(rng, n_in=4, n_ood=0)
+    pds[2] = PredictiveDistribution.from_samples(pds[2].sample_probs[:5])
+    with pytest.raises(DataError, match="T x K"):
+        evaluation_suite(pds, labels, flags)
+
+
+def one_example_oracle(pd):
+    """Report fields of one distribution, computed example by example."""
+    def entropy(probs):
+        p = np.clip(probs, 1e-12, 1.0)
+        return float(-(p * np.log(p)).sum())
+
+    ents = [entropy(row) for row in pd.sample_probs]
+    ee = ents[0] if all(e == ents[0] for e in ents) else float(np.mean(ents))
+    predicted = int(np.argmax(pd.mean_probs))
+    pe = entropy(pd.mean_probs)
+    return UncertaintyReport(predicted, float(pd.mean_probs[predicted]), pe, ee, pe - ee)
+
+
+def test_suite_reports_match_one_example_oracle():
+    rng = np.random.default_rng(13)
+    pds, labels, flags = suite_fixture(rng)
+    pds[0] = PredictiveDistribution.from_samples(np.tile(pds[0].sample_probs[0], (8, 1)))
+    bundle = evaluation_suite(pds, labels, flags)
+    expected = [one_example_oracle(pd) for pd in pds]
+    assert bundle.reports == expected
+    assert [report(pd) for pd in pds] == expected
+    assert bundle.reports[0].bald == 0.0
 
 
 def test_write_bundle_creates_files(tmp_path):

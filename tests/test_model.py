@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bvihead.errors import ConfigError, ShapeError
+from bvihead.errors import ConfigError, NumericError, ShapeError
 from bvihead.layers import DETERMINISTIC_INFERENCE, MC_INFERENCE, REPARAM, TRAIN
 from bvihead.model import (
     DETERMINISTIC,
@@ -17,6 +17,7 @@ from bvihead.model import (
     forward,
     head_from_dict,
     head_to_dict,
+    inference_phase,
     load_head,
     save_head,
     zero_noise_bundle,
@@ -124,6 +125,73 @@ def test_mc_dropout_inference_is_stochastic_across_draws():
     lp1, _ = forward(head, x, draw_noise_bundle(head, 3, rng), MC_INFERENCE)
     lp2, _ = forward(head, x, draw_noise_bundle(head, 3, rng), MC_INFERENCE)
     assert not np.array_equal(lp1.data, lp2.data)
+
+
+@pytest.mark.parametrize(
+    "variant, estimator",
+    [(STOCHASTIC_VI, "flipout"), (STOCHASTIC_VI, REPARAM), (MC_DROPOUT, "flipout")],
+)
+def test_inference_forward_matches_train_forward_bitwise(variant, estimator):
+    head = build_head(small_config(variant, estimator), init_seed=17)
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=(9, 5)))
+    noise = draw_noise_bundle(head, 9, rng)
+    lp_train, kl_train = forward(head, x, noise, TRAIN)
+    lp_mc, kl_mc = forward(head, x, noise, MC_INFERENCE)
+    assert lp_mc.data.tobytes() == lp_train.data.tobytes()
+    assert kl_mc.data.tobytes() == kl_train.data.tobytes()
+
+
+def test_deterministic_inference_matches_train_without_dropout():
+    cfg = HeadConfig(5, (7, 6), 3, DETERMINISTIC, dropout_rate=0.0)
+    head = build_head(cfg, init_seed=19)
+    x = Tensor(np.random.default_rng(20).normal(size=(4, 5)))
+    noise = zero_noise_bundle(head, 4)
+    lp_train, _ = forward(head, x, noise, TRAIN)
+    lp_det, kl_det = forward(head, x, noise, DETERMINISTIC_INFERENCE)
+    assert lp_det.data.tobytes() == lp_train.data.tobytes()
+    assert float(kl_det.data) == 0.0
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
+@pytest.mark.parametrize("value", [1e308, -1e308])  # relu would map -inf to 0
+def test_inference_overflow_names_the_layer(variant, value):
+    head = build_head(small_config(variant), init_seed=21)
+    layer = head.layers[1]
+    weight = layer.weight if variant != STOCHASTIC_VI else layer.weight_post.mu
+    weight.data = np.full(weight.shape, value)
+    x = Tensor(np.full((3, 5), 1.0))
+    noise = draw_noise_bundle(head, 3, np.random.default_rng(22))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phase in (TRAIN, inference_phase(head)):
+            with pytest.raises(NumericError, match="layer 1"):
+                forward(head, x, noise, phase)
+
+
+def test_inference_forward_records_no_graph(monkeypatch):
+    created = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(kwargs.get("_op", "tensor"))
+        init(self, *args, **kwargs)
+
+    for variant in (DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI):
+        head = build_head(small_config(variant), init_seed=23)
+        x = Tensor(np.random.default_rng(24).normal(size=(4, 5)))
+        noise = draw_noise_bundle(head, 4, np.random.default_rng(25))
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        created.clear()
+        lp, kl = forward(head, x, noise, MC_INFERENCE)
+        monkeypatch.setattr(Tensor, "__init__", init)
+        assert len(created) <= 2, (variant, created)
+        assert lp._parents == () and kl._parents == ()
+
+
+def test_forward_rejects_unknown_phase():
+    head = build_head(small_config(STOCHASTIC_VI), init_seed=26)
+    with pytest.raises(ConfigError, match="phase"):
+        forward(head, Tensor(np.zeros((2, 5))), zero_noise_bundle(head, 2), "bogus")
 
 
 def test_forward_shape_mismatch():
