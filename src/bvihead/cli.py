@@ -12,6 +12,7 @@ import argparse
 import copy
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .model import (
     DETERMINISTIC,
     VARIANTS,
     HeadConfig,
+    _field,
     build_head,
     load_head,
     save_head,
@@ -114,29 +116,59 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _int(cfg: dict, section: str, key: str) -> int:
+    """cfg[section][key], which must be a JSON integer (never a bool or a float)."""
+    return _field(cfg[section], key, int, section)
+
+
+def _float(cfg: dict, section: str, key: str) -> float:
+    """cfg[section][key], which must be a finite JSON number (never a bool)."""
+    value = _field(cfg[section], key, (int, float), section)
+    try:
+        result = float(value)
+    except OverflowError:  # an integer beyond the float range
+        result = math.inf
+    if not math.isfinite(result):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
+    return result
+
+
+def _bool(cfg: dict, section: str, key: str) -> bool:
+    value = cfg[section][key]
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
+    return value
+
+
 def synth_spec_from(cfg: dict) -> data_mod.SynthSpec:
-    d = cfg["data"]
     return data_mod.SynthSpec(
-        k_in=int(d["k_in"]),
-        k_out=int(d["k_out"]),
-        feature_dim=int(d["feature_dim"]),
-        per_class=int(d["per_class"]),
-        center_scale=float(d["center_scale"]),
-        within_std=float(d["within_std"]),
-        center_seed=int(d["center_seed"]),
-        noise_seed=int(d["noise_seed"]),
-        ood_displacement=float(d["ood_displacement"]),
+        k_in=_int(cfg, "data", "k_in"),
+        k_out=_int(cfg, "data", "k_out"),
+        feature_dim=_int(cfg, "data", "feature_dim"),
+        per_class=_int(cfg, "data", "per_class"),
+        center_scale=_float(cfg, "data", "center_scale"),
+        within_std=_float(cfg, "data", "within_std"),
+        center_seed=_int(cfg, "data", "center_seed"),
+        noise_seed=_int(cfg, "data", "noise_seed"),
+        ood_displacement=_float(cfg, "data", "ood_displacement"),
     )
 
 
 def head_config_from(cfg: dict, variant: str, feature_dim: int, k: int) -> HeadConfig:
     h = cfg["head"]
+    dims = h["hidden_dims"]
+    if not (
+        isinstance(dims, list)
+        and len(dims) == 2
+        and all(isinstance(d, int) and not isinstance(d, bool) for d in dims)
+    ):
+        raise ConfigError(f"head.hidden_dims must be a list of two integers, got {dims!r}")
     return HeadConfig(
         input_dim=feature_dim,
-        hidden_dims=tuple(int(x) for x in h["hidden_dims"]),
+        hidden_dims=tuple(dims),
         num_classes=k,
         variant=variant,
-        dropout_rate=float(h["dropout_rate"]),
+        dropout_rate=_float(cfg, "head", "dropout_rate"),
         estimator=h["estimator"],
     )
 
@@ -144,18 +176,18 @@ def head_config_from(cfg: dict, variant: str, feature_dim: int, k: int) -> HeadC
 def train_config_from(cfg: dict, seed_offset: int = 0) -> TrainConfig:
     t = cfg["train"]
     return TrainConfig(
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        learning_rate=float(t["learning_rate"]),
+        epochs=_int(cfg, "train", "epochs"),
+        batch_size=_int(cfg, "train", "batch_size"),
+        learning_rate=_float(cfg, "train", "learning_rate"),
         optimizer=t["optimizer"],
-        momentum=float(t["momentum"]),
-        beta1=float(t["beta1"]),
-        beta2=float(t["beta2"]),
-        adam_eps=float(t["adam_eps"]),
+        momentum=_float(cfg, "train", "momentum"),
+        beta1=_float(cfg, "train", "beta1"),
+        beta2=_float(cfg, "train", "beta2"),
+        adam_eps=_float(cfg, "train", "adam_eps"),
         kl_weight_mode=t["kl_weight_mode"],
-        kl_weight_const=float(t["kl_weight_const"]),
-        seed=int(t["seed"]) + seed_offset,
-        shuffle=bool(t["shuffle"]),
+        kl_weight_const=_float(cfg, "train", "kl_weight_const"),
+        seed=_int(cfg, "train", "seed") + seed_offset,
+        shuffle=_bool(cfg, "train", "shuffle"),
     )
 
 
@@ -209,7 +241,7 @@ def _train_one(cfg, variant, out_dir, seed_offset=0, tag=None):
     train_set = data_mod.load_features(train_path, fmt)
     k = train_set.num_classes()
     head_cfg = head_config_from(cfg, variant, train_set.feature_dim, k)
-    head = build_head(head_cfg, init_seed=int(cfg["head"]["init_seed"]) + seed_offset)
+    head = build_head(head_cfg, init_seed=_int(cfg, "head", "init_seed") + seed_offset)
     train_cfg = train_config_from(cfg, seed_offset)
     head, report = train(head, train_set, train_cfg)
     save_head(head, out_dir / f"checkpoint_{tag}.json")
@@ -256,15 +288,15 @@ def _eval_one(cfg, head, out_dir, eval_dir, mc_samples):
         print("notice: no OOD file found; OOD metrics will be omitted")
         features, labels, flags = val_set.features, val_set.labels, val_set.is_ood
 
-    t = int(mc_samples)
+    t = mc_samples
     if head.config.variant == DETERMINISTIC and t > 1:
         print(
             f"warning: deterministic variant ignores stochastic passes;"
             f" using T=1 instead of requested T={t}"
         )
         t = 1
-    pds = mc_predict(head, Tensor(features), t=t, seed=int(cfg["inference"]["seed"]))
-    bundle = evaluation_suite(pds, labels, flags, bins=int(cfg["eval"]["bins"]))
+    pds = mc_predict(head, Tensor(features), t=t, seed=_int(cfg, "inference", "seed"))
+    bundle = evaluation_suite(pds, labels, flags, bins=_int(cfg, "eval", "bins"))
     eval_dir = Path(eval_dir)
     eval_dir.mkdir(parents=True, exist_ok=True)
     save_reports(eval_dir / "report.csv", bundle.reports, labels, flags)
@@ -279,7 +311,7 @@ def cmd_eval(args) -> int:
     if args.seed is not None:
         cfg["inference"]["seed"] = args.seed
     mc_samples = (
-        args.mc_samples if args.mc_samples is not None else cfg["inference"]["mc_samples"]
+        args.mc_samples if args.mc_samples is not None else _int(cfg, "inference", "mc_samples")
     )
     out_dir = Path(args.out)
     ckpt = args.checkpoint or str(out_dir / f"checkpoint_{args.variant}.json")
@@ -346,7 +378,7 @@ def cmd_compare(args) -> int:
         )
         cmd_gen_data(gen_args)
     mc_samples = (
-        args.mc_samples if args.mc_samples is not None else cfg["inference"]["mc_samples"]
+        args.mc_samples if args.mc_samples is not None else _int(cfg, "inference", "mc_samples")
     )
 
     results = {}

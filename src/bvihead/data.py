@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,14 @@ from .fsio import atomic_write_bytes, atomic_write_text
 
 OOD_LABEL = -1
 BFV_MAGIC = b"BFV1"
+
+# CSV cells are ASCII decimal literals with optional surrounding blanks;
+# float() and int() alone would also take "1_5" as 15 and non-ASCII digits
+_CSV_FLOAT = re.compile(
+    r"\s*[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)\s*",
+    re.ASCII | re.IGNORECASE,
+)
+_CSV_INT = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
 
 
 @dataclass
@@ -237,16 +246,19 @@ def _load_csv(path) -> LabeledFeatureSet:
                 raise ParseError(
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            try:
-                feats.append([float(v) for v in row[:f_dim]])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            try:
-                label = int(row[f_dim])
-            except ValueError:
+            for col, cell in enumerate(row[:f_dim]):
+                if not _CSV_FLOAT.fullmatch(cell):
+                    raise ParseError(
+                        f"{path}: line {lineno}, column {col + 1} ({header[col]!r}):"
+                        f" {cell!r} is not a decimal number"
+                    )
+            feats.append([float(v) for v in row[:f_dim]])
+            if not _CSV_INT.fullmatch(row[f_dim]):
                 raise ParseError(
-                    f"{path}: line {lineno}: non-integer label {row[f_dim]!r}"
-                ) from None
+                    f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
+                    f" non-integer label {row[f_dim]!r}"
+                )
+            label = int(row[f_dim])
             flag = row[f_dim + 1].strip()
             if flag not in ("0", "1"):
                 raise ParseError(f"{path}: line {lineno}: is_ood must be 0 or 1, got {flag!r}")

@@ -136,6 +136,10 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
     Row n sees x_n W_mu + ((x_n * r_n) (std * eps)) * s_n with a shared
     perturbation base eps and per-example sign vectors r_n, s_n. The bias
     is sampled once per batch by plain reparameterization.
+
+    Both phases compute the output with the same array code; a training
+    forward wraps it in one graph node over (x, W_mu, std, b) whose
+    backward is the closed form of that affine map.
     """
     if layer.estimator != FLIPOUT:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
@@ -149,11 +153,26 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
             f"sign shapes {noise.sign_in.shape}/{noise.sign_out.shape} do not match"
             f" batch {m} with dims ({d_in}, {d_out})"
         )
-    w_mu, w_std, b, kl = _posterior_terms(layer, noise, isinstance(x, Tensor))
-    delta = w_std * noise.weight_eps
-    mean_out = x @ w_mu
-    perturbed = ((x * noise.sign_in) @ delta) * noise.sign_out
-    return (mean_out + perturbed) + b, kl
+    tape = isinstance(x, Tensor)
+    w_mu, w_std, b, kl = _posterior_terms(layer, noise, tape)
+    xa, mua, stda, ba = (x.data, w_mu.data, w_std.data, b.data) if tape else (x, w_mu, w_std, b)
+    r, s, eps = noise.sign_in, noise.sign_out, noise.weight_eps
+    xs = xa * r
+    delta = stda * eps
+    out = ((xa @ mua) + ((xs @ delta) * s)) + ba
+    if not tape:
+        return out, kl
+    node = Tensor(out, (x, w_mu, w_std, b), _op="flipout")
+
+    def _bw(g):
+        gs = g * s
+        x.accumulate_grad(g @ mua.T + (gs @ delta.T) * r)
+        w_mu.accumulate_grad(xa.T @ g)
+        w_std.accumulate_grad((xs.T @ gs) * eps)
+        b.accumulate_grad(g.sum(axis=0))
+
+    node._backward_fn = _bw
+    return node, kl
 
 
 def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str):

@@ -4,6 +4,10 @@ The loss is NLL plus a weighted KL term; the weight mode controls how the
 full-dataset KL is spread across batches. Everything is deterministic
 given the config seed: shuffling and per-batch noise derive their own
 sub-seeded generators from (seed, epoch, batch).
+
+For the length of a run the head's parameters are views into one flat
+float64 vector, and each step gathers their grads into a second one; the
+optimizers update that vector in place with a few vector operations.
 """
 
 from __future__ import annotations
@@ -109,53 +113,65 @@ def kl_weight_for(cfg: TrainConfig, n_examples: int, n_batches: int) -> float:
 
 
 class Sgd:
+    """Momentum SGD on a flat parameter vector, updated in place."""
+
     def __init__(self, learning_rate: float, momentum: float = 0.0):
         self.lr = learning_rate
         self.momentum = momentum
-        self.velocity: list[np.ndarray] | None = None
+        self.velocity: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
-    def step(self, params: list[Tensor], grads: list[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ContractError(f"{len(params)} parameters but {len(grads)} gradients")
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         if self.velocity is None:
-            self.velocity = [np.zeros_like(p.data) for p in params]
-        for p, g, v in zip(params, grads, self.velocity):
-            _check_shapes(p, g)
-            v *= self.momentum
-            v -= self.lr * g
-            p.data = p.data + v
+            self.velocity = np.zeros_like(theta)
+            self._scratch = np.empty_like(theta)
+        _check_flat(theta, grad, self.velocity)
+        v, buf = self.velocity, self._scratch
+        v *= self.momentum
+        v -= np.multiply(self.lr, grad, out=buf)
+        theta += v
 
 
 class Adam:
+    """Adam on a flat parameter vector, updated in place."""
+
     def __init__(self, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
-    def step(self, params: list[Tensor], grads: list[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ContractError(f"{len(params)} parameters but {len(grads)} gradients")
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         if self.m is None:
-            self.m = [np.zeros_like(p.data) for p in params]
-            self.v = [np.zeros_like(p.data) for p in params]
+            self.m = np.zeros_like(theta)
+            self.v = np.zeros_like(theta)
+            self._scratch = (np.empty_like(theta), np.empty_like(theta))
+        _check_flat(theta, grad, self.m)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            _check_shapes(p, g)
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v, (a, b) = self.m, self.v, self._scratch
+        # m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v)
+        m += np.multiply(1.0 - self.beta1, np.subtract(grad, m, out=a), out=a)
+        np.multiply(grad, grad, out=a)
+        a -= v
+        v += np.multiply(1.0 - self.beta2, a, out=a)
+        # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.sqrt(np.divide(v, bc2, out=a), out=a)
+        a += self.eps
+        np.multiply(self.lr, np.divide(m, bc1, out=b), out=b)
+        theta -= np.divide(b, a, out=b)
 
 
-def _check_shapes(p: Tensor, g: np.ndarray) -> None:
-    if p.data.shape != g.shape:
+def _check_flat(theta: np.ndarray, grad: np.ndarray, state: np.ndarray) -> None:
+    if theta.ndim != 1 or grad.shape != theta.shape or state.shape != theta.shape:
         raise ContractError(
-            f"gradient shape {g.shape} does not match parameter {p.data.shape}"
+            f"expected 1-D parameter and gradient vectors of the optimizer's size"
+            f" {state.shape}, got {theta.shape} and {grad.shape}"
         )
 
 
@@ -186,6 +202,8 @@ def train(head: Head, data: LabeledFeatureSet, cfg: TrainConfig) -> tuple[Head, 
 
     optimizer = make_optimizer(cfg)
     params = head.parameters()
+    theta = flatten_parameters(params)
+    grad = np.empty_like(theta)
     report = TrainReport()
 
     for epoch in range(cfg.epochs):
@@ -213,8 +231,8 @@ def train(head: Head, data: LabeledFeatureSet, cfg: TrainConfig) -> tuple[Head, 
                     f"non-finite loss at epoch {epoch}, batch {b_idx}: {exc}"
                 ) from exc
             loss.backward()
-            grads = [p.grad for p in params]
-            optimizer.step(params, grads)
+            gather_grads(params, grad)
+            optimizer.step(theta, grad)
 
             batch_nll = float(nll_value(log_probs.data, batch.labels))
             sum_nll += batch_nll * batch.n
@@ -232,6 +250,33 @@ def train(head: Head, data: LabeledFeatureSet, cfg: TrainConfig) -> tuple[Head, 
             )
         )
     return head, report
+
+
+def flatten_parameters(params: list[Tensor]) -> np.ndarray:
+    """Copy the parameters, in order, into one contiguous float64 vector.
+
+    Each parameter's `.data` is rebound to its reshaped view of the
+    vector, so an in-place optimizer step on the vector updates them all.
+    """
+    theta = np.concatenate([p.data.ravel() for p in params])
+    offset = 0
+    for p in params:
+        size = p.data.size
+        p.data = theta[offset : offset + size].reshape(p.data.shape)
+        offset += size
+    return theta
+
+
+def gather_grads(params: list[Tensor], out: np.ndarray) -> None:
+    """Copy every parameter's grad, in order, into the flat vector `out`."""
+    for i, p in enumerate(params):
+        if p.grad is None:
+            raise ContractError(f"parameter {i} received no gradient")
+        if p.grad.shape != p.data.shape:
+            raise ContractError(
+                f"parameter {i}: gradient shape {p.grad.shape} does not match {p.data.shape}"
+            )
+    np.concatenate([p.grad.ravel() for p in params], out=out)
 
 
 def nll_value(log_probs: np.ndarray, labels) -> float:

@@ -6,7 +6,7 @@ import pytest
 from bvihead.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config, main
 from bvihead.errors import ConfigError
 from bvihead.model import build_head, head_to_dict
-from bvihead.cli import head_config_from
+from bvihead.cli import head_config_from, synth_spec_from, train_config_from
 
 
 TINY = {
@@ -53,6 +53,59 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"wrong_section": {}}))
     with pytest.raises(ConfigError, match="wrong_section"):
         load_config(str(path))
+
+
+def config_with(section, key, value):
+    cfg = load_config(None)
+    cfg[section][key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("value", ["abc", 2.9, 2.0, True, None])
+def test_config_integer_field_must_be_json_integer(value):
+    with pytest.raises(ConfigError, match=r"train\.epochs must be int, got"):
+        train_config_from(config_with("train", "epochs", value))
+    with pytest.raises(ConfigError, match=r"data\.per_class must be int, got"):
+        synth_spec_from(config_with("data", "per_class", value))
+
+
+@pytest.mark.parametrize("value", ["0.1", True, None, [0.1], float("nan"), float("inf"), 10**400])
+def test_config_float_field_must_be_finite_number(value):
+    with pytest.raises(ConfigError, match=r"train\.learning_rate must be"):
+        train_config_from(config_with("train", "learning_rate", value))
+    with pytest.raises(ConfigError, match=r"data\.within_std must be"):
+        synth_spec_from(config_with("data", "within_std", value))
+
+
+def test_config_float_field_accepts_integer():
+    assert train_config_from(config_with("train", "learning_rate", 1)).learning_rate == 1.0
+    assert synth_spec_from(config_with("data", "within_std", 2)).within_std == 2.0
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_config_shuffle_must_be_bool(value):
+    with pytest.raises(ConfigError, match=r"train\.shuffle must be true or false"):
+        train_config_from(config_with("train", "shuffle", value))
+    assert train_config_from(config_with("train", "shuffle", False)).shuffle is False
+
+
+@pytest.mark.parametrize("value", [None, [16], [16, 16, 16], [16, 16.0], [16, True], "16,16"])
+def test_config_hidden_dims_must_be_two_integers(value):
+    with pytest.raises(ConfigError, match=r"head\.hidden_dims must be a list of two integers"):
+        head_config_from(config_with("head", "hidden_dims", value), "deterministic", 6, 3)
+
+
+def test_mistyped_config_value_exits_2_naming_the_key(tiny_config, tmp_path, capsys):
+    out = tmp_path / "ws"
+    assert run(["gen-data", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    cfg = json.loads(json.dumps(TINY))
+    cfg["train"]["epochs"] = "abc"
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = run(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "train.epochs" in capsys.readouterr().err
 
 
 def test_gen_data_writes_expected_rows(tiny_config, tmp_path, capsys):
@@ -292,3 +345,19 @@ def test_hist_non_numeric_cell_exits_3_with_position(tmp_path, capsys):
     code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])
     assert code == EXIT_IO
     assert "line 3" in capsys.readouterr().err
+
+
+def test_train_on_csv_with_underscore_digits_exits_3(tiny_config, tmp_path, capsys):
+    cfg = json.loads(open(tiny_config).read())
+    cfg["data"]["formats"] = ["csv"]
+    cfg_path = tmp_path / "csv.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "ws"
+    assert run(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    lines = (out / "train.csv").read_text().splitlines()
+    lines[1] = "1_5" + lines[1][lines[1].index(",") :]
+    (out / "train.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run(["train", "--config", str(cfg_path), "--out", str(out), "--variant", "deterministic"])
+    assert code == EXIT_IO
+    assert "line 2, column 1 ('f0')" in capsys.readouterr().err

@@ -260,3 +260,31 @@ def test_bfv_non_finite_feature_names_row_and_index(tmp_path, value):
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError, match=f"byte {offset}: row 3, feature 2: non-finite"):
         load_features(path, "bfv")
+
+
+@pytest.mark.parametrize(
+    "row, where",
+    [
+        ("1_5,1_0,0", r"line 3, column 1 \('f0'\): '1_5' is not a decimal number"),
+        ("1.5,1_0,0", r"line 3, column 2 \('label'\): non-integer label '1_0'"),
+        ("0x1p3,1,0", r"line 3, column 1 \('f0'\)"),
+        ("١٥,1,0", r"line 3, column 1 \('f0'\)"),
+        ("1.5,١,0", r"line 3, column 2 \('label'\)"),
+    ],
+)
+def test_csv_rejects_cells_outside_the_decimal_grammar(tmp_path, row, where):
+    # float() and int() would read '1_5' as 15 and Arabic-Indic digits as digits
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,label,is_ood\n2.0,0,0\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=where):
+        load_features(path, "csv")
+
+
+def test_csv_accepts_every_decimal_spelling(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text(
+        "f0,f1,label,is_ood\n1.E-3, .5 ,+2,0\n5.,-7e2,-1,1\n", encoding="utf-8"
+    )
+    loaded = load_features(path, "csv")
+    np.testing.assert_array_equal(loaded.features, [[1e-3, 0.5], [5.0, -700.0]])
+    np.testing.assert_array_equal(loaded.labels, [2, -1])

@@ -271,6 +271,48 @@ def test_flipout_gradient_through_posterior():
     assert_gradients_match(loss, [mu, rho, bmu, brho], rel=1e-6)
 
 
+def test_flipout_node_equals_op_by_op_graph_bit_for_bit():
+    # oracle: the same affine map built from one graph node per operation
+    from bvihead.dist import kl_to_prior, sample, softplus_std
+
+    layer = make_variational(4, 3, FLIPOUT, seed=30, rho=-0.7)
+    wp, bp = layer.weight_post, layer.bias_post
+    rng = np.random.default_rng(31)
+    x_arr = rng.normal(size=(5, 4))
+    noise = draw_layer_noise(layer, 5, rng)
+    upstream = rng.normal(size=(5, 3))
+
+    def run(fused):
+        for t in (wp.mu, wp.rho, bp.mu, bp.rho):
+            t.grad = None
+        x = Tensor(x_arr)
+        if fused:
+            out, kl = variational_forward_flipout(layer, x, noise)
+        else:
+            w_std, b_std = softplus_std(wp.rho), softplus_std(bp.rho)
+            b = sample(bp, noise.bias_eps, b_std)
+            kl = kl_to_prior(wp, layer.prior, w_std) + kl_to_prior(bp, layer.prior, b_std)
+            delta = w_std * noise.weight_eps
+            out = ((x @ wp.mu) + (((x * noise.sign_in) @ delta) * noise.sign_out)) + b
+        ((out * upstream).sum() + kl).backward()
+        return [out.data, x.grad] + [t.grad for t in (wp.mu, wp.rho, bp.mu, bp.rho)]
+
+    for got, want in zip(run(True), run(False)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_flipout_training_forward_is_one_node_over_its_inputs():
+    layer = make_variational(3, 2, FLIPOUT, seed=32)
+    x = Tensor(np.random.default_rng(33).normal(size=(4, 3)))
+    out, _ = variational_forward_flipout(
+        layer, x, draw_layer_noise(layer, 4, np.random.default_rng(34))
+    )
+    x_node, mu, std, b = out._parents
+    assert x_node is x and mu is layer.weight_post.mu
+    assert std._parents == (layer.weight_post.rho,)
+    assert b.shape == (2,)
+
+
 def test_flipout_estimator_mismatch():
     layer = make_variational(3, 2, REPARAM, seed=29)
     with pytest.raises(ContractError):

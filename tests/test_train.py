@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from bvihead.train import (
     Sgd,
     TrainConfig,
     elbo_loss,
+    flatten_parameters,
+    gather_grads,
     kl_weight_for,
     make_optimizer,
     train,
@@ -99,31 +102,61 @@ def test_elbo_gradient_with_frozen_noise():
     assert_gradients_match(loss, base, rel=1e-5)
 
 
+def test_flipout_head_elbo_gradient_matches_finite_differences():
+    # every parameter of a full Flipout head, through the fused layer nodes,
+    # the shared softplus, the bias draw and the closed-form KL
+    from bvihead.dist import DiagonalGaussian
+    from bvihead.layers import FLIPOUT, DenseVariational
+    from bvihead.model import Head
+
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(4, 3))
+    labels = [0, 2, 1, 2]
+    cfg = HeadConfig(3, (5, 4), 3, STOCHASTIC_VI, estimator=FLIPOUT)
+    template = build_head(cfg, init_seed=32)
+    frozen = draw_noise_bundle(template, 4, rng)
+    base = [p.data + rng.normal(scale=0.3, size=p.shape) for p in template.parameters()]
+
+    def loss(ts):
+        layers = [
+            DenseVariational(
+                DiagonalGaussian(ts[4 * i], ts[4 * i + 1]),
+                DiagonalGaussian(ts[4 * i + 2], ts[4 * i + 3]),
+                estimator=FLIPOUT,
+            )
+            for i in range(3)
+        ]
+        lp, kl = forward(Head(config=cfg, layers=layers), Tensor(x), frozen, TRAIN)
+        return elbo_loss(lp, labels, kl, 0.05)
+
+    assert_gradients_match(loss, base, rel=1e-6)
+
+
 # ---- optimizers ----------------------------------------------------------------
 
 
 def test_sgd_zero_gradient_keeps_parameters():
-    p = Tensor(np.array([1.0, -2.0]))
+    p = np.array([1.0, -2.0])
     opt = Sgd(0.1, momentum=0.0)
-    opt.step([p], [np.zeros(2)])
-    np.testing.assert_array_equal(p.data, [1.0, -2.0])
+    opt.step(p, np.zeros(2))
+    np.testing.assert_array_equal(p, [1.0, -2.0])
 
 
 def test_sgd_single_step_exact():
-    p = Tensor(np.array([1.0, -2.0]))
+    p = np.array([1.0, -2.0])
     g = np.array([0.5, -1.0])
     opt = Sgd(0.1, momentum=0.0)
-    opt.step([p], [g])
-    np.testing.assert_allclose(p.data, [1.0 - 0.05, -2.0 + 0.1], rtol=1e-15)
+    opt.step(p, g)
+    np.testing.assert_allclose(p, [1.0 - 0.05, -2.0 + 0.1], rtol=1e-15)
 
 
 def test_sgd_momentum_accumulates_velocity():
-    p = Tensor(np.array([0.0]))
+    p = np.array([0.0])
     opt = Sgd(0.1, momentum=0.9)
-    opt.step([p], [np.array([1.0])])
-    opt.step([p], [np.array([1.0])])
+    opt.step(p, np.array([1.0]))
+    opt.step(p, np.array([1.0]))
     # v1 = -0.1, v2 = 0.9*(-0.1) - 0.1 = -0.19; p = -0.1 - 0.19
-    np.testing.assert_allclose(p.data, [-0.29], rtol=1e-15)
+    np.testing.assert_allclose(p, [-0.29], rtol=1e-15)
 
 
 def adam_scalar_simulation(p0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -143,20 +176,110 @@ def test_adam_quadratic_bowl_matches_scalar_oracle():
     expected = adam_scalar_simulation(1.0, 0.1, 200)
     assert abs(expected) < 0.01
 
-    p = Tensor(np.array([1.0]))
+    p = np.array([1.0])
     opt = Adam(0.1)
     for _ in range(200):
-        opt.step([p], [2.0 * p.data])
-    assert abs(float(p.data[0])) < 0.01
-    np.testing.assert_allclose(p.data, [expected], rtol=1e-10)
+        opt.step(p, 2.0 * p)
+    assert abs(float(p[0])) < 0.01
+    np.testing.assert_allclose(p, [expected], rtol=1e-10)
 
 
 def test_optimizer_shape_mismatch():
     opt = Sgd(0.1)
     with pytest.raises(ContractError):
-        opt.step([Tensor(np.zeros(2))], [np.zeros(3)])
+        opt.step(np.zeros(2), np.zeros(3))
     with pytest.raises(ContractError):
-        Adam(0.1).step([Tensor(np.zeros(2))], [])
+        Adam(0.1).step(np.zeros(2), np.zeros(0))
+
+
+class PerTensorSgd:
+    """Oracle: momentum SGD over a list of arrays, one tensor at a time."""
+
+    def __init__(self, lr, momentum):
+        self.lr, self.momentum, self.velocity = lr, momentum, None
+
+    def step(self, params, grads):
+        if self.velocity is None:
+            self.velocity = [np.zeros_like(p) for p in params]
+        for i, (g, v) in enumerate(zip(grads, self.velocity)):
+            v *= self.momentum
+            v -= self.lr * g
+            params[i] = params[i] + v
+
+
+class PerTensorAdam:
+    """Oracle: Adam over a list of arrays, one tensor at a time."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t, self.m, self.v = 0, None, None
+
+    def step(self, params, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for i, (g, m, v) in enumerate(zip(grads, self.m, self.v)):
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            params[i] = params[i] - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+@pytest.mark.parametrize(
+    "flat, oracle",
+    [
+        (lambda: Adam(3e-3), lambda: PerTensorAdam(3e-3)),
+        (lambda: Sgd(0.05, momentum=0.9), lambda: PerTensorSgd(0.05, 0.9)),
+    ],
+    ids=["adam", "sgd-momentum"],
+)
+def test_flat_optimizer_equals_per_tensor_oracle_bit_for_bit(flat, oracle):
+    head = build_head(HeadConfig(5, (7, 6), 3, STOCHASTIC_VI), init_seed=4)
+    params = head.parameters()
+    assert len(params) == 12
+    reference = [p.data.copy() for p in params]
+    theta = flatten_parameters(params)
+    grad = np.empty_like(theta)
+    opt, ref_opt = flat(), oracle()
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        grads = [rng.normal(scale=rng.uniform(0.01, 10.0), size=p.shape) for p in params]
+        for p, g in zip(params, grads):
+            p.grad = g
+        gather_grads(params, grad)
+        opt.step(theta, grad)
+        ref_opt.step(reference, grads)
+        for p, r in zip(params, reference):
+            np.testing.assert_array_equal(p.data, r)
+
+
+def test_flatten_parameters_rebinds_views_of_one_vector():
+    head = small_head(STOCHASTIC_VI)
+    params = head.parameters()
+    before = [p.data.copy() for p in params]
+    theta = flatten_parameters(params)
+    assert theta.dtype == np.float64 and theta.size == sum(b.size for b in before)
+    for p, b in zip(params, before):
+        assert np.shares_memory(p.data, theta)
+        np.testing.assert_array_equal(p.data, b)
+    theta += 1.0
+    np.testing.assert_array_equal(params[0].data, before[0] + 1.0)
+
+
+def test_parameter_without_gradient_names_its_index(monkeypatch):
+    # by module path: the package's own ``train`` attribute is the function
+    train_mod = importlib.import_module("bvihead.train")
+    other = small_head(DETERMINISTIC, seed=6)
+    real_forward = train_mod.forward
+    # the loss is built from another head, so no parameter of the trained one
+    # receives a gradient
+    monkeypatch.setattr(
+        train_mod, "forward", lambda head, x, noise, phase: real_forward(other, x, noise, phase)
+    )
+    with pytest.raises(ContractError, match="parameter 0 received no gradient"):
+        train(small_head(DETERMINISTIC), blobs_2class(n_per_class=4), TrainConfig(epochs=1))
 
 
 # ---- kl weights ------------------------------------------------------------------
