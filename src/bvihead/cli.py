@@ -14,27 +14,19 @@ import io
 import json
 import math
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import data as data_mod
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    GenerationError,
-    NumericError,
-    ParseError,
-    UndefinedCurveError,
-)
+from .errors import BviError, ConfigError, NumericError, ParseError
 from .evaluate import evaluation_suite, write_bundle
 from .fsio import atomic_write_text
 from .model import (
     DETERMINISTIC,
     VARIANTS,
     HeadConfig,
-    _field,
     build_head,
     load_head,
     save_head,
@@ -48,53 +40,31 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
+# the dataclasses hold every default they own; only the keys no dataclass
+# owns are spelled out here
 DEFAULT_CONFIG = {
-    "data": {
-        "k_in": 8,
-        "k_out": 8,
-        "feature_dim": 64,
-        "per_class": 250,
-        "center_scale": 1.3,
-        "within_std": 1.5,
-        "center_seed": 11,
-        "noise_seed": 12,
-        "ood_displacement": 12.0,
-        "formats": ["bfv"],
-    },
+    "data": {**asdict(data_mod.SynthSpec()), "formats": ["bfv"]},
     "head": {
         "hidden_dims": [256, 256],
-        "dropout_rate": 0.2,
-        "estimator": "flipout",
+        **{f.name: f.default for f in fields(HeadConfig) if f.default is not MISSING},
         "init_seed": 100,
     },
-    "train": {
-        "epochs": 30,
-        "batch_size": 64,
-        "learning_rate": 1e-3,
-        "optimizer": "adam",
-        "momentum": 0.9,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "kl_weight_mode": "one-over-n",
-        "kl_weight_const": 1.0,
-        "seed": 7,
-        "shuffle": True,
-    },
+    "train": asdict(TrainConfig()),
     "inference": {"mc_samples": 40, "seed": 1234},
     "eval": {"bins": 50},
 }
 
 
 def load_config(path: str | None) -> dict:
-    """Defaults, overlaid with the JSON file if given. Unknown keys reject."""
+    """Defaults, overlaid with the JSON file if given. Unknown keys reject;
+    values are checked when they are read (`_get`)."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return cfg
     try:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
@@ -116,79 +86,50 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _int(cfg: dict, section: str, key: str) -> int:
-    """cfg[section][key], which must be a JSON integer (never a bool or a float)."""
-    return _field(cfg[section], key, int, section)
+def _get(cfg: dict, section: str, key: str):
+    """cfg[section][key], checked against the type of its default.
 
-
-def _float(cfg: dict, section: str, key: str) -> float:
-    """cfg[section][key], which must be a finite JSON number (never a bool)."""
-    value = _field(cfg[section], key, (int, float), section)
-    try:
-        result = float(value)
-    except OverflowError:  # an integer beyond the float range
-        result = math.inf
-    if not math.isfinite(result):
-        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
-    return result
-
-
-def _bool(cfg: dict, section: str, key: str) -> bool:
-    value = cfg[section][key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
+    An int takes a JSON integer (never a bool), a float a finite JSON
+    number, a bool only true or false, a str a string, and a list a list of
+    its default's item type (hidden_dims exactly two); a seed is >= 0.
+    Anything else raises ConfigError naming section.key.
+    """
+    default, value = DEFAULT_CONFIG[section][key], cfg[section][key]
+    kind, where = type(default), f"{section}.{key}"
+    if kind is list:  # hidden_dims: two ints; formats: any number of strs
+        item = type(default[0])
+        if type(value) is not list or any(type(v) is not item for v in value) or (
+            key == "hidden_dims" and len(value) != 2
+        ):
+            expected = "two integers" if item is int else "strings"
+            raise ConfigError(f"{where} must be a list of {expected}, got {value!r}")
+        return value
+    if kind is float and type(value) is int:  # beyond the float range is inf
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        expected = {bool: "true or false", float: "a finite number"}.get(kind, kind.__name__)
+        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    if key.endswith("seed") and value < 0:
+        raise ConfigError(f"{where} must be >= 0, got {value}")
     return value
 
 
+def _build(cls, cfg: dict, section: str, **given):
+    """cls from the fields not `given`, each read from cfg[section] by _get."""
+    read = {f.name: _get(cfg, section, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**read, **given)
+
+
 def synth_spec_from(cfg: dict) -> data_mod.SynthSpec:
-    return data_mod.SynthSpec(
-        k_in=_int(cfg, "data", "k_in"),
-        k_out=_int(cfg, "data", "k_out"),
-        feature_dim=_int(cfg, "data", "feature_dim"),
-        per_class=_int(cfg, "data", "per_class"),
-        center_scale=_float(cfg, "data", "center_scale"),
-        within_std=_float(cfg, "data", "within_std"),
-        center_seed=_int(cfg, "data", "center_seed"),
-        noise_seed=_int(cfg, "data", "noise_seed"),
-        ood_displacement=_float(cfg, "data", "ood_displacement"),
-    )
+    return _build(data_mod.SynthSpec, cfg, "data")
 
 
 def head_config_from(cfg: dict, variant: str, feature_dim: int, k: int) -> HeadConfig:
-    h = cfg["head"]
-    dims = h["hidden_dims"]
-    if not (
-        isinstance(dims, list)
-        and len(dims) == 2
-        and all(isinstance(d, int) and not isinstance(d, bool) for d in dims)
-    ):
-        raise ConfigError(f"head.hidden_dims must be a list of two integers, got {dims!r}")
-    return HeadConfig(
-        input_dim=feature_dim,
-        hidden_dims=tuple(dims),
-        num_classes=k,
-        variant=variant,
-        dropout_rate=_float(cfg, "head", "dropout_rate"),
-        estimator=h["estimator"],
-    )
+    return _build(HeadConfig, cfg, "head", input_dim=feature_dim, num_classes=k, variant=variant)
 
 
 def train_config_from(cfg: dict, seed_offset: int = 0) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        epochs=_int(cfg, "train", "epochs"),
-        batch_size=_int(cfg, "train", "batch_size"),
-        learning_rate=_float(cfg, "train", "learning_rate"),
-        optimizer=t["optimizer"],
-        momentum=_float(cfg, "train", "momentum"),
-        beta1=_float(cfg, "train", "beta1"),
-        beta2=_float(cfg, "train", "beta2"),
-        adam_eps=_float(cfg, "train", "adam_eps"),
-        kl_weight_mode=t["kl_weight_mode"],
-        kl_weight_const=_float(cfg, "train", "kl_weight_const"),
-        seed=_int(cfg, "train", "seed") + seed_offset,
-        shuffle=_bool(cfg, "train", "shuffle"),
-    )
+    return _build(TrainConfig, cfg, "train", seed=_get(cfg, "train", "seed") + seed_offset)
 
 
 def _dataset_paths(out_dir: Path, fmt: str) -> dict[str, Path]:
@@ -214,7 +155,7 @@ def cmd_gen_data(args) -> int:
     if getattr(args, "classes", None) is not None:
         cfg["data"]["k_in"] = args.classes
         cfg["data"]["k_out"] = args.classes
-    formats = [args.format] if args.format else list(cfg["data"]["formats"])
+    formats = [args.format] if args.format else _get(cfg, "data", "formats")
     spec = synth_spec_from(cfg)
     sets = dict(zip(("train", "val", "ood"), data_mod.generate(spec)))
     out_dir = Path(args.out)
@@ -241,7 +182,7 @@ def _train_one(cfg, variant, out_dir, seed_offset=0, tag=None):
     train_set = data_mod.load_features(train_path, fmt)
     k = train_set.num_classes()
     head_cfg = head_config_from(cfg, variant, train_set.feature_dim, k)
-    head = build_head(head_cfg, init_seed=_int(cfg, "head", "init_seed") + seed_offset)
+    head = build_head(head_cfg, init_seed=_get(cfg, "head", "init_seed") + seed_offset)
     train_cfg = train_config_from(cfg, seed_offset)
     head, report = train(head, train_set, train_cfg)
     save_head(head, out_dir / f"checkpoint_{tag}.json")
@@ -263,7 +204,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_one(cfg, head, out_dir, eval_dir, mc_samples):
+def _eval_one(cfg, head, out_dir, eval_dir):
     """Evaluate a trained head on val (+ ood when present); writes artifacts."""
     val_path, fmt = _find_dataset(out_dir, "val")
     val_set = data_mod.load_features(val_path, fmt)
@@ -288,15 +229,15 @@ def _eval_one(cfg, head, out_dir, eval_dir, mc_samples):
         print("notice: no OOD file found; OOD metrics will be omitted")
         features, labels, flags = val_set.features, val_set.labels, val_set.is_ood
 
-    t = mc_samples
+    t = _get(cfg, "inference", "mc_samples")
     if head.config.variant == DETERMINISTIC and t > 1:
         print(
             f"warning: deterministic variant ignores stochastic passes;"
             f" using T=1 instead of requested T={t}"
         )
         t = 1
-    pds = mc_predict(head, Tensor(features), t=t, seed=_int(cfg, "inference", "seed"))
-    bundle = evaluation_suite(pds, labels, flags, bins=_int(cfg, "eval", "bins"))
+    pds = mc_predict(head, Tensor(features), t=t, seed=_get(cfg, "inference", "seed"))
+    bundle = evaluation_suite(pds, labels, flags, bins=_get(cfg, "eval", "bins"))
     eval_dir = Path(eval_dir)
     eval_dir.mkdir(parents=True, exist_ok=True)
     save_reports(eval_dir / "report.csv", bundle.reports, labels, flags)
@@ -310,13 +251,12 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["inference"]["seed"] = args.seed
-    mc_samples = (
-        args.mc_samples if args.mc_samples is not None else _int(cfg, "inference", "mc_samples")
-    )
+    if args.mc_samples is not None:
+        cfg["inference"]["mc_samples"] = args.mc_samples
     out_dir = Path(args.out)
     ckpt = args.checkpoint or str(out_dir / f"checkpoint_{args.variant}.json")
     head = load_head(ckpt)
-    bundle = _eval_one(cfg, head, out_dir, out_dir / f"eval_{args.variant}", mc_samples)
+    bundle = _eval_one(cfg, head, out_dir, out_dir / f"eval_{args.variant}")
     print(json.dumps(bundle.summary, indent=1, sort_keys=True))
     return EXIT_OK
 
@@ -366,6 +306,8 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
+    if args.mc_samples is not None:
+        cfg["inference"]["mc_samples"] = args.mc_samples
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not (out_dir / "train.bfv").exists() and not (out_dir / "train.csv").exists():
@@ -377,14 +319,11 @@ def cmd_compare(args) -> int:
             classes=getattr(args, "classes", None),
         )
         cmd_gen_data(gen_args)
-    mc_samples = (
-        args.mc_samples if args.mc_samples is not None else _int(cfg, "inference", "mc_samples")
-    )
 
     results = {}
     for idx, variant in enumerate(VARIANTS):
         head = _train_one(cfg, variant, out_dir, seed_offset=idx, tag=variant)
-        bundle = _eval_one(cfg, head, out_dir, out_dir / f"eval_{variant}", mc_samples)
+        bundle = _eval_one(cfg, head, out_dir, out_dir / f"eval_{variant}")
         results[variant] = bundle.summary
 
     md, csv_text = comparison_tables(results)
@@ -396,25 +335,23 @@ def cmd_compare(args) -> int:
 
 def cmd_hist(args) -> int:
     rows = []
-    with open(args.input, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if args.column not in header:
-            raise ConfigError(
-                f"column {args.column!r} not in {args.input} (has {header})"
+    lines = io.StringIO(data_mod.read_text(args.input), newline=None)
+    header = lines.readline().strip().split(",")
+    if args.column not in header:
+        raise ConfigError(f"column {args.column!r} not in {args.input} (has {header})")
+    col = header.index(args.column)
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.strip().split(",")
+        cell = cells[col] if col < len(cells) else None
+        # a cell is a decimal literal of the CSV grammar; NaN has no bin
+        if cell is None or not data_mod._CSV_FLOAT.fullmatch(cell) or math.isnan(float(cell)):
+            raise ParseError(
+                f"{args.input}: line {lineno}, column {col + 1} ({args.column!r}):"
+                f" {'missing cell' if cell is None else repr(cell)} is not a number"
             )
-        col = header.index(args.column)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
-            try:
-                rows.append(float(cells[col]))
-            except (IndexError, ValueError):
-                cell = repr(cells[col]) if col < len(cells) else "missing cell"
-                raise ParseError(
-                    f"{args.input}: line {lineno}, column {col + 1} ({args.column!r}):"
-                    f" {cell} is not a number"
-                ) from None
+        rows.append(float(cell))
     from .evaluate import density_histogram
 
     hist = density_histogram(rows, args.bins, args.lo, args.hi)
@@ -490,22 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def exit_code(exc: Exception) -> int:
+    """The exit code `main` reports a package or OS error with."""
+    if isinstance(exc, NumericError):
+        return EXIT_NUMERIC
+    return EXIT_IO if isinstance(exc, (ParseError, OSError)) else EXIT_CONFIG
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractError, DataError, GenerationError,
-            UndefinedCurveError) as exc:
+    except (BviError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParseError, FileNotFoundError, IsADirectoryError, PermissionError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -93,6 +93,8 @@ class SynthSpec:
             raise ConfigError(f"all counts must be positive, got {counts}")
         if not self.within_std > 0:
             raise ConfigError(f"within-class std must be positive, got {self.within_std}")
+        if not 0 < self.center_scale <= 1e300:  # centers are drawn from +-center_scale
+            raise ConfigError(f"data.center_scale must be in (0, 1e300], got {self.center_scale}")
 
 
 _MAX_CENTER_TRIES = 10**5
@@ -219,6 +221,16 @@ def batches(
 # ---- CSV format ----------------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """The file decoded as UTF-8; other bytes raise ParseError naming the file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not UTF-8 text ({exc})") from None
+
+
 def save_csv(data: LabeledFeatureSet, path) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -229,12 +241,11 @@ def save_csv(data: LabeledFeatureSet, path) -> None:
 
 
 def _load_csv(path) -> LabeledFeatureSet:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
         if len(header) < 3 or header[-2:] != ["label", "is_ood"]:
             raise ParseError(f"{path}: line 1: expected header f0..fN,label,is_ood")
         f_dim = len(header) - 2
@@ -258,7 +269,14 @@ def _load_csv(path) -> LabeledFeatureSet:
                     f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
                     f" non-integer label {row[f_dim]!r}"
                 )
-            label = int(row[f_dim])
+            # int32, as in BFV; the length test keeps int() off huge digit strings
+            digits = row[f_dim].strip().lstrip("+-0")
+            label = int(row[f_dim]) if len(digits) <= 10 else None
+            if label is None or not -(2**31) <= label < 2**31:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
+                    f" label {row[f_dim]!r} is outside the int32 range"
+                )
             flag = row[f_dim + 1].strip()
             if flag not in ("0", "1"):
                 raise ParseError(f"{path}: line {lineno}: is_ood must be 0 or 1, got {flag!r}")
@@ -269,6 +287,8 @@ def _load_csv(path) -> LabeledFeatureSet:
                 )
             labels.append(label)
             linenos.append(lineno)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not feats:
         raise ParseError(f"{path}: no data rows")
     feats = np.asarray(feats)

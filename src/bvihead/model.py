@@ -14,6 +14,7 @@ tensors, so a Monte Carlo pass allocates no graph nodes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,7 +254,7 @@ def _decode_array(entry: dict, key: str, shape: tuple[int, ...], where: str) -> 
         arr = np.array([float(v) for v in values], dtype=np.float64)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    if arr.size != int(np.prod(shape)):
+    if arr.size != math.prod(shape):
         raise ConfigError(f"{where} has {arr.size} values, expected shape {shape}")
     if not np.isfinite(arr).all():
         raise ConfigError(f"{where} holds non-finite values")
@@ -325,31 +326,29 @@ def head_from_dict(doc: dict) -> Head:
         hidden_dims=tuple(hidden),
         num_classes=_field(c, "num_classes", int, "config"),
         variant=_field(c, "variant", str, "config"),
-        dropout_rate=float(_field(c, "dropout_rate", (int, float), "config")),
+        dropout_rate=_field(c, "dropout_rate", (int, float), "config"),
         estimator=_field(c, "estimator", str, "config"),
     )
-    head = build_head(cfg, init_seed=0)
     entries = _field(doc, "layers", list, "checkpoint")
     if len(entries) != 3:
         raise ConfigError(f"checkpoint has {len(entries)} layers, expected 3")
-    for i, (layer, entry, (d_in, d_out)) in enumerate(
-        zip(head.layers, entries, cfg.layer_dims)
-    ):
+    # every stored array is checked against the header's dims before
+    # build_head allocates them; arrays follow Head.parameters() order
+    if cfg.variant == STOCHASTIC_VI:
+        kind, names = "variational", ("weight_mu", "weight_rho", "bias_mu", "bias_rho")
+    else:
+        kind, names = "deterministic", ("weight", "bias")
+    arrays = []
+    for i, (entry, (d_in, d_out)) in enumerate(zip(entries, cfg.layer_dims)):
         where = f"layers[{i}]"
-        kind = _field(entry, "kind", str, where)
-        w_shape, b_shape = (d_in, d_out), (d_out,)
-        if isinstance(layer, DenseDeterministic):
-            if kind != "deterministic":
-                raise ConfigError("checkpoint layer kind does not match variant")
-            layer.weight.data = _decode_array(entry, "weight", w_shape, where)
-            layer.bias.data = _decode_array(entry, "bias", b_shape, where)
-        else:
-            if kind != "variational":
-                raise ConfigError("checkpoint layer kind does not match variant")
-            layer.weight_post.mu.data = _decode_array(entry, "weight_mu", w_shape, where)
-            layer.weight_post.rho.data = _decode_array(entry, "weight_rho", w_shape, where)
-            layer.bias_post.mu.data = _decode_array(entry, "bias_mu", b_shape, where)
-            layer.bias_post.rho.data = _decode_array(entry, "bias_rho", b_shape, where)
+        if _field(entry, "kind", str, where) != kind:
+            raise ConfigError("checkpoint layer kind does not match variant")
+        for name in names:
+            shape = (d_in, d_out) if name.startswith("weight") else (d_out,)
+            arrays.append(_decode_array(entry, name, shape, where))
+    head = build_head(cfg, init_seed=0)
+    for param, arr in zip(head.parameters(), arrays):
+        param.data = arr
     return head
 
 
@@ -363,7 +362,7 @@ def load_head(path) -> Head:
         raw = fh.read()
     try:
         doc = json.loads(raw)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise ConfigError(f"{path}: checkpoint is not valid JSON: {exc}") from None
     try:
         return head_from_dict(doc)

@@ -60,6 +60,11 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.kl_weight_mode not in KL_MODES:
             raise ConfigError(f"unknown kl_weight_mode {self.kl_weight_mode!r}")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.adam_eps > 0):
+            raise ConfigError(
+                f"adam needs 0 <= beta1, beta2 < 1 and adam_eps > 0, got {self.beta1},"
+                f" {self.beta2} and {self.adam_eps}"
+            )
         if self.kl_weight_const < 0:
             raise ConfigError(f"kl_weight_const must be >= 0, got {self.kl_weight_const}")
 

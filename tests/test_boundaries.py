@@ -1,0 +1,289 @@
+"""Every input boundary either loads or fails with a typed error.
+
+Hypothesis feeds generated inputs to the five readers: the config file, a
+CSV or BFV feature file, a checkpoint, and the report CSV that `hist`
+reads. Each input must load, or raise a BviError that `main` reports with
+exit code 2 or 3; any other exception is a raw traceback and fails the
+test. The `@example`s include every input found to end in a raw
+traceback before its reader was fixed.
+
+Generated integers stay small wherever they size an allocation, so no
+example builds more than a few kilobytes.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bvihead.cli import (
+    DEFAULT_CONFIG,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    exit_code,
+    main,
+)
+from bvihead.data import load_features
+from bvihead.errors import BviError
+from bvihead.model import STOCHASTIC_VI, VARIANTS, HeadConfig, build_head, head_to_dict, load_head
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+SMALL_INTS = st.integers(-3, 8)
+SCALARS = st.none() | st.booleans() | SMALL_INTS | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2)
+    ),
+    max_leaves=5,
+)
+NOT_UTF8 = b"\xff\xfe\x80"
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundaries")
+
+
+def assert_loads_or_fails_cleanly(read):
+    try:
+        read()
+    except BviError as exc:
+        assert exit_code(exc) in (EXIT_CONFIG, EXIT_IO), repr(exc)
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one command; a raw exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err, allowed):
+    assert code in allowed, err
+    if code != EXIT_OK:
+        assert err.startswith("error: ") and err.count("error: ") == 1, err
+        assert "Traceback" not in err
+
+
+# ---- config file -------------------------------------------------------------
+
+TINY = {
+    "data": {"k_in": 3, "k_out": 2, "feature_dim": 4, "per_class": 10, "formats": ["bfv"]},
+    "head": {"hidden_dims": [4, 4]},
+    "train": {"epochs": 2, "batch_size": 8},
+    "inference": {"mc_samples": 3},
+}
+KEYS = [(section, key) for section in DEFAULT_CONFIG for key in DEFAULT_CONFIG[section]]
+WORDS = ["adam", "sgd", "flipout", "reparam", "one-over-n", "one-over-batches", "constant", "csv"]
+PLAUSIBLE = {
+    bool: st.booleans(),
+    int: SMALL_INTS,
+    float: st.floats(-1.0, 2.0) | st.sampled_from([0.0, 1.0, 1e-300, 1e308]),
+    str: st.sampled_from(WORDS),
+    list: st.lists(SMALL_INTS, min_size=2, max_size=2) | st.lists(st.sampled_from(WORDS)),
+}
+
+
+@st.composite
+def config_edits(draw):
+    """(section, key, value) edits of the tiny config, mostly well typed;
+    counts stay small."""
+    section, key = draw(st.sampled_from(KEYS + [("data", "bogus"), ("nowhere", "x")]))
+    default = DEFAULT_CONFIG.get(section, {}).get(key)
+    values = PLAUSIBLE.get(type(default), st.nothing()) | JSON_VALUES
+    if key.endswith("seed") or isinstance(default, float):
+        values = values | st.integers(-(2**70), 2**70) | st.just(10**400)
+    return section, key, draw(values)
+
+
+def negative_seed(section, key):
+    return example(edits=[(section, key, -1)], raw=None, variant=STOCHASTIC_VI)
+
+
+@FUZZ
+@given(
+    edits=st.lists(config_edits(), max_size=3),
+    raw=st.sampled_from([None] * 4) | st.binary(max_size=64),
+    variant=st.sampled_from(VARIANTS),
+)
+@example(edits=[], raw=b'{"data": ' + NOT_UTF8 + b"}", variant=STOCHASTIC_VI)
+@example(edits=[], raw=b"[" * 100_000, variant=STOCHASTIC_VI)
+@example(edits=[], raw=b'{"train": {"epochs": ' + b"1" * 5000 + b"}}", variant=STOCHASTIC_VI)
+@example(edits=[("data", "center_scale", -1.0)], raw=None, variant=STOCHASTIC_VI)
+@example(edits=[("data", "center_scale", 1e308)], raw=None, variant=STOCHASTIC_VI)
+@example(edits=[("data", "formats", None)], raw=None, variant=STOCHASTIC_VI)
+@negative_seed("data", "center_seed")
+@negative_seed("data", "noise_seed")
+@negative_seed("head", "init_seed")
+@negative_seed("train", "seed")
+@negative_seed("inference", "seed")
+def test_config_file_runs_or_fails_cleanly(workdir, edits, raw, variant):
+    cfg = json.loads(json.dumps(TINY))
+    for section, key, value in edits:
+        cfg.setdefault(section, {})[key] = value
+    path = workdir / "config.json"
+    path.write_bytes(json.dumps(cfg).encode() if raw is None else raw)
+    common = ["--config", str(path), "--out", str(workdir / "ws")]
+    code, err = run_cli(["gen-data", *common])
+    assert_clean_exit(code, err, (EXIT_OK, EXIT_CONFIG, EXIT_IO))
+    for argv in (["train", "--variant", variant], ["eval", "--variant", variant]):
+        if code != EXIT_OK:
+            break
+        code, err = run_cli([*argv, *common])
+        # a valid config may still train to overflow: the documented exit 4
+        assert_clean_exit(code, err, (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC))
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval"])
+def test_negative_seed_flag_exits_2_naming_the_key(workdir, command):
+    out = workdir / f"seed-{command}"
+    path = workdir / f"seed-{command}.json"
+    path.write_text(json.dumps(TINY))
+    common = ["--config", str(path), "--out", str(out)]
+    assert run_cli(["gen-data", *common])[0] == EXIT_OK
+    if command == "eval":
+        assert run_cli(["train", *common])[0] == EXIT_OK
+    code, err = run_cli([command, *common, "--seed", "-1"])
+    assert code == EXIT_CONFIG
+    key = {"gen-data": "data.center_seed", "train": "train.seed", "eval": "inference.seed"}
+    assert err == f"error: {key[command]} must be >= 0, got -1\n"
+
+
+# ---- feature files -------------------------------------------------------------
+
+CELLS = (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.sampled_from(["1_5", "0x10", "nan", "-inf", " 2 ", "", "1e400", "+-1", "١"])
+    | st.text(max_size=5)
+)
+LABELS = SMALL_INTS.map(str) | st.sampled_from(["-1", "2147483648", "-2147483648", "1_0", "x"])
+
+
+@st.composite
+def csv_texts(draw):
+    f_dim = draw(st.integers(1, 3))
+    lines = [",".join([f"f{i}" for i in range(f_dim)] + ["label", "is_ood"])]
+    for _ in range(draw(st.integers(0, 4))):
+        cells = draw(st.lists(CELLS, min_size=f_dim, max_size=f_dim))
+        label = draw(LABELS)
+        flag = draw(st.sampled_from(["1" if label == "-1" else "0", "0", "1", "2"]))
+        lines.append(",".join(cells + [label, flag]))
+    return "\n".join(lines) + "\n"
+
+
+@FUZZ
+@given(text=csv_texts(), garbage=st.binary(max_size=8), at=st.integers(0, 200))
+@example(text="f0,label,is_ood\n1.0,0,0\n", garbage=NOT_UTF8, at=20)
+@example(text="f0,label,is_ood\n1.0,99999999999999999999,0\n", garbage=b"", at=0)
+@example(text="f0,label,is_ood\n1.0," + "9" * 5000 + ",0\n", garbage=b"", at=0)
+@example(text="f0,label,is_ood\n" + "1" * 131_073 + ",0,0\n", garbage=b"", at=0)
+def test_csv_features_load_or_fail_cleanly(workdir, text, garbage, at):
+    raw = text.encode()
+    raw = raw[:at] + garbage + raw[at:]
+    path = workdir / "features.csv"
+    path.write_bytes(raw)
+    assert_loads_or_fails_cleanly(lambda: load_features(path, "csv"))
+
+
+@FUZZ
+@given(
+    n=st.integers(0, 4),
+    f=st.integers(0, 4),
+    payload=st.binary(max_size=120),
+    header=st.sampled_from([b"BFV1", b"BFV2", b""]),
+)
+@example(n=2, f=3, payload=b"\x00" * 32, header=b"BFV1")
+@example(n=1, f=1, payload=b"\x00\x00\xc0\x7f\x00\x00\x00\x00", header=b"BFV1")
+@example(n=2**31, f=2**31, payload=b"", header=b"BFV1")
+def test_bfv_features_load_or_fail_cleanly(workdir, n, f, payload, header):
+    path = workdir / "features.bfv"
+    path.write_bytes(header + n.to_bytes(4, "little") + f.to_bytes(4, "little") + payload)
+    assert_loads_or_fails_cleanly(lambda: load_features(path, "bfv"))
+
+
+# ---- checkpoint ----------------------------------------------------------------
+
+CHECKPOINTS = {
+    v: head_to_dict(build_head(HeadConfig(3, (2, 2), 2, v), init_seed=1)) for v in VARIANTS
+}
+PATHS = (
+    [("format_version",), ("config",), ("layers",), ("layers", 0)]
+    + [("config", key) for key in CHECKPOINTS[STOCHASTIC_VI]["config"]]
+    + [
+        ("layers", i, key)
+        for i in range(3)
+        for key in ("kind", "weight", "bias", "weight_mu", "weight_rho", "bias_mu", "bias_rho")
+    ]
+)
+DELETE = object()
+
+
+def apply_edit(doc, path, value):
+    """Set doc at path to value (remove it for DELETE) if the path still leads there."""
+    *steps, key = path
+    target = doc
+    try:
+        for step in steps:
+            target = target[step]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier edit replaced part of the path
+
+
+HUGE_HEADER = [(("config", "input_dim"), 10**7), (("config", "hidden_dims"), [10**7, 10**7])]
+
+
+@FUZZ
+@given(
+    variant=st.sampled_from(VARIANTS),
+    edits=st.lists(
+        st.tuples(st.sampled_from(PATHS), JSON_VALUES | st.sampled_from([10**400, 2**63, DELETE])),
+        max_size=3,
+    ),
+    raw=st.none() | st.binary(max_size=64),
+)
+@example(variant=STOCHASTIC_VI, edits=HUGE_HEADER, raw=None)
+@example(variant=VARIANTS[0], edits=HUGE_HEADER, raw=None)
+@example(variant=STOCHASTIC_VI, edits=[(("config", "dropout_rate"), 10**400)], raw=None)
+@example(variant=STOCHASTIC_VI, edits=[], raw=b"[" * 100_000)
+@example(variant=STOCHASTIC_VI, edits=[], raw=b'{"format_version": ' + b"1" * 5000 + b"}")
+def test_checkpoint_loads_or_fails_cleanly(workdir, variant, edits, raw):
+    doc = json.loads(json.dumps(CHECKPOINTS[variant]))
+    for path, value in edits:
+        apply_edit(doc, path, value)
+    ckpt = workdir / "head.json"
+    ckpt.write_bytes(json.dumps(doc).encode() if raw is None else raw)
+    assert_loads_or_fails_cleanly(lambda: load_head(ckpt))
+
+
+# ---- hist input ----------------------------------------------------------------
+
+
+@FUZZ
+@given(
+    cells=st.lists(CELLS, max_size=5),
+    garbage=st.binary(max_size=8),
+    at=st.integers(0, 60),
+)
+@example(cells=["0_5", "1_0"], garbage=b"", at=0)
+@example(cells=["nan"], garbage=b"", at=0)
+@example(cells=["0.5"], garbage=NOT_UTF8, at=12)
+def test_hist_input_runs_or_fails_cleanly(workdir, cells, garbage, at):
+    raw = ("a,c\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(cells))).encode()
+    raw = raw[:at] + garbage + raw[at:]
+    path = workdir / "report.csv"
+    path.write_bytes(raw)
+    out = workdir / "hist.csv"
+    code, err = run_cli(["hist", "--input", str(path), "--column", "c", "--out", str(out)])
+    assert_clean_exit(code, err, (EXIT_OK, EXIT_CONFIG, EXIT_IO))

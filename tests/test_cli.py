@@ -1,11 +1,15 @@
 import json
+import typing
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from bvihead.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config, main
+from bvihead.data import SynthSpec
 from bvihead.errors import ConfigError
-from bvihead.model import build_head, head_to_dict
+from bvihead.model import HeadConfig, build_head, head_to_dict
+from bvihead.train import TrainConfig
 from bvihead.cli import head_config_from, synth_spec_from, train_config_from
 
 
@@ -43,6 +47,55 @@ def test_config_defaults_without_file():
     cfg = load_config(None)
     assert cfg["inference"]["mc_samples"] == 40
     assert cfg["data"]["k_in"] == 8
+
+
+def test_config_defaults_equal_the_former_literal():
+    assert load_config(None) == {
+        "data": {
+            "k_in": 8,
+            "k_out": 8,
+            "feature_dim": 64,
+            "per_class": 250,
+            "center_scale": 1.3,
+            "within_std": 1.5,
+            "center_seed": 11,
+            "noise_seed": 12,
+            "ood_displacement": 12.0,
+            "formats": ["bfv"],
+        },
+        "head": {
+            "hidden_dims": [256, 256],
+            "dropout_rate": 0.2,
+            "estimator": "flipout",
+            "init_seed": 100,
+        },
+        "train": {
+            "epochs": 30,
+            "batch_size": 64,
+            "learning_rate": 1e-3,
+            "optimizer": "adam",
+            "momentum": 0.9,
+            "beta1": 0.9,
+            "beta2": 0.999,
+            "adam_eps": 1e-8,
+            "kl_weight_mode": "one-over-n",
+            "kl_weight_const": 1.0,
+            "seed": 7,
+            "shuffle": True,
+        },
+        "inference": {"mc_samples": 40, "seed": 1234},
+        "eval": {"bins": 50},
+    }
+
+
+@pytest.mark.parametrize("cls", [SynthSpec, HeadConfig, TrainConfig])
+def test_config_dataclass_defaults_have_their_annotated_type(cls):
+    # the config reader expects each value to have its default's type, so a
+    # float field defaulting to an int literal would reject 0.5
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.default is not MISSING:
+            assert type(f.default) is hints[f.name], f.name
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -106,6 +159,41 @@ def test_mistyped_config_value_exits_2_naming_the_key(tiny_config, tmp_path, cap
     code = run(["train", "--config", str(cfg_path), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "train.epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value, message",
+    [
+        ("gen-data", "data", "center_scale", -1.0, "data.center_scale must be in (0, 1e300]"),
+        ("gen-data", "data", "formats", None, "data.formats must be a list of strings"),
+        ("gen-data", "data", "center_seed", -1, "data.center_seed must be >= 0, got -1"),
+        ("gen-data", "data", "noise_seed", -1, "data.noise_seed must be >= 0, got -1"),
+        ("train", "head", "init_seed", -1, "head.init_seed must be >= 0, got -1"),
+        ("train", "train", "seed", -1, "train.seed must be >= 0, got -1"),
+        ("eval", "inference", "seed", -1, "inference.seed must be >= 0, got -1"),
+    ],
+)
+def test_config_range_errors_exit_2_naming_the_key(
+    tiny_config, tmp_path, capsys, command, section, key, value, message
+):
+    out = tmp_path / "ws"
+    assert run(["gen-data", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    assert run(["train", "--config", tiny_config, "--out", str(out)]) == EXIT_OK
+    cfg = json.loads(json.dumps(TINY))
+    cfg[section][key] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_config_file_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.json"
+    cfg_path.write_bytes('{"data": {"formats": ["bfv"]}, "\u00e9": 1}'.encode("latin-1"))
+    assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: invalid JSON:") and "utf-8" in err
 
 
 def test_gen_data_writes_expected_rows(tiny_config, tmp_path, capsys):
@@ -327,7 +415,14 @@ def test_eval_malformed_checkpoint_exits_2(tiny_config, tmp_path, capsys):
     run(["gen-data", "--config", tiny_config, "--out", str(out)])
     ckpt = tmp_path / "broken.json"
     argv = ["eval", "--config", tiny_config, "--out", str(out), "--checkpoint", str(ckpt)]
-    for text, key in (("[1, 2", "not valid JSON"), ('{"format_version": 1}', "'config'")):
+    head_cfg = head_config_from(load_config(tiny_config), "deterministic", 6, 3)
+    huge = head_to_dict(build_head(head_cfg, init_seed=5))
+    huge["config"].update(input_dim=10**7, hidden_dims=[10**7, 10**7])
+    for text, key in (
+        ("[1, 2", "not valid JSON"),
+        ('{"format_version": 1}', "'config'"),
+        (json.dumps(huge), "layers[0].weight has"),
+    ):
         ckpt.write_text(text)
         assert run(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -345,6 +440,16 @@ def test_hist_non_numeric_cell_exits_3_with_position(tmp_path, capsys):
     code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])
     assert code == EXIT_IO
     assert "line 3" in capsys.readouterr().err
+    # float() alone would bin 0_5 as 5.0 and 1_0 as 10.0
+    csv.write_text("a,b\n1,0_5\n2,1_0\n")
+    code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])
+    assert code == EXIT_IO
+    assert "line 2, column 2 ('b'): '0_5' is not a number" in capsys.readouterr().err
+    csv.write_bytes(b"a,b\n1,0.5\n2,0.\xff5\n")
+    code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv}: line 3: not UTF-8 text") and err.count("\n") == 1
 
 
 def test_train_on_csv_with_underscore_digits_exits_3(tiny_config, tmp_path, capsys):

@@ -270,12 +270,16 @@ def test_bfv_non_finite_feature_names_row_and_index(tmp_path, value):
         ("0x1p3,1,0", r"line 3, column 1 \('f0'\)"),
         ("١٥,1,0", r"line 3, column 1 \('f0'\)"),
         ("1.5,١,0", r"line 3, column 2 \('label'\)"),
+        ("1.\udcff5,0,0", r"line 3: not UTF-8 text"),  # written as the byte 0xff
+        ("1.5,99999999999999999999,0", r"line 3, column 2 \('label'\): .* outside the int32"),
+        ("1.5,-2147483649,0", r"line 3, column 2 \('label'\): .* outside the int32"),
+        ("1" * 131_073 + ",0,0", r"line 3: field larger than field limit"),
     ],
 )
 def test_csv_rejects_cells_outside_the_decimal_grammar(tmp_path, row, where):
     # float() and int() would read '1_5' as 15 and Arabic-Indic digits as digits
     path = tmp_path / "bad.csv"
-    path.write_text(f"f0,label,is_ood\n2.0,0,0\n{row}\n", encoding="utf-8")
+    path.write_bytes(f"f0,label,is_ood\n2.0,0,0\n{row}\n".encode("utf-8", "surrogateescape"))
     with pytest.raises(ParseError, match=where):
         load_features(path, "csv")
 
@@ -283,8 +287,9 @@ def test_csv_rejects_cells_outside_the_decimal_grammar(tmp_path, row, where):
 def test_csv_accepts_every_decimal_spelling(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text(
-        "f0,f1,label,is_ood\n1.E-3, .5 ,+2,0\n5.,-7e2,-1,1\n", encoding="utf-8"
+        "f0,f1,label,is_ood\n1.E-3, .5 ,+2,0\n5.,-7e2,-1,1\n-0,0,-0002147483648,0\n",
+        encoding="utf-8",
     )
     loaded = load_features(path, "csv")
-    np.testing.assert_array_equal(loaded.features, [[1e-3, 0.5], [5.0, -700.0]])
-    np.testing.assert_array_equal(loaded.labels, [2, -1])
+    np.testing.assert_array_equal(loaded.features, [[1e-3, 0.5], [5.0, -700.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(loaded.labels, [2, -1, -(2**31)])

@@ -273,6 +273,18 @@ def test_load_head_missing_layers_names_file_and_key(tmp_path):
         load_head(path)
 
 
+@pytest.mark.parametrize("variant", [DETERMINISTIC, STOCHASTIC_VI])
+def test_load_head_checks_array_sizes_before_allocating(tmp_path, variant):
+    # a header 10^7 wide would need 728 TiB if the head were built first
+    doc = head_to_dict(build_head(small_config(variant), init_seed=16))
+    doc["config"].update(input_dim=10**7, hidden_dims=[10**7, 10**7])
+    path = tmp_path / "head.json"
+    path.write_text(json.dumps(doc))
+    key = "weight_mu" if variant == STOCHASTIC_VI else "weight"
+    with pytest.raises(ConfigError, match=rf"head\.json: layers\[0\]\.{key} has \d+ values"):
+        load_head(path)
+
+
 @pytest.mark.parametrize(
     "corrupt, where",
     [

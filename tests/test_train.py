@@ -365,6 +365,16 @@ def test_loss_non_increasing_after_transient():
         assert losses[i + 1] <= losses[i] * 1.02
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", 2.0), ("adam_eps", 0.0)],
+)
+def test_adam_ranges_rejected(field, value):
+    # beta2 = 1 divides by 1 - beta2**t = 0, and beta2 > 1 takes the root of a negative
+    with pytest.raises(ConfigError, match=f"adam needs 0 <= beta1, beta2 < 1 and adam_eps > 0"):
+        TrainConfig(**{field: value})
+
+
 def test_empty_dataset_rejected():
     empty = LabeledFeatureSet(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
     with pytest.raises(ConfigError, match="empty"):
