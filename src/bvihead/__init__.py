@@ -34,7 +34,6 @@ from .tensor import Tensor, log_softmax, matmul, nll
 from .train import TrainConfig, TrainReport, elbo_loss, train
 from .uncertainty import (
     PredictiveDistribution,
-    UncertaintyReport,
     bald,
     expected_entropy,
     mc_predict,

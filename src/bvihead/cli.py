@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import BviError, ConfigError, NumericError, ParseError
-from .evaluate import evaluation_suite, write_bundle
+from .evaluate import density_histogram, evaluation_suite, write_bundle
 from .fsio import atomic_write_text
 from .model import (
     DETERMINISTIC,
@@ -236,8 +236,8 @@ def _eval_one(cfg, head, out_dir, eval_dir):
             f" using T=1 instead of requested T={t}"
         )
         t = 1
-    pds = mc_predict(head, Tensor(features), t=t, seed=_get(cfg, "inference", "seed"))
-    bundle = evaluation_suite(pds, labels, flags, bins=_get(cfg, "eval", "bins"))
+    pd = mc_predict(head, Tensor(features), t=t, seed=_get(cfg, "inference", "seed"))
+    bundle = evaluation_suite(pd, labels, flags, bins=_get(cfg, "eval", "bins"))
     eval_dir = Path(eval_dir)
     eval_dir.mkdir(parents=True, exist_ok=True)
     save_reports(eval_dir / "report.csv", bundle.reports, labels, flags)
@@ -352,8 +352,6 @@ def cmd_hist(args) -> int:
                 f" {'missing cell' if cell is None else repr(cell)} is not a number"
             )
         rows.append(float(cell))
-    from .evaluate import density_histogram
-
     hist = density_histogram(rows, args.bins, args.lo, args.hi)
     atomic_write_text(args.out, hist.to_csv())
     print(f"wrote {args.bins}-bin histogram of {len(rows)} values to {args.out}")

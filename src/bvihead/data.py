@@ -23,6 +23,8 @@ from .fsio import atomic_write_bytes, atomic_write_text
 
 OOD_LABEL = -1
 BFV_MAGIC = b"BFV1"
+# BFV stores float32, and a larger feature would overflow any head anyway
+FEATURE_MAX = float(np.finfo(np.float32).max)
 
 # CSV cells are ASCII decimal literals with optional surrounding blanks;
 # float() and int() alone would also take "1_5" as 15 and non-ASCII digits
@@ -147,11 +149,12 @@ def _centers(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
     return in_centers, _ood_centers(center_rng, spec, in_centers)
 
 
+@np.errstate(over="ignore")  # overflow is caught below, as a too-large feature
 def generate(spec: SynthSpec) -> tuple[LabeledFeatureSet, LabeledFeatureSet, LabeledFeatureSet]:
     """Build (train, val, ood) sets, deterministic in the spec's two seeds.
 
     Train/val is an 80/20 split stratified by class; OOD rows carry the -1
-    sentinel label.
+    sentinel label. Features beyond FEATURE_MAX raise ConfigError.
     """
     in_centers, out_centers = _centers(spec)
 
@@ -175,19 +178,20 @@ def generate(spec: SynthSpec) -> tuple[LabeledFeatureSet, LabeledFeatureSet, Lab
             * noise_rng.standard_normal((spec.per_class, spec.feature_dim))
         )
 
-    def pack(xs, ys, ood=False):
-        x = np.concatenate(xs)
-        if ood:
-            y = np.full(x.shape[0], OOD_LABEL)
-        else:
-            y = np.concatenate(ys)
-        return LabeledFeatureSet(x, y, y == OOD_LABEL)
+    def pack(xs, ys):
+        y = np.concatenate(ys)
+        return LabeledFeatureSet(np.concatenate(xs), y, y == OOD_LABEL)
 
-    return (
-        pack(train_x, train_y),
-        pack(val_x, val_y),
-        pack(ood_x, None, ood=True),
-    )
+    ood_y = [np.full(spec.per_class, OOD_LABEL)] * spec.k_out
+    sets = (pack(train_x, train_y), pack(val_x, val_y), pack(ood_x, ood_y))
+    peak = max(float(np.abs(s.features).max()) for s in sets)
+    if not peak <= FEATURE_MAX:
+        raise ConfigError(
+            f"data.center_scale={spec.center_scale!r} and data.within_std={spec.within_std!r}"
+            f" give features up to {peak!r}, beyond float32's range (±{FEATURE_MAX:.7g})"
+            " in which BFV files store them"
+        )
+    return sets
 
 
 def min_center_gap(spec: SynthSpec) -> float:

@@ -9,20 +9,25 @@ Histograms are area-normalized: sum(density * width) == 1.
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, UndefinedCurveError
 from .fsio import atomic_write_text
-from .uncertainty import (
-    PredictiveDistribution,
-    UncertaintyReport,
-    report_arrays,
-    reports_from_arrays,
-)
+from .uncertainty import PredictiveDistribution, ReportColumns, report
+
+# far beyond any plot; caps a histogram's counts at 8 MB
+MAX_BINS = 10**6
+
+
+def _csv(header: str, *columns) -> str:
+    """The header, then one line of float reprs per row of the columns."""
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -56,11 +61,7 @@ class Curve:
     auc: float
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("threshold,x,y\n")
-        for t, x, y in zip(self.thresholds, self.xs, self.ys):
-            buf.write(f"{float(t)!r},{float(x)!r},{float(y)!r}\n")
-        return buf.getvalue()
+        return _csv("threshold,x,y", self.thresholds, self.xs, self.ys)
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,8 @@ class DensityHistogram:
             raise DataError(f"histogram area {area!r} is not 1 within 1e-9")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin_lo,bin_hi,density\n")
-        for lo, hi, d in zip(self.bin_edges[:-1], self.bin_edges[1:], self.densities):
-            buf.write(f"{float(lo)!r},{float(hi)!r},{float(d)!r}\n")
-        return buf.getvalue()
+        edges = self.bin_edges
+        return _csv("bin_lo,bin_hi,density", edges[:-1], edges[1:], self.densities)
 
 
 def top_k_accuracy(mean_probs: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -145,17 +143,26 @@ def pr_curve_auc(sb: ScoredBinary) -> Curve:
 
 
 def density_histogram(values, bins: int, lo: float, hi: float) -> DensityHistogram:
-    """Equal-width area-one histogram; out-of-range values clip to edge bins."""
+    """Equal-width area-one histogram; out-of-range values clip to edge bins.
+
+    `bins` must be in [1, MAX_BINS] and [lo, hi] a finite range wide enough
+    for that many bins; anything else raises ConfigError.
+    """
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if values.size == 0:
         raise DataError("cannot build a histogram from no values")
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
-    if not hi > lo:
-        raise ConfigError(f"need hi > lo, got [{lo}, {hi}]")
-    clipped = np.clip(values, lo, hi)
-    counts, edges = np.histogram(clipped, bins=bins, range=(lo, hi))
+    if not 1 <= bins <= MAX_BINS:
+        raise ConfigError(f"bins must be in [1, {MAX_BINS}], got {bins}")
     width = (hi - lo) / bins
+    bad_range = ConfigError(f"need finite lo < hi, wide enough for {bins} bins, got [{lo}, {hi}]")
+    # an infinite or NaN bound fails too; a subnormal width would overflow the densities
+    if not (hi > lo and math.isfinite(hi - lo) and width >= sys.float_info.min):
+        raise bad_range
+    clipped = np.clip(values, lo, hi)
+    try:
+        counts, edges = np.histogram(clipped, bins=bins, range=(lo, hi))
+    except ValueError:  # numpy found no `bins` distinct float edges in the range
+        raise bad_range from None
     densities = counts / (values.size * width)
     return DensityHistogram(edges, densities)
 
@@ -180,7 +187,7 @@ class EvalBundle:
     curves: dict[str, Curve] = field(default_factory=dict)
     histograms: dict[str, DensityHistogram] = field(default_factory=dict)
     notices: list[str] = field(default_factory=list)
-    reports: list[UncertaintyReport] = field(default_factory=list)
+    reports: ReportColumns | None = None
 
     def summary_json(self) -> str:
         return json.dumps(self.summary, indent=1, sort_keys=True) + "\n"
@@ -194,38 +201,34 @@ def _try_hist(bundle, name, values, bins, lo, hi):
 
 
 def evaluation_suite(
-    pds: list[PredictiveDistribution],
+    pd: PredictiveDistribution,
     labels: np.ndarray,
     ood_flags: np.ndarray,
     bins: int = 50,
 ) -> EvalBundle:
     """All comparison artifacts for one model on one evaluation set.
 
-    `pds` covers in-distribution and OOD examples together; OOD rows are
-    marked by `ood_flags` and excluded from accuracy, the micro
-    one-vs-rest curves and the correctness split.
+    `pd` is the M x T x K distribution of in-distribution and OOD examples
+    together; OOD rows are marked by `ood_flags` and excluded from
+    accuracy, the micro one-vs-rest curves and the correctness split.
     """
     labels = np.asarray(labels)
     ood_flags = np.asarray(ood_flags, dtype=bool)
-    if not (len(pds) == labels.size == ood_flags.size):
+    if not (len(pd) == labels.size == ood_flags.size):
         raise DataError(
-            f"length mismatch: {len(pds)} distributions, {labels.size} labels,"
+            f"length mismatch: {len(pd)} distributions, {labels.size} labels,"
             f" {ood_flags.size} flags"
         )
-    if len(pds) == 0:
+    if len(pd) == 0:
         raise DataError("nothing to evaluate")
 
-    shapes = {pd.sample_probs.shape for pd in pds}
-    if len(shapes) != 1:
-        raise DataError(f"distributions differ in T x K shape: {sorted(shapes)}")
-    k = pds[0].k
-    mean_probs = np.stack([pd.mean_probs for pd in pds])
-    fields = report_arrays(mean_probs, np.stack([pd.sample_probs for pd in pds]))
-    predicted, confidence, pred_entropy, _, bald_scores = fields
-    reps = reports_from_arrays(fields)
+    k = pd.k
+    mean_probs = pd.mean_probs
+    columns = report(pd)
+    predicted, confidence, pred_entropy, _, bald_scores = columns
 
     in_dist = ~ood_flags
-    bundle = EvalBundle(summary={key: None for key in SUMMARY_KEYS}, reports=reps)
+    bundle = EvalBundle(summary={key: None for key in SUMMARY_KEYS}, reports=columns)
     if not in_dist.any():
         raise DataError("evaluation needs at least one in-distribution example")
 

@@ -1,21 +1,23 @@
 """Monte Carlo predictive inference and uncertainty measures.
 
 T stochastic forward passes produce per-pass class probabilities; their
-columnwise mean is the predictive distribution. From it come the
+mean over the passes is the predictive distribution. From it come the
 confidence (max mean probability), the predictive entropy, the expected
-per-pass entropy, and their difference, the mutual-information disagreement
-score. All entropies are in nats with probabilities clamped at 1e-12
-before the log.
+per-pass entropy, and their difference, the mutual-information
+disagreement score (BALD). Entropies are in nats with 0 log 0 := 0 and no
+probability is clamped, so BALD is >= 0 up to rounding (about 1e-15 when
+passes differ only in their last bits) and exactly 0 when they agree.
 
-Each pass runs the inference forward, which records no autodiff graph.
-The summaries are array operations over all examples at once
-(``report_arrays``); the per-example functions run the same formulas.
+One `PredictiveDistribution` holds one example (T x K) or M examples
+(M x T x K); every measure runs the same array code on either and returns
+a float for one example or an (M,) array for M.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,64 +27,71 @@ from .layers import DETERMINISTIC_INFERENCE
 from .model import Head, draw_noise_bundle, forward, inference_phase, zero_noise_bundle
 from .tensor import Tensor
 
-PROB_CLAMP = 1e-12
+
+def _sample_array(probs) -> np.ndarray:
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim not in (2, 3) or probs.shape[-2] == 0:
+        raise DataError(f"sample_probs must be T x K or M x T x K, T >= 1, not {probs.shape}")
+    return probs
 
 
 @dataclass
 class PredictiveDistribution:
-    """T x K per-pass probabilities plus their columnwise mean."""
+    """Per-pass probabilities, T x K for one example or M x T x K for M,
+    plus their mean over the passes (K or M x K). Indexing or iterating
+    over M examples gives one example's T x K distribution."""
 
     sample_probs: np.ndarray
     mean_probs: np.ndarray
 
     def __post_init__(self):
-        self.sample_probs = np.asarray(self.sample_probs, dtype=np.float64)
-        self.mean_probs = np.asarray(self.mean_probs, dtype=np.float64)
-        if self.sample_probs.ndim != 2:
-            raise DataError(
-                f"sample_probs must be T x K, got shape {self.sample_probs.shape}"
-            )
-        rows = self.sample_probs.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-9:
+        self.sample_probs = s = _sample_array(self.sample_probs)
+        self.mean_probs = m = np.asarray(self.mean_probs, dtype=np.float64)
+        if not (np.abs(s.sum(axis=-1) - 1.0) <= 1e-9).all():
             raise DataError("each sample row must sum to 1 within 1e-9")
-        if self.sample_probs.min() < 0 or self.sample_probs.max() > 1:
+        if not ((s >= 0) & (s <= 1)).all():
             raise DataError("sample probabilities must lie in [0, 1]")
-        if np.abs(self.mean_probs - self.sample_probs.mean(axis=0)).max() > 1e-12:
+        if m.shape != s.shape[:-2] + s.shape[-1:] or not (
+            np.abs(m - s.mean(axis=-2)) <= 1e-12
+        ).all():
             raise DataError("mean_probs must be the columnwise mean of sample_probs")
 
     @classmethod
-    def from_samples(cls, sample_probs: np.ndarray) -> "PredictiveDistribution":
-        sample_probs = np.asarray(sample_probs, dtype=np.float64)
-        if sample_probs.ndim == 2 and (sample_probs == sample_probs[0]).all():
-            # identical passes: copy the row so downstream differences are
-            # exactly zero instead of within rounding of zero
-            mean = sample_probs[0].copy()
-        else:
-            mean = sample_probs.mean(axis=0)
-        return cls(sample_probs, mean)
-
-    @property
-    def t(self) -> int:
-        return self.sample_probs.shape[0]
+    def from_samples(cls, sample_probs) -> "PredictiveDistribution":
+        """The distribution of T x K or M x T x K per-pass probabilities."""
+        s = _sample_array(sample_probs)
+        first = s[..., 0, :]
+        # an example whose passes are identical takes its first row as the
+        # mean, so that its BALD is exactly zero instead of within rounding
+        identical = (s == first[..., None, :]).all(axis=(-2, -1))
+        return cls(s, np.where(identical[..., None], first, s.mean(axis=-2)))
 
     @property
     def k(self) -> int:
-        return self.sample_probs.shape[1]
+        return self.sample_probs.shape[-1]
+
+    def __len__(self) -> int:
+        if self.sample_probs.ndim != 3:
+            raise TypeError("a one-example distribution has no len")
+        return len(self.sample_probs)
+
+    def __getitem__(self, j) -> "PredictiveDistribution":  # also drives iteration
+        return PredictiveDistribution(self.sample_probs[j], self.mean_probs[j])
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
-    predicted_class: int
-    confidence: float
-    predictive_entropy: float
-    expected_entropy: float
-    bald: float
+class ReportColumns(NamedTuple):
+    """The summary columns of report.csv: scalars for one example, (M,) arrays for M."""
+
+    predicted_class: np.ndarray
+    confidence: np.ndarray
+    predictive_entropy: np.ndarray
+    expected_entropy: np.ndarray
+    bald: np.ndarray
 
 
 def _entropies(probs: np.ndarray) -> np.ndarray:
-    """Entropy along the last axis, in nats."""
-    p = np.clip(probs, PROB_CLAMP, 1.0)
-    return -(p * np.log(p)).sum(axis=-1)
+    """Entropy along the last axis, in nats, with 0 log 0 := 0."""
+    return -(probs * np.log(probs, out=np.zeros_like(probs), where=probs > 0)).sum(axis=-1)
 
 
 def _expected_entropies(sample_probs: np.ndarray) -> np.ndarray:
@@ -93,57 +102,45 @@ def _expected_entropies(sample_probs: np.ndarray) -> np.ndarray:
     return np.where(identical, ents[..., 0], ents.mean(axis=-1))
 
 
-def predictive_entropy(pd: PredictiveDistribution) -> float:
+def _value(a):
+    """A float for one example, the (M,) array for M."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def predictive_entropy(pd: PredictiveDistribution):
     """Entropy of the mean predictive probabilities, in nats."""
-    return float(_entropies(pd.mean_probs))
+    return _value(_entropies(pd.mean_probs))
 
 
-def expected_entropy(pd: PredictiveDistribution) -> float:
+def expected_entropy(pd: PredictiveDistribution):
     """Mean over passes of the per-pass entropy, in nats."""
-    return float(_expected_entropies(pd.sample_probs))
+    return _value(_expected_entropies(pd.sample_probs))
 
 
-def bald(pd: PredictiveDistribution) -> float:
+def bald(pd: PredictiveDistribution):
     """Predictive entropy minus expected entropy (mutual information)."""
-    return predictive_entropy(pd) - expected_entropy(pd)
+    return _value(_entropies(pd.mean_probs) - _expected_entropies(pd.sample_probs))
 
 
-def report_arrays(mean_probs: np.ndarray, sample_probs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The UncertaintyReport fields of M examples at once, as five arrays.
-
-    `mean_probs` is M x K and `sample_probs` M x T x K. Argmax ties break
-    toward the lowest index.
-    """
-    predicted = np.argmax(mean_probs, axis=1)
-    confidence = mean_probs[np.arange(mean_probs.shape[0]), predicted]
-    pe = _entropies(mean_probs)
-    ee = _expected_entropies(sample_probs)
-    return predicted, confidence, pe, ee, pe - ee
+def report(pd: PredictiveDistribution) -> ReportColumns:
+    """Predicted class, confidence, both entropies and BALD of every
+    example; argmax ties break toward the lowest index."""
+    pe = _entropies(pd.mean_probs)
+    ee = _expected_entropies(pd.sample_probs)
+    predicted, confidence = np.argmax(pd.mean_probs, axis=-1), pd.mean_probs.max(axis=-1)
+    return ReportColumns(predicted, confidence, pe, ee, pe - ee)
 
 
-def reports_from_arrays(fields: tuple[np.ndarray, ...]) -> list[UncertaintyReport]:
-    """One UncertaintyReport per row of the arrays `report_arrays` returns."""
-    return [UncertaintyReport(*row) for row in zip(*(a.tolist() for a in fields))]
-
-
-def report(pd: PredictiveDistribution) -> UncertaintyReport:
-    """Summarise one example; argmax ties break toward the lowest index."""
-    return reports_from_arrays(report_arrays(pd.mean_probs[None], pd.sample_probs[None]))[0]
-
-
-def mc_predict(
-    head: Head, x: Tensor, t: int, seed: int
-) -> list[PredictiveDistribution]:
-    """Run t stochastic passes over the batch; one distribution per example.
-
-    Pass i draws its noise from a generator sub-seeded with (seed, i), so
-    results do not depend on execution order and are reproducible.
-    """
+def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistribution:
+    """Run t stochastic passes over the M examples of x; one M x T x K
+    distribution. Pass i draws its noise from a generator sub-seeded with
+    (seed, i), so results do not depend on execution order and are
+    reproducible."""
     if t < 1:
         raise ConfigError(f"sample count must be >= 1, got {t}")
     m = x.shape[0]
     phase = inference_phase(head)
-    all_probs = np.empty((t, m, head.config.num_classes))
+    all_probs = np.empty((m, t, head.config.num_classes))
     for i in range(t):
         rng = np.random.default_rng((seed, i))
         if phase == DETERMINISTIC_INFERENCE:
@@ -151,27 +148,21 @@ def mc_predict(
         else:
             bundle = draw_noise_bundle(head, m, rng)
         log_probs, _ = forward(head, x, bundle, phase)
-        all_probs[i] = np.exp(log_probs.data)
-    return [PredictiveDistribution.from_samples(all_probs[:, j, :]) for j in range(m)]
+        all_probs[:, i] = np.exp(log_probs.data)
+    return PredictiveDistribution.from_samples(all_probs)
 
 
-def reports_to_csv(
-    reports: list[UncertaintyReport],
-    true_labels: np.ndarray,
-    is_ood: np.ndarray,
-) -> str:
+def reports_to_csv(columns: ReportColumns, true_labels: np.ndarray, is_ood: np.ndarray) -> str:
     buf = io.StringIO()
     buf.write(
         "example_id,true_label,predicted,confidence,pred_entropy,exp_entropy,bald,is_ood\n"
     )
-    for i, r in enumerate(reports):
-        buf.write(
-            f"{i},{int(true_labels[i])},{r.predicted_class},{r.confidence!r},"
-            f"{r.predictive_entropy!r},{r.expected_entropy!r},{r.bald!r},"
-            f"{int(is_ood[i])}\n"
-        )
+    rows = zip(np.asarray(true_labels).tolist(), *(c.tolist() for c in columns),
+               np.asarray(is_ood).tolist())
+    for i, (label, predicted, conf, pe, ee, b, ood) in enumerate(rows):
+        buf.write(f"{i},{int(label)},{predicted},{conf!r},{pe!r},{ee!r},{b!r},{int(ood)}\n")
     return buf.getvalue()
 
 
-def save_reports(path, reports, true_labels, is_ood) -> None:
-    atomic_write_text(path, reports_to_csv(reports, true_labels, is_ood))
+def save_reports(path, columns, true_labels, is_ood) -> None:
+    atomic_write_text(path, reports_to_csv(columns, true_labels, is_ood))

@@ -80,3 +80,5 @@ def test_every_per_layer_metric_is_defined(bench, tmp_path):
     assert metrics["tensor.nodes_per_step.stochastic-vi"] <= 33
     # an MC pass records no graph: only the two leaf results are tensors
     assert metrics["tensor.nodes_per_pass.stochastic-vi"] <= 2
+    # the eval's MC run builds one batched distribution, not one per example
+    assert metrics["uncertainty.pd_objects"] == 1

@@ -270,20 +270,35 @@ def test_checkpoint_loads_or_fails_cleanly(workdir, variant, edits, raw):
 # ---- hist input ----------------------------------------------------------------
 
 
+# --bins is small, or over the cap, where it must fail before any allocation
+HIST_FLAGS = st.lists(
+    st.tuples(st.sampled_from(["--lo", "--hi"]), st.floats().map(repr))
+    | st.tuples(st.just("--bins"), (st.integers(-2, 100) | st.just(10**6 + 1)).map(str)),
+    max_size=2,
+).map(lambda pairs: [f"{flag}={value}" for flag, value in pairs])
+
+
 @FUZZ
 @given(
     cells=st.lists(CELLS, max_size=5),
     garbage=st.binary(max_size=8),
     at=st.integers(0, 60),
+    flags=HIST_FLAGS,
 )
-@example(cells=["0_5", "1_0"], garbage=b"", at=0)
-@example(cells=["nan"], garbage=b"", at=0)
-@example(cells=["0.5"], garbage=NOT_UTF8, at=12)
-def test_hist_input_runs_or_fails_cleanly(workdir, cells, garbage, at):
+@example(cells=["0_5", "1_0"], garbage=b"", at=0, flags=[])
+@example(cells=["nan"], garbage=b"", at=0, flags=[])
+@example(cells=["0.5"], garbage=NOT_UTF8, at=12, flags=[])
+@example(cells=["0.5"], garbage=b"", at=0, flags=["--lo=-inf"])
+@example(cells=["0.5"], garbage=b"", at=0, flags=["--bins=100000000000"])
+@example(cells=["0.5"], garbage=b"", at=0, flags=["--lo=-1e308", "--hi=1e308"])
+@example(cells=["0.5"], garbage=b"", at=0, flags=["--lo=1.0", "--hi=1.0000000000000004"])
+@example(cells=["0.5"], garbage=b"", at=0, flags=["--hi=1e-320"])
+def test_hist_input_runs_or_fails_cleanly(workdir, cells, garbage, at, flags):
     raw = ("a,c\n" + "".join(f"{i},{cell}\n" for i, cell in enumerate(cells))).encode()
     raw = raw[:at] + garbage + raw[at:]
     path = workdir / "report.csv"
     path.write_bytes(raw)
     out = workdir / "hist.csv"
-    code, err = run_cli(["hist", "--input", str(path), "--column", "c", "--out", str(out)])
+    argv = ["hist", "--input", str(path), "--column", "c", "--out", str(out), *flags]
+    code, err = run_cli(argv)
     assert_clean_exit(code, err, (EXIT_OK, EXIT_CONFIG, EXIT_IO))

@@ -222,6 +222,34 @@ def test_gen_data_invalid_spec_exits_2(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def write_data_config(tmp_path, **data):
+    cfg = json.loads(json.dumps(TINY))
+    cfg["data"].update(data, formats=["csv", "bfv"])
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_gen_data_refuses_features_that_overflow(tmp_path, capsys):
+    # 1e308 * a normal draw overflows to inf, which train would reject
+    cfg = write_data_config(tmp_path, within_std=1e308)
+    assert run(["gen-data", "--config", cfg, "--out", str(tmp_path / "ws")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.center_scale=1.2 and data.within_std=1e+308")
+    assert "up to inf, beyond float32's range" in err
+    assert not (tmp_path / "ws").exists()
+
+
+def test_gen_data_refuses_features_beyond_float32(tmp_path, capsys):
+    # finite in float64, but inf once save_bfv casts it to float32
+    cfg = write_data_config(tmp_path, center_scale=1e39)
+    assert run(["gen-data", "--config", cfg, "--out", str(tmp_path / "ws")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.center_scale=1e+39 and data.within_std=1.0")
+    assert "beyond float32's range" in err
+    assert not (tmp_path / "ws").exists()
+
+
 def test_train_writes_checkpoint_and_report(tiny_config, tmp_path, capsys):
     out = tmp_path / "ws"
     run(["gen-data", "--config", tiny_config, "--out", str(out)])
@@ -399,6 +427,47 @@ def test_hist_unknown_column_exits_2(tiny_config, tmp_path):
     csv.write_text("a,b\n1,2\n")
     code = run(["hist", "--input", str(csv), "--column", "zzz", "--out", str(tmp_path / "h.csv")])
     assert code == EXIT_CONFIG
+
+
+BAD_RANGE = "need finite lo < hi, wide enough for 50 bins, got "
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lo=-inf"], BAD_RANGE + "[-inf, 1.0]"),
+        (["--hi", "inf"], BAD_RANGE + "[0.0, inf]"),
+        (["--lo", "nan"], BAD_RANGE + "[nan, 1.0]"),
+        (["--lo", "1", "--hi", "1"], BAD_RANGE + "[1.0, 1.0]"),
+        (["--lo=-1e308", "--hi", "1e308"], BAD_RANGE + "[-1e+308, 1e+308]"),
+        (["--lo", "1", "--hi", "1.0000000000000004"], BAD_RANGE + "[1.0, 1.0000000000000004]"),
+        (["--hi", "1e-320"], BAD_RANGE + "[0.0, 1e-320]"),
+        (["--bins", "100000000000"], "bins must be in [1, 1000000], got 100000000000"),
+        (["--bins", "0"], "bins must be in [1, 1000000], got 0"),
+    ],
+)
+def test_hist_bad_range_or_bins_exits_2(tmp_path, capsys, flags, message):
+    csv = tmp_path / "x.csv"
+    csv.write_text("a,b\n1,0.5\n2,0.25\n")
+    out = tmp_path / "h.csv"
+    code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(out), *flags])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_bins_beyond_the_maximum_exits_2(tiny_config, tmp_path, capsys):
+    out = tmp_path / "ws"
+    run(["gen-data", "--config", tiny_config, "--out", str(out)])
+    run(["train", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
+    cfg = json.loads(json.dumps(TINY))
+    cfg["eval"] = {"bins": 10**6 + 1}
+    cfg_path = tmp_path / "bins.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = run(["eval", "--config", str(cfg_path), "--out", str(out), "--variant", "deterministic"])
+    assert code == EXIT_CONFIG
+    assert "bins must be in [1, 1000000], got 1000001" in capsys.readouterr().err
 
 
 def test_gen_data_classes_preset(tiny_config, tmp_path, capsys):

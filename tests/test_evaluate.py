@@ -15,7 +15,7 @@ from bvihead.evaluate import (
     top_k_accuracy,
     write_bundle,
 )
-from bvihead.uncertainty import PredictiveDistribution, UncertaintyReport, report
+from bvihead.uncertainty import PredictiveDistribution, report
 
 
 def brute_force_auc(scores, labels):
@@ -34,8 +34,9 @@ def brute_force_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
-def one_row_pd(probs):
-    return PredictiveDistribution.from_samples(np.asarray(probs)[None, :])
+def one_pass_pd(rows):
+    """M examples of one pass each, from their M x K probabilities."""
+    return PredictiveDistribution.from_samples(np.asarray(rows)[:, None, :])
 
 
 # ---- top-k -------------------------------------------------------------------
@@ -217,7 +218,8 @@ def test_histogram_type_validates_area():
 
 
 def suite_fixture(rng, n_in=30, n_ood=20, k=4, spread=2.0):
-    pds = []
+    """M x T x K per-pass probabilities, labels and OOD flags."""
+    samples = []
     labels = []
     flags = []
     for _ in range(n_in):
@@ -226,22 +228,22 @@ def suite_fixture(rng, n_in=30, n_ood=20, k=4, spread=2.0):
         logits[label] += spread
         rows = np.exp(np.stack([logits + 0.3 * rng.normal(size=k) for _ in range(8)]))
         rows /= rows.sum(axis=1, keepdims=True)
-        pds.append(PredictiveDistribution.from_samples(rows))
+        samples.append(rows)
         labels.append(label)
         flags.append(False)
     for _ in range(n_ood):
         rows = np.exp(rng.normal(size=(8, k)))
         rows /= rows.sum(axis=1, keepdims=True)
-        pds.append(PredictiveDistribution.from_samples(rows))
+        samples.append(rows)
         labels.append(-1)
         flags.append(True)
-    return pds, np.array(labels), np.array(flags)
+    return np.stack(samples), np.array(labels), np.array(flags)
 
 
 def test_suite_emits_all_summary_keys_with_ood():
     rng = np.random.default_rng(7)
-    pds, labels, flags = suite_fixture(rng)
-    bundle = evaluation_suite(pds, labels, flags)
+    samples, labels, flags = suite_fixture(rng)
+    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels, flags)
     assert set(bundle.summary) == set(SUMMARY_KEYS)
     for key in ("top1", "top5", "roc_auc_micro", "pr_auc_micro",
                 "ood_auroc_entropy", "ood_auroc_bald"):
@@ -250,8 +252,8 @@ def test_suite_emits_all_summary_keys_with_ood():
 
 def test_suite_without_ood_skips_with_notice():
     rng = np.random.default_rng(8)
-    pds, labels, flags = suite_fixture(rng, n_ood=0)
-    bundle = evaluation_suite(pds, labels, flags)
+    samples, labels, flags = suite_fixture(rng, n_ood=0)
+    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels, flags)
     assert bundle.summary["ood_auroc_entropy"] is None
     assert any("no OOD" in n for n in bundle.notices)
     assert "confidence_in" not in bundle.histograms
@@ -259,10 +261,10 @@ def test_suite_without_ood_skips_with_notice():
 
 def test_suite_all_correct_reports_undefined_correctness():
     k = 3
-    pds = [one_row_pd(np.eye(k)[i % k] * 0.94 + 0.02) for i in range(6)]
+    pd = one_pass_pd([np.eye(k)[i % k] * 0.94 + 0.02 for i in range(6)])
     labels = np.array([i % k for i in range(6)])
     flags = np.zeros(6, dtype=bool)
-    bundle = evaluation_suite(pds, labels, flags)
+    bundle = evaluation_suite(pd, labels, flags)
     assert bundle.summary["roc_auc_correctness"] is None
     assert any("correctness" in n for n in bundle.notices)
 
@@ -270,24 +272,21 @@ def test_suite_all_correct_reports_undefined_correctness():
 def test_suite_perfect_one_hot_micro_auc_is_one():
     k = 5
     eps = 1e-6
-    pds = []
+    rows = []
     labels = []
     for i in range(10):
         row = np.full(k, eps)
         row[i % k] = 1.0 - eps * (k - 1)
-        pds.append(one_row_pd(row))
+        rows.append(row)
         labels.append(i % k)
-    bundle = evaluation_suite(pds, np.array(labels), np.zeros(10, dtype=bool))
+    bundle = evaluation_suite(one_pass_pd(rows), np.array(labels), np.zeros(10, dtype=bool))
     assert bundle.summary["roc_auc_micro"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_suite_deterministic_head_bald_mass_in_first_bin():
     rng = np.random.default_rng(9)
-    pds, labels, flags = suite_fixture(rng, n_in=20, n_ood=0)
-    identical = [
-        PredictiveDistribution.from_samples(np.tile(pd.sample_probs[0], (5, 1)))
-        for pd in pds
-    ]
+    samples, labels, flags = suite_fixture(rng, n_in=20, n_ood=0)
+    identical = PredictiveDistribution.from_samples(np.repeat(samples[:, :1], 5, axis=1))
     bundle = evaluation_suite(identical, labels, flags)
     hist = bundle.histograms["bald_true"]
     width = float(np.diff(hist.bin_edges)[0])
@@ -296,47 +295,44 @@ def test_suite_deterministic_head_bald_mass_in_first_bin():
 
 def test_suite_length_mismatch():
     rng = np.random.default_rng(10)
-    pds, labels, flags = suite_fixture(rng, n_in=4, n_ood=0)
+    samples, labels, flags = suite_fixture(rng, n_in=4, n_ood=0)
     with pytest.raises(DataError):
-        evaluation_suite(pds, labels[:-1], flags)
+        evaluation_suite(PredictiveDistribution.from_samples(samples), labels[:-1], flags)
 
 
-def test_suite_rejects_distributions_of_unequal_t():
-    rng = np.random.default_rng(12)
-    pds, labels, flags = suite_fixture(rng, n_in=4, n_ood=0)
-    pds[2] = PredictiveDistribution.from_samples(pds[2].sample_probs[:5])
-    with pytest.raises(DataError, match="T x K"):
-        evaluation_suite(pds, labels, flags)
-
-
-def one_example_oracle(pd):
-    """Report fields of one distribution, computed example by example."""
+def one_example_oracle(sample_probs):
+    """Report fields of one example's T x K passes, computed row by row."""
     def entropy(probs):
-        p = np.clip(probs, 1e-12, 1.0)
-        return float(-(p * np.log(p)).sum())
+        logs = np.log(probs, out=np.zeros_like(probs), where=probs > 0)  # 0 log 0 := 0
+        return float(-(probs * logs).sum())
 
-    ents = [entropy(row) for row in pd.sample_probs]
+    mean_probs = sample_probs.mean(axis=0)
+    if (sample_probs == sample_probs[0]).all():
+        mean_probs = sample_probs[0].copy()
+    ents = [entropy(row) for row in sample_probs]
     ee = ents[0] if all(e == ents[0] for e in ents) else float(np.mean(ents))
-    predicted = int(np.argmax(pd.mean_probs))
-    pe = entropy(pd.mean_probs)
-    return UncertaintyReport(predicted, float(pd.mean_probs[predicted]), pe, ee, pe - ee)
+    predicted = int(np.argmax(mean_probs))
+    pe = entropy(mean_probs)
+    return (predicted, float(mean_probs[predicted]), pe, ee, pe - ee)
 
 
 def test_suite_reports_match_one_example_oracle():
     rng = np.random.default_rng(13)
-    pds, labels, flags = suite_fixture(rng)
-    pds[0] = PredictiveDistribution.from_samples(np.tile(pds[0].sample_probs[0], (8, 1)))
-    bundle = evaluation_suite(pds, labels, flags)
-    expected = [one_example_oracle(pd) for pd in pds]
-    assert bundle.reports == expected
-    assert [report(pd) for pd in pds] == expected
-    assert bundle.reports[0].bald == 0.0
+    samples, labels, flags = suite_fixture(rng)
+    samples[0] = samples[0, 0]
+    samples[1, 0, :2] = [1.0 - samples[1, 0, 2:].sum(), 0.0]  # a zero probability
+    pd = PredictiveDistribution.from_samples(samples)
+    bundle = evaluation_suite(pd, labels, flags)
+    expected = [one_example_oracle(rows) for rows in samples]
+    assert list(zip(*(c.tolist() for c in bundle.reports))) == expected
+    assert list(zip(*(c.tolist() for c in report(pd)))) == expected
+    assert bundle.reports.bald[0] == 0.0
 
 
 def test_write_bundle_creates_files(tmp_path):
     rng = np.random.default_rng(11)
-    pds, labels, flags = suite_fixture(rng)
-    bundle = evaluation_suite(pds, labels, flags)
+    samples, labels, flags = suite_fixture(rng)
+    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels, flags)
     written = write_bundle(bundle, tmp_path)
     assert "summary.json" in written
     for name in written:

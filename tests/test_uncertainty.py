@@ -117,6 +117,57 @@ def test_metrics_invariant_to_row_permutation():
     assert bald(pd_perm) == pytest.approx(bald(pd), abs=1e-14)
 
 
+def test_bald_not_negative_on_near_certain_passes():
+    # clamping probabilities at 1e-12 before the log gave -1.15e-11 here
+    probs = np.array([[1 - 1e-13, 1e-13], [1 - 3e-12, 3e-12]])
+    assert bald(PredictiveDistribution.from_samples(probs)) == pytest.approx(8.5e-13, rel=0.01)
+
+
+def test_zero_probabilities_contribute_no_entropy():
+    pd = PredictiveDistribution.from_samples(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert expected_entropy(pd) == 0.0
+    assert bald(pd) == predictive_entropy(pd) == pytest.approx(math.log(2), rel=1e-15)
+
+
+# ---- batches ------------------------------------------------------------------
+
+
+def test_batch_measures_equal_per_example_measures():
+    rng = np.random.default_rng(14)
+    batch = PredictiveDistribution.from_samples(
+        np.stack([random_pd(rng, t=6, k=5).sample_probs for _ in range(20)])
+    )
+    assert len(batch) == 20 and batch.k == 5
+    for measure in (predictive_entropy, expected_entropy, bald):
+        values = measure(batch)
+        assert values.shape == (20,)
+        assert values.tolist() == [measure(pd) for pd in batch]
+    assert batch[3].sample_probs.shape == (6, 5)
+    np.testing.assert_array_equal(batch[3].mean_probs, batch.mean_probs[3])
+
+
+def test_batch_identical_pass_rule_is_per_example():
+    rows = np.random.default_rng(15).dirichlet(np.ones(4), size=(2, 5))
+    rows[1] = rows[1, 0]
+    pd = PredictiveDistribution.from_samples(rows)
+    np.testing.assert_array_equal(pd.mean_probs[1], rows[1, 0])
+    assert bald(pd)[1] == 0.0 and bald(pd)[0] > 0.0
+
+
+def test_one_example_has_no_examples_to_index():
+    pd = PredictiveDistribution.from_samples(np.array([[0.5, 0.5]]))
+    with pytest.raises(TypeError):
+        len(pd)
+
+
+def test_from_samples_rejects_shapes_other_than_t_k_or_m_t_k():
+    # one array cannot hold examples of unequal T; these shapes are all it
+    # can be instead
+    for shape in [(4,), (2, 3, 4, 5), (0, 3), (2, 0, 3)]:
+        with pytest.raises(DataError, match="T x K or M x T x K"):
+            PredictiveDistribution.from_samples(np.full(shape, 0.5))
+
+
 # ---- report -------------------------------------------------------------------
 
 
@@ -146,19 +197,18 @@ def test_report_fields_consistent():
 def test_mc_predict_deterministic_head_identical_rows():
     head = head_for(DETERMINISTIC)
     x = Tensor(np.random.default_rng(5).normal(size=(3, 4)))
-    pds = mc_predict(head, x, t=7, seed=0)
-    for pd in pds:
-        assert (pd.sample_probs == pd.sample_probs[0]).all()
-        assert bald(pd) == 0.0
+    pd = mc_predict(head, x, t=7, seed=0)
+    assert pd.sample_probs.shape == (3, 7, 3)
+    assert (pd.sample_probs == pd.sample_probs[:, :1]).all()
+    assert (bald(pd) == 0.0).all()
 
 
 def test_mc_predict_single_sample_degeneracy():
     head = head_for(STOCHASTIC_VI)
     x = Tensor(np.random.default_rng(6).normal(size=(2, 4)))
-    pds = mc_predict(head, x, t=1, seed=1)
-    for pd in pds:
-        assert expected_entropy(pd) == predictive_entropy(pd)
-        assert bald(pd) == 0.0
+    pd = mc_predict(head, x, t=1, seed=1)
+    assert (expected_entropy(pd) == predictive_entropy(pd)).all()
+    assert (bald(pd) == 0.0).all()
 
 
 def test_mc_predict_rejects_bad_t():
@@ -172,8 +222,7 @@ def test_mc_predict_is_reproducible():
     x = Tensor(np.random.default_rng(7).normal(size=(4, 4)))
     a = mc_predict(head, x, t=5, seed=3)
     b = mc_predict(head, x, t=5, seed=3)
-    for pa, pb in zip(a, b):
-        np.testing.assert_array_equal(pa.sample_probs, pb.sample_probs)
+    np.testing.assert_array_equal(a.sample_probs, b.sample_probs)
 
 
 def test_mc_predict_convergence_with_more_samples():
@@ -197,8 +246,9 @@ def test_mc_predict_stochastic_passes_differ():
 
 def test_reports_csv_header_and_rows():
     rng = np.random.default_rng(12)
-    reports = [report(random_pd(rng)) for _ in range(3)]
-    csv_text = reports_to_csv(reports, np.array([0, 1, -1]), np.array([0, 0, 1], dtype=bool))
+    batch = np.stack([random_pd(rng, t=5, k=4).sample_probs for _ in range(3)])
+    columns = report(PredictiveDistribution.from_samples(batch))
+    csv_text = reports_to_csv(columns, np.array([0, 1, -1]), np.array([0, 0, 1], dtype=bool))
     lines = csv_text.strip().split("\n")
     assert (
         lines[0]
@@ -207,3 +257,4 @@ def test_reports_csv_header_and_rows():
     assert len(lines) == 4
     assert lines[3].split(",")[1] == "-1"
     assert lines[3].split(",")[-1] == "1"
+    assert lines[2].split(",")[3:7] == [repr(float(c[1])) for c in columns[1:]]
