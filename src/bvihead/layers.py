@@ -76,7 +76,8 @@ class NoiseDraw:
 
     weight_eps/bias_eps are standard-normal draws matching the posterior
     shapes. sign_in/sign_out are per-example Rademacher vectors, only used
-    by the Flipout estimator.
+    by the Flipout estimator. They are drawn as int8 +-1; float64 +-1 is
+    accepted too and gives the same output.
     """
 
     weight_eps: np.ndarray
@@ -85,15 +86,23 @@ class NoiseDraw:
     sign_out: np.ndarray | None = None
 
 
-def dense_forward(layer: DenseDeterministic, x):
-    """x W + b with the bias broadcast across rows."""
+def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None):
+    """x W + b with the bias broadcast across rows.
+
+    At inference `_memo`, a dict shared by calls on the same x, keeps the
+    output of the first call and returns it to later ones, which must not
+    write to it.
+    """
     if len(x.shape) != 2 or x.shape[1] != layer.weight.shape[0]:
         raise ShapeError(
             f"input {x.shape} does not match weight {layer.weight.shape}"
         )
     if isinstance(x, Tensor):
         return (x @ layer.weight) + layer.bias
-    return (x @ layer.weight.data) + layer.bias.data
+    memo = {} if _memo is None else _memo
+    if "out" not in memo:
+        memo["out"] = (x @ layer.weight.data) + layer.bias.data
+    return memo["out"]
 
 
 def _posterior_terms(layer: DenseVariational, noise: NoiseDraw, tape: bool):
@@ -130,16 +139,20 @@ def variational_forward_reparam(layer: DenseVariational, x, noise: NoiseDraw):
     return (x @ w) + b, kl
 
 
-def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
+def variational_forward_flipout(
+    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None
+):
     """Pseudo-independent per-example weight perturbations.
 
     Row n sees x_n W_mu + ((x_n * r_n) (std * eps)) * s_n with a shared
     perturbation base eps and per-example sign vectors r_n, s_n. The bias
     is sampled once per batch by plain reparameterization.
 
-    Both phases compute the output with the same array code; a training
-    forward wraps it in one graph node over (x, W_mu, std, b) whose
-    backward is the closed form of that affine map.
+    Both phases compute the output with the same array operations in the
+    same order; a training forward wraps it in one graph node over
+    (x, W_mu, std, b) whose backward is the closed form of that affine map.
+    At inference `_memo`, a dict shared by calls on the same x, keeps
+    x W_mu from the first call for the later ones.
     """
     if layer.estimator != FLIPOUT:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
@@ -155,13 +168,24 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
         )
     tape = isinstance(x, Tensor)
     w_mu, w_std, b, kl = _posterior_terms(layer, noise, tape)
-    xa, mua, stda, ba = (x.data, w_mu.data, w_std.data, b.data) if tape else (x, w_mu, w_std, b)
     r, s, eps = noise.sign_in, noise.sign_out, noise.weight_eps
-    xs = xa * r
-    delta = stda * eps
-    out = ((xa @ mua) + ((xs @ delta) * s)) + ba
     if not tape:
+        # the training expression's operations, in place; adding x W_mu
+        # second is exact, since floating-point addition commutes
+        memo = {} if _memo is None else _memo
+        if "xw" not in memo:
+            memo["xw"] = x @ w_mu
+        out = (x * r) @ (w_std * eps)
+        out *= s
+        out += memo["xw"]
+        out += b
         return out, kl
+    # products with int8 signs are slower than with float64 ones at batch sizes
+    r, s = r.astype(np.float64), s.astype(np.float64)
+    xa, mua, ba = x.data, w_mu.data, b.data
+    xs = xa * r
+    delta = w_std.data * eps
+    out = ((xa @ mua) + ((xs @ delta) * s)) + ba
     node = Tensor(out, (x, w_mu, w_std, b), _op="flipout")
 
     def _bw(g):
@@ -187,8 +211,11 @@ def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: 
     if mask_noise is None or mask_noise.shape != x.shape:
         got = None if mask_noise is None else mask_noise.shape
         raise ShapeError(f"mask noise shape {got} does not match input {x.shape}")
-    keep = (mask_noise >= spec.rate).astype(np.float64) / (1.0 - spec.rate)
-    return x * keep
+    keep = (mask_noise >= spec.rate) * (1.0 / (1.0 - spec.rate))
+    if isinstance(x, Tensor):
+        return x * keep
+    keep *= x
+    return keep
 
 
 def _check_input(layer: DenseVariational, x) -> None:
@@ -201,15 +228,56 @@ def _check_input(layer: DenseVariational, x) -> None:
 def draw_layer_noise(
     layer: DenseVariational, m: int, rng: np.random.Generator
 ) -> NoiseDraw:
-    """Fresh standard-normal (and Rademacher, for Flipout) draws for one batch."""
+    """Fresh standard-normal (and Rademacher, for Flipout) draws for one batch.
+
+    The values and the generator's next state are those of drawing
+    weight_eps, bias_eps, then sign_in and sign_out with
+    `rng.integers(0, 2, shape) * 2 - 1` each.
+    """
     d_in, d_out = layer.weight_post.shape
     weight_eps = rng.standard_normal((d_in, d_out))
     bias_eps = rng.standard_normal(d_out)
     if layer.estimator == FLIPOUT:
-        sign_in = rng.integers(0, 2, size=(m, d_in)).astype(np.float64) * 2.0 - 1.0
-        sign_out = rng.integers(0, 2, size=(m, d_out)).astype(np.float64) * 2.0 - 1.0
+        signs = rademacher(rng, m * (d_in + d_out))
+        sign_in = signs[: m * d_in].reshape(m, d_in)
+        sign_out = signs[m * d_in :].reshape(m, d_out)
         return NoiseDraw(weight_eps, bias_eps, sign_in, sign_out)
     return NoiseDraw(weight_eps, bias_eps)
+
+
+def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n int8 signs equal to `rng.integers(0, 2, n) * 2 - 1`, leaving rng
+    where that call leaves it.
+
+    For a range of two numpy's bounded draw is the top bit of one 32-bit
+    output. PCG64 serves each 64-bit output as its low, then its high
+    32-bit half, and keeps the unused half in its state. So the signs are
+    the top bits of the halves of `random_raw`, with the kept half used
+    first and an unused last half kept, as numpy would.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        return (rng.integers(0, 2, size=n) * 2 - 1).astype(np.int8)
+    signs = np.empty(n, dtype=np.int8)
+    if n == 0:
+        return signs
+    state = bg.state
+    spare = state["has_uint32"]
+    raw = bg.random_raw((n - spare + 1) // 2)
+    halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
+    if spare:
+        signs[0] = state["uinteger"] >> 31
+    np.right_shift(halves[: n - spare], 31, out=signs[spare:], casting="unsafe")
+    signs *= 2
+    signs -= 1
+    left = len(halves) + spare - n  # 1 when the last high half went unused
+    if spare or left:  # random_raw neither reads nor writes the kept half
+        state = bg.state
+        state["has_uint32"] = left
+        if left:
+            state["uinteger"] = int(halves[-1])
+        bg.state = state
+    return signs
 
 
 def zero_layer_noise(layer: DenseVariational, m: int) -> NoiseDraw:
@@ -218,6 +286,9 @@ def zero_layer_noise(layer: DenseVariational, m: int) -> NoiseDraw:
     draw = NoiseDraw(np.zeros((d_in, d_out)), np.zeros(d_out))
     if layer.estimator == FLIPOUT:
         return NoiseDraw(
-            draw.weight_eps, draw.bias_eps, np.ones((m, d_in)), np.ones((m, d_out))
+            draw.weight_eps,
+            draw.bias_eps,
+            np.ones((m, d_in), dtype=np.int8),
+            np.ones((m, d_out), dtype=np.int8),
         )
     return draw

@@ -157,7 +157,7 @@ def draw_noise_bundle(head: Head, m: int, rng: np.random.Generator) -> list:
             bundle.append(draw_layer_noise(layer, m, rng))
         elif i < 2 and head.dropout is not None and head.dropout.rate > 0:
             d_out = layer.weight.shape[1]
-            bundle.append(rng.uniform(size=(m, d_out)))
+            bundle.append(rng.random((m, d_out)))
         else:
             bundle.append(None)
     return bundle
@@ -174,13 +174,17 @@ def zero_noise_bundle(head: Head, m: int) -> list:
     return bundle
 
 
-def forward(head: Head, x: Tensor, noise: list, phase: str) -> tuple[Tensor, Tensor]:
+def forward(
+    head: Head, x: Tensor, noise: list, phase: str, _memo: dict | None = None
+) -> tuple[Tensor, Tensor]:
     """Batched forward pass returning (log_probs, total KL).
 
     KL is zero for non-variational variants. Any non-finite intermediate
     raises NumericError naming the offending layer. TRAIN records the
     autodiff graph; the inference phases run the same layer functions on
     the parameters' arrays, record no graph and return two leaf tensors.
+    `_memo` goes to the first layer, so that inference forwards of the same
+    x that share it compute that layer's noise-free product once.
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -199,15 +203,16 @@ def forward(head: Head, x: Tensor, noise: list, phase: str) -> tuple[Tensor, Ten
         if isinstance(layer, DenseVariational) and noise[i] is None:
             raise ConfigError(f"layer {i}: variational layer needs a noise draw")
         kl = None
+        memo = _memo if i == 0 else None
         try:
             if isinstance(layer, DenseVariational):
                 if layer.estimator == FLIPOUT:
-                    h, kl = variational_forward_flipout(layer, h, noise[i])
+                    h, kl = variational_forward_flipout(layer, h, noise[i], memo)
                 else:
                     h, kl = variational_forward_reparam(layer, h, noise[i])
                 kl_total = kl if kl_total is None else kl_total + kl
             else:
-                h = dense_forward(layer, h)
+                h = dense_forward(layer, h, memo)
             # checked before relu, which would hide an overflow to -inf
             if not tape and not (np.isfinite(h).all() and (kl is None or np.isfinite(kl))):
                 raise NumericError("forward produced non-finite values")

@@ -135,19 +135,20 @@ def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistributi
     """Run t stochastic passes over the M examples of x; one M x T x K
     distribution. Pass i draws its noise from a generator sub-seeded with
     (seed, i), so results do not depend on execution order and are
-    reproducible."""
+    reproducible. The first layer's noise-free product is computed once."""
     if t < 1:
         raise ConfigError(f"sample count must be >= 1, got {t}")
     m = x.shape[0]
     phase = inference_phase(head)
     all_probs = np.empty((m, t, head.config.num_classes))
+    memo: dict = {}
     for i in range(t):
         rng = np.random.default_rng((seed, i))
         if phase == DETERMINISTIC_INFERENCE:
             bundle = zero_noise_bundle(head, m)
         else:
             bundle = draw_noise_bundle(head, m, rng)
-        log_probs, _ = forward(head, x, bundle, phase)
+        log_probs, _ = forward(head, x, bundle, phase, _memo=memo)
         all_probs[:, i] = np.exp(log_probs.data)
     return PredictiveDistribution.from_samples(all_probs)
 

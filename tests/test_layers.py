@@ -19,6 +19,7 @@ from bvihead.layers import (
     dense_forward,
     draw_layer_noise,
     dropout_forward,
+    rademacher,
     variational_forward_flipout,
     variational_forward_reparam,
     zero_layer_noise,
@@ -321,6 +322,103 @@ def test_flipout_estimator_mismatch():
         )
 
 
+def test_flipout_inference_in_place_equals_the_expression_bit_for_bit():
+    layer = make_variational(5, 4, FLIPOUT, seed=35, rho=-0.7)
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(9, 5))
+    noise = draw_layer_noise(layer, 9, rng)
+    wp, bp = layer.weight_post, layer.bias_post
+    delta = np.log1p(np.exp(wp.rho.data)) * noise.weight_eps
+    b = bp.mu.data + np.log1p(np.exp(bp.rho.data)) * noise.bias_eps
+    want = ((x @ wp.mu.data) + (((x * noise.sign_in) @ delta) * noise.sign_out)) + b
+    as_float = NoiseDraw(
+        noise.weight_eps,
+        noise.bias_eps,
+        noise.sign_in.astype(np.float64),
+        noise.sign_out.astype(np.float64),
+    )
+    memo = {}
+    for draw, kept in ((noise, None), (as_float, None), (noise, memo), (noise, memo)):
+        out, _ = variational_forward_flipout(layer, x, draw, kept)
+        np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(memo["xw"], x @ wp.mu.data)
+
+
+def test_dense_memo_returns_the_first_output():
+    layer = DenseDeterministic(Tensor(np.arange(6.0).reshape(3, 2)), Tensor([0.5, -1.0]))
+    x = np.random.default_rng(37).normal(size=(4, 3))
+    memo = {}
+    first = dense_forward(layer, x, memo)
+    assert dense_forward(layer, x, memo) is first
+    np.testing.assert_array_equal(first, dense_forward(layer, x))
+
+
+# ---- Rademacher signs --------------------------------------------------------
+
+
+def next_draws(rng):
+    """What a generator yields next, to compare two generators' states
+    (the state dicts can differ in a stale spare half that is never read)."""
+    return rng.standard_normal(3), rng.integers(0, 2, size=5), rng.random(2), rng.integers(9)
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 1001])
+def test_rademacher_equals_integer_signs_bit_for_bit(lead, n):
+    ours, ref = np.random.default_rng(40), np.random.default_rng(40)
+    for rng in (ours, ref):
+        rng.integers(0, 2, size=lead)  # an odd lead leaves a spare 32-bit half
+        rng.standard_normal(2)
+    assert ours.bit_generator.state["has_uint32"] == lead % 2
+    got = rademacher(ours, n)
+    assert got.dtype == np.int8 and got.shape == (n,)
+    np.testing.assert_array_equal(got, ref.integers(0, 2, size=n) * 2 - 1)
+    for a, b in zip(next_draws(ours), next_draws(ref)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_rademacher_sequence_with_normal_draws_between():
+    ours, ref = np.random.default_rng(41), np.random.default_rng(41)
+    for n in (3, 0, 5, 4, 1, 1, 6, 0, 9):
+        np.testing.assert_array_equal(rademacher(ours, n), ref.integers(0, 2, size=n) * 2 - 1)
+        np.testing.assert_array_equal(ours.standard_normal(n), ref.standard_normal(n))
+    for a, b in zip(next_draws(ours), next_draws(ref)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_rademacher_other_bit_generators_use_integers():
+    ours, ref = (np.random.Generator(np.random.MT19937(42)) for _ in range(2))
+    np.testing.assert_array_equal(rademacher(ours, 7), ref.integers(0, 2, size=7) * 2 - 1)
+    for a, b in zip(next_draws(ours), next_draws(ref)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("m", [0, 1, 4, 9])
+def test_flipout_noise_draw_is_the_integer_sign_stream(m):
+    layer = make_variational(5, 3, FLIPOUT, seed=43)
+    ours, ref = np.random.default_rng(44), np.random.default_rng(44)
+    for rng in (ours, ref):
+        rng.integers(0, 2, size=1)
+    got = draw_layer_noise(layer, m, ours)
+    want = [
+        ref.standard_normal((5, 3)),
+        ref.standard_normal(3),
+        ref.integers(0, 2, size=(m, 5)).astype(np.float64) * 2.0 - 1.0,
+        ref.integers(0, 2, size=(m, 3)).astype(np.float64) * 2.0 - 1.0,
+    ]
+    assert got.sign_in.dtype == got.sign_out.dtype == np.int8
+    for a, b in zip((got.weight_eps, got.bias_eps, got.sign_in, got.sign_out), want):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(next_draws(ours), next_draws(ref)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_zero_flipout_noise_has_int8_signs():
+    noise = zero_layer_noise(make_variational(3, 2, FLIPOUT), 4)
+    assert noise.sign_in.dtype == noise.sign_out.dtype == np.int8
+    assert (noise.sign_in == 1).all() and noise.sign_out.shape == (4, 2)
+
+
 # ---- dropout ---------------------------------------------------------------
 
 
@@ -347,6 +445,17 @@ def test_dropout_preserves_expectation():
     out = dropout_forward(spec, Tensor(x), mask_noise, TRAIN)
     se = out.data.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(out.data.mean(axis=0) - row) < 3 * se)
+
+
+def test_dropout_inference_equals_the_scaled_mask_bit_for_bit():
+    spec = DropoutSpec(0.3)
+    rng = np.random.default_rng(38)
+    x = rng.normal(size=(6, 5))
+    mask = rng.random((6, 5))
+    before = x.copy()
+    out = dropout_forward(spec, x, mask, MC_INFERENCE)
+    np.testing.assert_array_equal(out, x * ((mask >= 0.3).astype(np.float64) / (1.0 - 0.3)))
+    np.testing.assert_array_equal(x, before)
 
 
 def test_dropout_mask_shape_checked():

@@ -66,6 +66,33 @@ def test_config_validation():
         HeadConfig(5, (4, 4), 3, "bogus")
 
 
+@pytest.mark.parametrize("variant,estimator", [
+    (DETERMINISTIC, "flipout"), (MC_DROPOUT, "flipout"), (STOCHASTIC_VI, "flipout"),
+    (STOCHASTIC_VI, REPARAM),
+])
+def test_noise_bundle_reproduces_the_uniform_and_integer_stream(variant, estimator):
+    # the reference draws every array with the generator's general-purpose calls
+    head = build_head(small_config(variant, estimator), init_seed=3)
+    ours, ref = np.random.default_rng(40), np.random.default_rng(40)
+    got = draw_noise_bundle(head, 9, ours)
+    for entry, (d_in, d_out) in zip(got, head.config.layer_dims):
+        if variant == STOCHASTIC_VI:
+            want = [ref.standard_normal((d_in, d_out)), ref.standard_normal(d_out)]
+            have = [entry.weight_eps, entry.bias_eps]
+            if estimator != REPARAM:
+                for d in (d_in, d_out):
+                    want.append(ref.integers(0, 2, size=(9, d)).astype(np.float64) * 2.0 - 1.0)
+                have += [entry.sign_in, entry.sign_out]
+        elif entry is None:
+            continue
+        else:
+            want, have = [ref.uniform(size=(9, d_out))], [entry]
+        for a, b in zip(have, want):
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(ours.standard_normal(4), ref.standard_normal(4))
+    np.testing.assert_array_equal(ours.integers(0, 2, 5), ref.integers(0, 2, 5))
+
+
 def test_deterministic_variant_kl_is_zero():
     head = build_head(small_config(DETERMINISTIC), init_seed=1)
     x = Tensor(np.random.default_rng(0).normal(size=(4, 5)))

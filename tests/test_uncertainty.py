@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from bvihead.errors import ConfigError, DataError
+from bvihead.layers import DETERMINISTIC_INFERENCE
 from bvihead.model import (
     DETERMINISTIC,
     MC_DROPOUT,
     STOCHASTIC_VI,
     HeadConfig,
     build_head,
+    draw_noise_bundle,
+    forward,
+    inference_phase,
+    zero_noise_bundle,
 )
 from bvihead.tensor import Tensor
 from bvihead.uncertainty import (
@@ -232,6 +237,28 @@ def test_mc_predict_convergence_with_more_samples():
     large = mc_predict(head, x, t=4000, seed=5)[0]
     bound = 5.0 / math.sqrt(4000)
     assert np.abs(small.mean_probs - large.mean_probs).max() < bound
+
+
+@pytest.mark.parametrize(
+    "variant,estimator",
+    [(DETERMINISTIC, "flipout"), (MC_DROPOUT, "flipout"), (STOCHASTIC_VI, "flipout"),
+     (STOCHASTIC_VI, "reparam")],
+)
+def test_mc_predict_equals_a_loop_of_independent_passes(variant, estimator):
+    # each pass on its own: no state shared between passes
+    head = build_head(HeadConfig(5, (7, 3), 3, variant, estimator=estimator), init_seed=12)
+    x = Tensor(np.random.default_rng(13).normal(size=(9, 5)))
+    phase = inference_phase(head)
+    passes = []
+    for i in range(4):
+        if phase == DETERMINISTIC_INFERENCE:
+            bundle = zero_noise_bundle(head, 9)
+        else:
+            bundle = draw_noise_bundle(head, 9, np.random.default_rng((7, i)))
+        log_probs, _ = forward(head, x, bundle, phase)
+        passes.append(np.exp(log_probs.data))
+    pd = mc_predict(head, x, t=4, seed=7)
+    np.testing.assert_array_equal(pd.sample_probs, np.stack(passes, axis=1))
 
 
 def test_mc_predict_stochastic_passes_differ():
