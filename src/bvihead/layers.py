@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiagonalGaussian, PriorSpec, kl_array, kl_to_prior, sample, softplus_std
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .tensor import Tensor, softplus_array
 
 REPARAM = "reparam"
@@ -91,7 +91,7 @@ def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None):
 
     At inference `_memo`, a dict shared by calls on the same x, keeps the
     output of the first call and returns it to later ones, which must not
-    write to it.
+    write to it; a non-finite output raises NumericError.
     """
     if len(x.shape) != 2 or x.shape[1] != layer.weight.shape[0]:
         raise ShapeError(
@@ -101,7 +101,11 @@ def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None):
         return (x @ layer.weight) + layer.bias
     memo = {} if _memo is None else _memo
     if "out" not in memo:
-        memo["out"] = (x @ layer.weight.data) + layer.bias.data
+        out = (x @ layer.weight.data) + layer.bias.data
+        # checked once, here: later calls return this same array
+        if not np.isfinite(out).all():
+            raise NumericError("forward produced non-finite values")
+        memo["out"] = out
     return memo["out"]
 
 

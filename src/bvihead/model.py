@@ -13,9 +13,9 @@ tensors, so a Monte Carlo pass allocates no graph nodes.
 
 from __future__ import annotations
 
+import base64
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +46,7 @@ MC_DROPOUT = "mc-dropout"
 STOCHASTIC_VI = "stochastic-vi"
 VARIANTS = (DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI)
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -213,8 +213,8 @@ def forward(
                 kl_total = kl if kl_total is None else kl_total + kl
             else:
                 h = dense_forward(layer, h, memo)
-            # checked before relu, which would hide an overflow to -inf
-            if not tape and not (np.isfinite(h).all() and (kl is None or np.isfinite(kl))):
+            # checked before relu, which would hide -inf; dense_forward checks its own output
+            if not tape and kl is not None and not (np.isfinite(h).all() and np.isfinite(kl)):
                 raise NumericError("forward produced non-finite values")
             if i < 2:
                 h = h.relu() if tape else np.maximum(h, 0.0)
@@ -244,116 +244,75 @@ def inference_phase(head: Head) -> str:
 
 # ---- checkpoint serialization ----------------------------------------------
 
-
-def _encode_array(arr: np.ndarray) -> list[str]:
-    return [repr(float(v)) for v in arr.reshape(-1)]
-
-
-def _decode_array(entry: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """entry[key] as a float64 array of `shape`; ConfigError naming the key otherwise."""
-    values = _field(entry, key, list, where)
-    where = f"{where}.{key}"
-    if not all(isinstance(v, str) for v in values):
-        raise ConfigError(f"{where} must hold decimal strings")
-    try:
-        arr = np.array([float(v) for v in values], dtype=np.float64)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    if arr.size != math.prod(shape):
-        raise ConfigError(f"{where} has {arr.size} values, expected shape {shape}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{where} holds non-finite values")
-    return arr.reshape(shape)
+# the JSON form of each HeadConfig field's annotation; an int is never a bool
+_JSON_TYPES = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "str": lambda v: type(v) is str,
+    "tuple[int, int]": lambda v: type(v) is list and all(type(d) is int for d in v),
+}
 
 
-def _field(obj, key: str, kind, where: str):
-    """obj[key], checked to be a `kind` (never a bool); ConfigError otherwise."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    if key not in obj:
-        raise ConfigError(f"{where} lacks key {key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        expected = "/".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
-        raise ConfigError(f"{where}.{key} must be {expected}, got {type(value).__name__}")
-    return value
+def bind_parameters(params: list[Tensor], theta: np.ndarray) -> None:
+    """Rebind each parameter's `.data`, in order, to its reshaped view of
+    the flat vector `theta`, which holds exactly their values."""
+    sizes = [p.data.size for p in params]
+    for p, chunk in zip(params, np.split(theta, np.cumsum(sizes)[:-1])):
+        p.data = chunk.reshape(p.data.shape)
 
 
 def head_to_dict(head: Head) -> dict:
-    cfg = head.config
-    doc = {
+    """The format_version, the config, and the parameters as one base64
+    string of little-endian float64 values in Head.parameters() order."""
+    theta = np.concatenate([p.data.ravel() for p in head.parameters()])
+    return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": {
-            "input_dim": cfg.input_dim,
-            "hidden_dims": list(cfg.hidden_dims),
-            "num_classes": cfg.num_classes,
-            "variant": cfg.variant,
-            "dropout_rate": cfg.dropout_rate,
-            "estimator": cfg.estimator,
-        },
-        "layers": [],
+        "config": {**asdict(head.config), "hidden_dims": list(head.config.hidden_dims)},
+        "theta": base64.b64encode(theta.astype("<f8").tobytes()).decode("ascii"),
     }
-    for layer in head.layers:
-        if isinstance(layer, DenseDeterministic):
-            doc["layers"].append(
-                {
-                    "kind": "deterministic",
-                    "weight": _encode_array(layer.weight.data),
-                    "bias": _encode_array(layer.bias.data),
-                }
-            )
-        else:
-            doc["layers"].append(
-                {
-                    "kind": "variational",
-                    "weight_mu": _encode_array(layer.weight_post.mu.data),
-                    "weight_rho": _encode_array(layer.weight_post.rho.data),
-                    "bias_mu": _encode_array(layer.bias_post.mu.data),
-                    "bias_rho": _encode_array(layer.bias_post.rho.data),
-                }
-            )
-    return doc
 
 
-def head_from_dict(doc: dict) -> Head:
-    if not isinstance(doc, dict):
+def _check_keys(obj, keys: list[str], where: str) -> None:
+    """ConfigError unless obj is a JSON object with exactly these keys."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(obj.keys() - set(keys))
+    if unknown:
+        raise ConfigError(f"{where} has unknown key {unknown[0]!r}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ConfigError(f"{where} lacks key {missing[0]!r}")
+
+
+def head_from_dict(doc) -> Head:
+    """The head a checkpoint document describes; ConfigError if malformed."""
+    if type(doc) is not dict:
         raise ConfigError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint format_version {doc.get('format_version')!r}"
-        )
-    c = _field(doc, "config", dict, "checkpoint")
-    hidden = _field(c, "hidden_dims", list, "config")
-    if not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
-        raise ConfigError("config.hidden_dims must be a list of integers")
-    cfg = HeadConfig(
-        input_dim=_field(c, "input_dim", int, "config"),
-        hidden_dims=tuple(hidden),
-        num_classes=_field(c, "num_classes", int, "config"),
-        variant=_field(c, "variant", str, "config"),
-        dropout_rate=_field(c, "dropout_rate", (int, float), "config"),
-        estimator=_field(c, "estimator", str, "config"),
-    )
-    entries = _field(doc, "layers", list, "checkpoint")
-    if len(entries) != 3:
-        raise ConfigError(f"checkpoint has {len(entries)} layers, expected 3")
-    # every stored array is checked against the header's dims before
-    # build_head allocates them; arrays follow Head.parameters() order
-    if cfg.variant == STOCHASTIC_VI:
-        kind, names = "variational", ("weight_mu", "weight_rho", "bias_mu", "bias_rho")
-    else:
-        kind, names = "deterministic", ("weight", "bias")
-    arrays = []
-    for i, (entry, (d_in, d_out)) in enumerate(zip(entries, cfg.layer_dims)):
-        where = f"layers[{i}]"
-        if _field(entry, "kind", str, where) != kind:
-            raise ConfigError("checkpoint layer kind does not match variant")
-        for name in names:
-            shape = (d_in, d_out) if name.startswith("weight") else (d_out,)
-            arrays.append(_decode_array(entry, name, shape, where))
+    version = doc.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
+        raise ConfigError(f"unsupported checkpoint format_version {version!r}; retrain the head")
+    _check_keys(doc, ["format_version", "config", "theta"], "checkpoint")
+    c = doc["config"]
+    _check_keys(c, [f.name for f in fields(HeadConfig)], "config")
+    for f in fields(HeadConfig):
+        if not _JSON_TYPES[f.type](c[f.name]):
+            raise ConfigError(f"config.{f.name} must be {f.type}, got {type(c[f.name]).__name__}")
+    cfg = HeadConfig(**c)
+    try:
+        raw = base64.b64decode(doc["theta"], validate=True)
+    except (TypeError, ValueError) as exc:  # not a str, bad characters or padding
+        raise ConfigError(f"checkpoint.theta is not a base64 string: {exc}") from None
+    # checked against the header before build_head allocates anything
+    n = sum(d_in * d_out + d_out for d_in, d_out in cfg.layer_dims)
+    n *= 2 if cfg.variant == STOCHASTIC_VI else 1  # a mu and a rho per weight
+    if len(raw) != 8 * n:
+        raise ConfigError(f"checkpoint.theta holds {len(raw)} bytes, expected {n} float64 values")
+    theta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ConfigError(f"checkpoint.theta[{bad[0]}] is not finite: {float(theta[bad[0]])}")
     head = build_head(cfg, init_seed=0)
-    for param, arr in zip(head.parameters(), arrays):
-        param.data = arr
+    bind_parameters(head.parameters(), theta)
     return head
 
 

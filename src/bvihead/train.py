@@ -22,7 +22,7 @@ from .data import LabeledFeatureSet, batches
 from .errors import ConfigError, ContractError, NumericError
 from .fsio import atomic_write_text
 from .layers import TRAIN
-from .model import Head, draw_noise_bundle, forward
+from .model import Head, bind_parameters, draw_noise_bundle, forward
 from .tensor import Tensor, nll
 
 SGD = "sgd"
@@ -264,11 +264,7 @@ def flatten_parameters(params: list[Tensor]) -> np.ndarray:
     vector, so an in-place optimizer step on the vector updates them all.
     """
     theta = np.concatenate([p.data.ravel() for p in params])
-    offset = 0
-    for p in params:
-        size = p.data.size
-        p.data = theta[offset : offset + size].reshape(p.data.shape)
-        offset += size
+    bind_parameters(params, theta)
     return theta
 
 

@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,15 @@ from bvihead.cli import (
 )
 from bvihead.data import load_features
 from bvihead.errors import BviError
-from bvihead.model import STOCHASTIC_VI, VARIANTS, HeadConfig, build_head, head_to_dict, load_head
+from bvihead.model import (
+    STOCHASTIC_VI,
+    VARIANTS,
+    HeadConfig,
+    build_head,
+    head_to_dict,
+    load_head,
+    save_head,
+)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -214,15 +223,19 @@ def test_bfv_features_load_or_fail_cleanly(workdir, n, f, payload, header):
 CHECKPOINTS = {
     v: head_to_dict(build_head(HeadConfig(3, (2, 2), 2, v), init_seed=1)) for v in VARIANTS
 }
-PATHS = (
-    [("format_version",), ("config",), ("layers",), ("layers", 0)]
-    + [("config", key) for key in CHECKPOINTS[STOCHASTIC_VI]["config"]]
-    + [
-        ("layers", i, key)
-        for i in range(3)
-        for key in ("kind", "weight", "bias", "weight_mu", "weight_rho", "bias_mu", "bias_rho")
-    ]
-)
+PATHS = [("format_version",), ("config",), ("theta",)] + [
+    ("config", key) for key in CHECKPOINTS[STOCHASTIC_VI]["config"]
+]
+# the layout of format_version 1: one list of decimal strings per array
+V1_CHECKPOINT = {
+    "format_version": 1,
+    "config": CHECKPOINTS[VARIANTS[0]]["config"],
+    "layers": [
+        {"kind": "deterministic", "weight": ["0.5", "-0.25"] * 3, "bias": ["0.0", "0.0"]},
+        {"kind": "deterministic", "weight": ["0.5", "-0.25"] * 2, "bias": ["0.0", "0.0"]},
+        {"kind": "deterministic", "weight": ["0.5", "-0.25"] * 2, "bias": ["0.0", "0.0"]},
+    ],
+}
 DELETE = object()
 
 
@@ -258,6 +271,9 @@ HUGE_HEADER = [(("config", "input_dim"), 10**7), (("config", "hidden_dims"), [10
 @example(variant=STOCHASTIC_VI, edits=[(("config", "dropout_rate"), 10**400)], raw=None)
 @example(variant=STOCHASTIC_VI, edits=[], raw=b"[" * 100_000)
 @example(variant=STOCHASTIC_VI, edits=[], raw=b'{"format_version": ' + b"1" * 5000 + b"}")
+@example(variant=VARIANTS[0], edits=[], raw=json.dumps(V1_CHECKPOINT).encode())
+@example(variant=STOCHASTIC_VI, edits=[(("config", "init_seed"), 1)], raw=None)
+@example(variant=STOCHASTIC_VI, edits=[(("theta",), "=" * 4)], raw=None)
 def test_checkpoint_loads_or_fails_cleanly(workdir, variant, edits, raw):
     doc = json.loads(json.dumps(CHECKPOINTS[variant]))
     for path, value in edits:
@@ -265,6 +281,24 @@ def test_checkpoint_loads_or_fails_cleanly(workdir, variant, edits, raw):
     ckpt = workdir / "head.json"
     ckpt.write_bytes(json.dumps(doc).encode() if raw is None else raw)
     assert_loads_or_fails_cleanly(lambda: load_head(ckpt))
+
+
+FINFO = np.finfo(np.float64)
+
+
+@FUZZ
+@given(
+    variant=st.sampled_from(VARIANTS),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+)
+@example(variant=STOCHASTIC_VI, values=[-0.0, FINFO.smallest_subnormal, FINFO.max, -FINFO.max])
+def test_checkpoint_round_trips_every_finite_value_bit_exactly(workdir, variant, values):
+    head = build_head(HeadConfig(3, (2, 2), 2, variant), init_seed=1)
+    head.parameters()[0].data.reshape(-1)[: len(values)] = values
+    ckpt = workdir / "round-trip.json"
+    save_head(head, ckpt)
+    for a, b in zip(head.parameters(), load_head(ckpt).parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 # ---- hist input ----------------------------------------------------------------

@@ -489,8 +489,9 @@ def test_eval_malformed_checkpoint_exits_2(tiny_config, tmp_path, capsys):
     huge["config"].update(input_dim=10**7, hidden_dims=[10**7, 10**7])
     for text, key in (
         ("[1, 2", "not valid JSON"),
-        ('{"format_version": 1}', "'config'"),
-        (json.dumps(huge), "layers[0].weight has"),
+        ('{"format_version": 1}', "format_version 1"),
+        ('{"format_version": 2}', "'config'"),
+        (json.dumps(huge), "checkpoint.theta holds"),
     ):
         ckpt.write_text(text)
         assert run(argv) == EXIT_CONFIG

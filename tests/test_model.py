@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -244,16 +245,29 @@ def test_checkpoint_format_version_checked(tmp_path):
     doc["format_version"] = 99
     with pytest.raises(ConfigError, match="format_version"):
         head_from_dict(doc)
+    # a version-1 file stored one list of decimal strings per array
+    v1 = {"format_version": 1, "config": doc["config"], "layers": []}
+    with pytest.raises(ConfigError, match="format_version 1"):
+        head_from_dict(v1)
 
 
-def test_checkpoint_arrays_are_decimal_strings(tmp_path):
+def test_checkpoint_theta_is_little_endian_float64(tmp_path):
     head = build_head(small_config(STOCHASTIC_VI), init_seed=15)
     path = tmp_path / "head.json"
     save_head(head, path)
     doc = json.loads(path.read_text())
-    sample = doc["layers"][0]["weight_mu"][0]
-    assert isinstance(sample, str)
-    assert float(sample) == head.layers[0].weight_post.mu.data.reshape(-1)[0]
+    assert sorted(doc) == ["config", "format_version", "theta"]
+    expected = b"".join(p.data.astype("<f8").tobytes() for p in head.parameters())
+    assert base64.b64decode(doc["theta"], validate=True) == expected
+
+
+def test_loaded_parameters_are_writable_views_of_one_vector(tmp_path):
+    path = tmp_path / "head.json"
+    save_head(build_head(small_config(STOCHASTIC_VI), init_seed=15), path)
+    params = load_head(path).parameters()
+    assert all(p.data.flags.writeable for p in params)
+    base = params[0].data.base
+    assert base is not None and all(p.data.base is base for p in params)
 
 
 def _saved_checkpoint(tmp_path):
@@ -286,17 +300,17 @@ def test_load_head_missing_config_names_file_and_key(tmp_path):
         load_head(path)
 
 
-def test_load_head_missing_layers_names_file_and_key(tmp_path):
+def test_load_head_missing_theta_names_file_and_key(tmp_path):
     path = _saved_checkpoint(tmp_path)
     doc = json.loads(path.read_text())
-    del doc["layers"]
+    del doc["theta"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=r"head\.json.*'layers'"):
+    with pytest.raises(ConfigError, match=r"head\.json: checkpoint lacks key 'theta'"):
         load_head(path)
     doc = head_to_dict(build_head(small_config(STOCHASTIC_VI), init_seed=16))
-    del doc["layers"][1]["bias_rho"]
+    doc["config"]["init_seed"] = 16
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=r"head\.json.*layers\[1\].*'bias_rho'"):
+    with pytest.raises(ConfigError, match=r"head\.json: config has unknown key 'init_seed'"):
         load_head(path)
 
 
@@ -307,9 +321,15 @@ def test_load_head_checks_array_sizes_before_allocating(tmp_path, variant):
     doc["config"].update(input_dim=10**7, hidden_dims=[10**7, 10**7])
     path = tmp_path / "head.json"
     path.write_text(json.dumps(doc))
-    key = "weight_mu" if variant == STOCHASTIC_VI else "weight"
-    with pytest.raises(ConfigError, match=rf"head\.json: layers\[0\]\.{key} has \d+ values"):
+    with pytest.raises(ConfigError, match=r"head\.json: checkpoint\.theta holds \d+ bytes"):
         load_head(path)
+
+
+def _with_value(doc, index, value):
+    """doc with theta's value at `index` replaced by `value`."""
+    theta = np.frombuffer(base64.b64decode(doc["theta"]), dtype="<f8").copy()
+    theta[index] = value
+    doc["theta"] = base64.b64encode(theta.astype("<f8").tobytes()).decode("ascii")
 
 
 @pytest.mark.parametrize(
@@ -322,11 +342,39 @@ def test_load_head_checks_array_sizes_before_allocating(tmp_path, variant):
         (lambda d: d["config"].__setitem__("hidden_dims", [7, True]), "hidden_dims"),
         (lambda d: d["config"].__setitem__("dropout_rate", None), "dropout_rate"),
         (lambda d: d.__setitem__("layers", "abc"), "layers"),
-        (lambda d: d["layers"].__setitem__(0, "layer"), r"layers\[0\]"),
-        (lambda d: d["layers"][0].__setitem__("weight_mu", 3), "weight_mu"),
-        (lambda d: d["layers"][0]["weight_mu"].__setitem__(0, 1.5), "weight_mu"),
-        (lambda d: d["layers"][0]["weight_mu"].__setitem__(0, "x"), "weight_mu"),
-        (lambda d: d["layers"][2]["bias_rho"].__setitem__(0, "nan"), "bias_rho"),
+        pytest.param(
+            lambda d: d.__setitem__("theta", 3),
+            "theta is not a base64 string",
+            id="theta-not-a-string",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("theta", d["theta"][:-4]),
+            r"theta holds \d+ bytes",
+            id="theta-too-short",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("theta", "!" + d["theta"][1:]),
+            "theta is not a base64 string",
+            id="theta-bad-character",
+        ),
+        pytest.param(
+            lambda d: d.__setitem__("theta", "\u00e9" + d["theta"][1:]),
+            "theta is not a base64 string",
+            id="theta-not-ascii",
+        ),
+        pytest.param(
+            lambda d: _with_value(d, -1, math.nan),
+            r"theta\[\d+\] is not finite: nan",
+            id="theta-nan",
+        ),
+        pytest.param(
+            lambda d: _with_value(d, 0, math.inf), r"theta\[0\] is not finite: inf", id="theta-inf"
+        ),
+        pytest.param(
+            lambda d: _with_value(d, 5, -math.inf),
+            r"theta\[5\] is not finite: -inf",
+            id="theta-minus-inf",
+        ),
     ],
 )
 def test_load_head_wrong_types_raise_config_error(tmp_path, corrupt, where):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bvihead.errors import ConfigError, DataError
+import bvihead.uncertainty as uncertainty_mod
+from bvihead.errors import ConfigError, DataError, NumericError
 from bvihead.layers import DETERMINISTIC_INFERENCE
 from bvihead.model import (
     DETERMINISTIC,
@@ -259,6 +260,28 @@ def test_mc_predict_equals_a_loop_of_independent_passes(variant, estimator):
         passes.append(np.exp(log_probs.data))
     pd = mc_predict(head, x, t=4, seed=7)
     np.testing.assert_array_equal(pd.sample_probs, np.stack(passes, axis=1))
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
+def test_mc_predict_first_layer_overflow_raises_on_the_first_pass(variant, monkeypatch):
+    # the dense variants compute the first layer once, and check it then
+    head = build_head(HeadConfig(5, (7, 3), 3, variant), init_seed=12)
+    layer = head.layers[0]
+    weight = layer.weight if variant != STOCHASTIC_VI else layer.weight_post.mu
+    weight.data = np.full(weight.shape, 1e308)
+    passes = []
+    real_forward = uncertainty_mod.forward
+
+    def counting_forward(*args, **kwargs):
+        passes.append(len(passes))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(uncertainty_mod, "forward", counting_forward)
+    x = Tensor(np.full((4, 5), 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="layer 0"):
+            mc_predict(head, x, t=5, seed=3)
+    assert passes == [0]
 
 
 def test_mc_predict_stochastic_passes_differ():
