@@ -69,11 +69,17 @@ def sample(g: DiagonalGaussian, eps, std: Tensor | None = None) -> Tensor:
 def kl_array(mu: np.ndarray, std: np.ndarray, prior: PriorSpec) -> np.float64:
     """Closed-form KL[N(mu, std^2) || prior] summed over elements, on plain arrays.
 
-    Per element: ln(s_p/s_q) + (s_q^2 + (m_q - m_p)^2) / (2 s_p^2) - 1/2.
+    Per element: ln(s_p/s_q) + (s_q^2 + (m_q - m_p)^2) / (2 s_p^2) - 1/2,
+    evaluated in that order in two buffers.
     """
     dm = mu - prior.mean
-    quad = (std * std + dm * dm) * (1.0 / (2.0 * prior.std**2))
-    return (quad - np.log(std) + (math.log(prior.std) - 0.5)).sum()
+    dm *= dm
+    quad = std * std
+    quad += dm
+    quad *= 1.0 / (2.0 * prior.std**2)
+    quad -= np.log(std, out=dm)
+    quad += math.log(prior.std) - 0.5
+    return quad.sum()
 
 
 def kl_to_prior(

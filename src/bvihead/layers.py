@@ -4,9 +4,12 @@ Noise is always supplied by the caller as plain arrays, so every forward
 is a pure function of (parameters, input, noise). That keeps stochastic
 passes reproducible and lets tests freeze the noise.
 
-Every forward takes its input as a Tensor, recording graph nodes for
-training, or as a plain array, running the same operations in the same
-order on the parameters' arrays and recording nothing (inference).
+A training forward records one graph node per layer over the layer's
+leaves, and a variational layer one more scalar node for its KL; each
+node's backward is closed-form. It runs on a Tensor input, which gets a
+gradient, or on a plain array with `_tape`, which gets none. An inference
+forward runs the same operations in the same order on plain arrays and
+records nothing.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiagonalGaussian, PriorSpec, kl_array, kl_to_prior, sample, softplus_std
+from .dist import DiagonalGaussian, PriorSpec, kl_array
+from .dist import kl_to_prior, sample  # noqa: F401  # perfbench/tracer.py wraps them here
 from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .tensor import Tensor, softplus_array
+from .tensor import Tensor, sigmoid_array, softplus_and_exp
 
 REPARAM = "reparam"
 FLIPOUT = "flipout"
@@ -86,9 +90,11 @@ class NoiseDraw:
     sign_out: np.ndarray | None = None
 
 
-def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None):
+def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None, *, _tape=False):
     """x W + b with the bias broadcast across rows.
 
+    A Tensor x, or a plain array x with `_tape`, gives one graph node over
+    (x, W, b) whose backward is closed-form; an array x gets no gradient.
     At inference `_memo`, a dict shared by calls on the same x, keeps the
     output of the first call and returns it to later ones, which must not
     write to it; a non-finite output raises NumericError.
@@ -97,11 +103,22 @@ def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None):
         raise ShapeError(
             f"input {x.shape} does not match weight {layer.weight.shape}"
         )
-    if isinstance(x, Tensor):
-        return (x @ layer.weight) + layer.bias
+    w, b = layer.weight, layer.bias
+    if isinstance(x, Tensor) or _tape:
+        xa, wa = _array(x), w.data
+        node = Tensor((xa @ wa) + b.data, _inputs(x, w, b), _op="dense")
+
+        def _bw(g):
+            if isinstance(x, Tensor):
+                x.accumulate_grad(g @ wa.T)
+            w.accumulate_grad(xa.T @ g)
+            b.accumulate_grad(g.sum(axis=0))
+
+        node._backward_fn = _bw
+        return node
     memo = {} if _memo is None else _memo
     if "out" not in memo:
-        out = (x @ layer.weight.data) + layer.bias.data
+        out = (x @ w.data) + b.data
         # checked once, here: later calls return this same array
         if not np.isfinite(out).all():
             raise NumericError("forward produced non-finite values")
@@ -109,42 +126,120 @@ def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None):
     return memo["out"]
 
 
-def _posterior_terms(layer: DenseVariational, noise: NoiseDraw, tape: bool):
-    """(weight mean, weight std, bias draw, KL) of one forward.
+def _array(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else x
 
-    softplus(rho) is computed once per posterior and shared by the draws
-    and the KL. With `tape` the terms are graph nodes over the
-    parameters, otherwise plain arrays from the same formulas.
-    """
+
+def _inputs(x, *leaves) -> tuple:
+    """A training node's parents: x when it is a Tensor, then the leaves."""
+    return ((x,) if isinstance(x, Tensor) else ()) + leaves
+
+
+def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | None):
+    """(std_W, std_b, KL, the softplus's two exps) from one softplus(rho)
+    per posterior, shared by the draws, the KL and the backward's sigmoid.
+    `memo`, a dict shared by calls on the same parameters, keeps them."""
     wp, bp = layer.weight_post, layer.bias_post
     if noise.weight_eps.shape != wp.shape or noise.bias_eps.shape != bp.shape:
         raise ShapeError(
             f"eps shapes {noise.weight_eps.shape}/{noise.bias_eps.shape} do not match"
             f" posterior shapes {wp.shape}/{bp.shape}"
         )
-    if tape:
-        w_std, b_std = softplus_std(wp.rho), softplus_std(bp.rho)
-        b = sample(bp, noise.bias_eps, b_std)
-        kl = kl_to_prior(wp, layer.prior, w_std) + kl_to_prior(bp, layer.prior, b_std)
-        return wp.mu, w_std, b, kl
-    w_std, b_std = softplus_array(wp.rho.data), softplus_array(bp.rho.data)
-    b = bp.mu.data + b_std * noise.bias_eps
-    kl = kl_array(wp.mu.data, w_std, layer.prior) + kl_array(bp.mu.data, b_std, layer.prior)
-    return wp.mu.data, w_std, b, kl
+    memo = {} if memo is None else memo
+    if "post" not in memo:
+        (w_std, w_exp), (b_std, b_exp) = softplus_and_exp(wp.rho.data), softplus_and_exp(bp.rho.data)
+        kl = kl_array(wp.mu.data, w_std, layer.prior) + kl_array(bp.mu.data, b_std, layer.prior)
+        memo["post"] = (w_std, b_std, kl, (w_exp, b_exp))
+    return memo["post"]
 
 
-def variational_forward_reparam(layer: DenseVariational, x, noise: NoiseDraw):
-    """One weight/bias draw shared by the whole batch: x W_sample + b_sample."""
+def _variational_nodes(layer: DenseVariational, x, out, post, data_grads, op: str):
+    """The layer's training node over (x, W_mu, W_rho, b_mu, b_rho), x only
+    when it is a Tensor, and its KL node, which hands its gradient to the
+    layer's node in the same backward pass. `data_grads(g)` adds x's
+    gradient to x and returns [dW_mu, dstd_W, db_mu, dstd_b]; the node adds
+    the KL's terms, each formed as a separate KL node would form it, and
+    then applies drho = dstd * sigmoid(rho) once per posterior.
+    """
+    wp, bp, prior = layer.weight_post, layer.bias_post, layer.prior
+    w_std, b_std, kl, exps = post
+    mus, rhos = (wp.mu.data, bp.mu.data), (wp.rho.data, bp.rho.data)
+    node = Tensor(out, _inputs(x, wp.mu, wp.rho, bp.mu, bp.rho), _op=op)
+    kl_node = Tensor(kl, (node,), _op="kl")
+    kl_grad: list = []  # the KL node's gradient, for the layer's node
+    kl_node._backward_fn = kl_grad.append
+    inv_var = 1.0 / prior.std**2
+
+    def _bw(g):
+        # every array below is this call's own, so the sums and products
+        # are formed in place, each in the order the separate nodes use
+        grads = [None] * 4
+        if g is not None:  # None when only the KL reached the loss
+            grads = data_grads(g)
+        if kl_grad:
+            gk = kl_grad.pop()
+            gk_mu = gk * inv_var
+            terms = []
+            for mu, std in zip(mus, (w_std, b_std)):
+                d_mu = mu - prior.mean
+                d_mu *= gk_mu
+                d_std = std * inv_var
+                d_std -= 1.0 / std
+                d_std *= gk
+                terms += [d_mu, d_std]
+            for i, t in enumerate(terms):
+                grads[i] = t if grads[i] is None else np.add(grads[i], t, out=grads[i])
+        d_wmu, d_wstd, d_bmu, d_bstd = grads
+        d_wstd *= sigmoid_array(rhos[0], exps[0])
+        d_bstd *= sigmoid_array(rhos[1], exps[1])
+        wp.mu.accumulate_grad(d_wmu)
+        wp.rho.accumulate_grad(d_wstd)
+        bp.mu.accumulate_grad(d_bmu)
+        bp.rho.accumulate_grad(d_bstd)
+
+    node._backward_fn = _bw
+    return node, kl_node
+
+
+def variational_forward_reparam(
+    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None, *, _tape=False
+):
+    """One weight/bias draw shared by the whole batch: x W_sample + b_sample.
+
+    A Tensor x, or an array x with `_tape`, gives the layer's training node
+    and its KL node (an array x gets no gradient). At inference `_memo`, a
+    dict shared by calls on the same parameters, keeps the posterior's std
+    and KL from the first call.
+    """
     if layer.estimator != REPARAM:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
     _check_input(layer, x)
-    w_mu, w_std, b, kl = _posterior_terms(layer, noise, isinstance(x, Tensor))
-    w = w_mu + w_std * noise.weight_eps
-    return (x @ w) + b, kl
+    post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
+    w = w_std * noise.weight_eps
+    w += layer.weight_post.mu.data
+    xa = _array(x)
+    out = xa @ w
+    out += layer.bias_post.mu.data + b_std * noise.bias_eps
+    if not (isinstance(x, Tensor) or _tape):
+        return out, kl
+
+    def data_grads(g):
+        if isinstance(x, Tensor):
+            x.accumulate_grad(g @ w.T)
+        d_w, d_b = xa.T @ g, g.sum(axis=0)
+        return [d_w, d_w * noise.weight_eps, d_b, d_b * noise.bias_eps]
+
+    return _variational_nodes(layer, x, out, post, data_grads, "reparam")
 
 
 def variational_forward_flipout(
-    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None
+    layer: DenseVariational,
+    x,
+    noise: NoiseDraw,
+    _memo: dict | None = None,
+    *,
+    _tape=False,
+    _same_x=True,
 ):
     """Pseudo-independent per-example weight perturbations.
 
@@ -153,10 +248,11 @@ def variational_forward_flipout(
     is sampled once per batch by plain reparameterization.
 
     Both phases compute the output with the same array operations in the
-    same order; a training forward wraps it in one graph node over
-    (x, W_mu, std, b) whose backward is the closed form of that affine map.
-    At inference `_memo`, a dict shared by calls on the same x, keeps
-    x W_mu from the first call for the later ones.
+    same order. A Tensor x, or an array x with `_tape`, gives the layer's
+    training node, whose backward is the closed form of that affine map,
+    and its KL node (an array x gets no gradient). At inference `_memo`, a
+    dict shared by calls on the same parameters, keeps the posterior's std
+    and KL from the first call, and x W_mu too unless `_same_x` is false.
     """
     if layer.estimator != FLIPOUT:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
@@ -170,37 +266,42 @@ def variational_forward_flipout(
             f"sign shapes {noise.sign_in.shape}/{noise.sign_out.shape} do not match"
             f" batch {m} with dims ({d_in}, {d_out})"
         )
-    tape = isinstance(x, Tensor)
-    w_mu, w_std, b, kl = _posterior_terms(layer, noise, tape)
+    post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
+    mua = layer.weight_post.mu.data
     r, s, eps = noise.sign_in, noise.sign_out, noise.weight_eps
-    if not tape:
-        # the training expression's operations, in place; adding x W_mu
-        # second is exact, since floating-point addition commutes
-        memo = {} if _memo is None else _memo
-        if "xw" not in memo:
-            memo["xw"] = x @ w_mu
-        out = (x * r) @ (w_std * eps)
-        out *= s
-        out += memo["xw"]
-        out += b
-        return out, kl
-    # products with int8 signs are slower than with float64 ones at batch sizes
-    r, s = r.astype(np.float64), s.astype(np.float64)
-    xa, mua, ba = x.data, w_mu.data, b.data
+    tape = isinstance(x, Tensor) or _tape
+    if tape:  # products with int8 signs are slower than with float64 ones at batch sizes
+        r, s = r.astype(np.float64), s.astype(np.float64)
+    xa = _array(x)
     xs = xa * r
-    delta = w_std.data * eps
-    out = ((xa @ mua) + ((xs @ delta) * s)) + ba
-    node = Tensor(out, (x, w_mu, w_std, b), _op="flipout")
+    delta = w_std * eps
+    # ((x W_mu) + ((x*r) delta) * s) + b in place; adding x W_mu second is
+    # exact, since floating-point addition commutes
+    out = xs @ delta
+    if not tape:
+        del xs  # at inference an M x d_in array: freed before the sums below
+    out *= s
+    memo = _memo if _memo is not None and _same_x and not tape else {}
+    if "xw" not in memo:
+        memo["xw"] = xa @ mua
+    out += memo["xw"]
+    out += layer.bias_post.mu.data + b_std * noise.bias_eps  # one bias draw per batch
+    if not tape:
+        return out, kl
 
-    def _bw(g):
+    def data_grads(g):
         gs = g * s
-        x.accumulate_grad(g @ mua.T + (gs @ delta.T) * r)
-        w_mu.accumulate_grad(xa.T @ g)
-        w_std.accumulate_grad((xs.T @ gs) * eps)
-        b.accumulate_grad(g.sum(axis=0))
+        if isinstance(x, Tensor):
+            dx = gs @ delta.T
+            dx *= r
+            dx += g @ mua.T
+            x.accumulate_grad(dx)
+        d_std = xs.T @ gs
+        d_std *= eps
+        d_b = g.sum(axis=0)
+        return [xa.T @ g, d_std, d_b, d_b * noise.bias_eps]
 
-    node._backward_fn = _bw
-    return node, kl
+    return _variational_nodes(layer, x, out, post, data_grads, "flipout")
 
 
 def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str):

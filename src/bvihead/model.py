@@ -181,10 +181,12 @@ def forward(
 
     KL is zero for non-variational variants. Any non-finite intermediate
     raises NumericError naming the offending layer. TRAIN records the
-    autodiff graph; the inference phases run the same layer functions on
-    the parameters' arrays, record no graph and return two leaf tensors.
-    `_memo` goes to the first layer, so that inference forwards of the same
-    x that share it compute that layer's noise-free product once.
+    autodiff graph, with x as a constant that gets no gradient; the
+    inference phases run the same layer functions on the parameters'
+    arrays, record no graph and return two leaf tensors. `_memo`, a dict
+    shared by inference forwards of the same x, keeps per layer what does
+    not change between them: each posterior's std and KL, and the first
+    layer's noise-free product.
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -198,21 +200,23 @@ def forward(
         raise ConfigError(f"unknown phase {phase!r}")
     tape = phase == TRAIN
     kl_total = None
-    h = x if tape else x.data
+    h = x.data
     for i, layer in enumerate(head.layers):
         if isinstance(layer, DenseVariational) and noise[i] is None:
             raise ConfigError(f"layer {i}: variational layer needs a noise draw")
         kl = None
-        memo = _memo if i == 0 else None
+        memo = None if _memo is None else _memo.setdefault(i, {})
         try:
             if isinstance(layer, DenseVariational):
                 if layer.estimator == FLIPOUT:
-                    h, kl = variational_forward_flipout(layer, h, noise[i], memo)
+                    h, kl = variational_forward_flipout(
+                        layer, h, noise[i], memo, _tape=tape, _same_x=i == 0
+                    )
                 else:
-                    h, kl = variational_forward_reparam(layer, h, noise[i])
+                    h, kl = variational_forward_reparam(layer, h, noise[i], memo, _tape=tape)
                 kl_total = kl if kl_total is None else kl_total + kl
             else:
-                h = dense_forward(layer, h, memo)
+                h = dense_forward(layer, h, memo if i == 0 else None, _tape=tape)
             # checked before relu, which would hide -inf; dense_forward checks its own output
             if not tape and kl is not None and not (np.isfinite(h).all() and np.isfinite(kl)):
                 raise NumericError("forward produced non-finite values")

@@ -12,9 +12,9 @@ noise draw, a sign vector, a dropout mask). Constants get no graph node
 and no gradient; a constant of any other shape raises ShapeError.
 
 Only training records a graph. Inference runs the same formulas on plain
-arrays: ``softplus_array`` and ``log_softmax_array`` hold the math that
-the graph nodes and the array-only inference forward share, so both give
-bit-identical values.
+arrays: ``softplus_and_exp``, ``sigmoid_array`` and ``log_softmax_array``
+hold the math that the graph nodes and the array-only inference forward
+share, so both give bit-identical values.
 
 The recorded graph doubles as the gradient tape: each node keeps its
 parents and a backward closure, and ``backward()`` replays the closures
@@ -38,9 +38,11 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def softplus_array(x: np.ndarray) -> np.ndarray:
-    """ln(1 + exp(x)), overflow-safe: returns x itself above 30."""
-    return np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0))))
+def softplus_and_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln(1 + exp(x)), overflow-safe (x itself above 30), and the
+    exp(min(x, 30)) it is computed from, for sigmoid_array to reuse."""
+    e = np.exp(np.minimum(x, 30.0))
+    return np.where(x > 30.0, x, np.log1p(e)), e
 
 
 def log_softmax_array(x: np.ndarray) -> np.ndarray:
@@ -49,10 +51,18 @@ def log_softmax_array(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below; never overflows."""
+def sigmoid_array(x: np.ndarray, exp_x: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below; never overflows.
+
+    `exp_x`, the exp of softplus_and_exp(x), replaces the exp when every x
+    is negative, since exp(-|x|) is then that same exp(x).
+    """
+    if exp_x is not None and (x < 0).all():
+        d = 1.0 + exp_x
+        return np.divide(exp_x, d, out=d)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 class Tensor:
@@ -181,8 +191,9 @@ class Tensor:
     def softplus(self) -> "Tensor":
         """ln(1 + exp(x)), overflow-safe: returns x itself above 30."""
         x = self.data
-        out = Tensor(softplus_array(x), (self,), _op="softplus")
-        out._backward_fn = lambda g: self.accumulate_grad(g * _sigmoid(x))
+        sp, e = softplus_and_exp(x)
+        out = Tensor(sp, (self,), _op="softplus")
+        out._backward_fn = lambda g: self.accumulate_grad(g * sigmoid_array(x, e))
         return out
 
     def sum(self) -> "Tensor":
@@ -202,8 +213,10 @@ class Tensor:
         """Propagate gradients from this scalar to every node in its graph.
 
         The grads of all reachable nodes are reset first, so no manual
-        reset between passes is needed. Raises TapeError when this root
-        has already been walked.
+        reset between passes is needed. A reachable node that no child
+        handed a gradient, such as a layer node whose only used output is
+        its KL node, has its backward called with None. Raises TapeError
+        when this root has already been walked.
         """
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar root, got shape {self.shape}")

@@ -302,16 +302,144 @@ def test_flipout_node_equals_op_by_op_graph_bit_for_bit():
         np.testing.assert_array_equal(got, want)
 
 
+# ---- fused training nodes against one node per operation -------------------
+
+FUSED = {
+    "dense": dense_forward,
+    REPARAM: variational_forward_reparam,
+    FLIPOUT: variational_forward_flipout,
+}
+# the loss each case backpropagates; "rho" is "both" with rho at 0, above
+# 0 and above the softplus cut-off of 30
+LOSSES = ("both", "output", "kl", "elbo-kl0", "rho")
+
+
+def fused_case_layer(kind, rng, rho_case):
+    if kind == "dense":
+        return DenseDeterministic(Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3)))
+    layer = make_variational(4, 3, kind, seed=int(rng.integers(100)), rho=-0.7)
+    if rho_case:
+        layer.weight_post.rho.data[:] = [[0.0, 0.0, 2.5], [31.0, 45.0, -0.7],
+                                         [0.3, 30.0, 30.5], [-1e-3, 1e-3, 0.0]]
+        layer.bias_post.rho.data[:] = [0.0, 33.0, 1.5]
+    return layer
+
+
+def op_level_forward(layer, x, noise=None):
+    """The same training forward composed from one graph node per operation."""
+    from bvihead.dist import kl_to_prior, sample, softplus_std
+
+    if isinstance(layer, DenseDeterministic):
+        return (x @ layer.weight) + layer.bias, Tensor(0.0)
+    wp, bp = layer.weight_post, layer.bias_post
+    w_std, b_std = softplus_std(wp.rho), softplus_std(bp.rho)
+    b = sample(bp, noise.bias_eps, b_std)
+    kl = kl_to_prior(wp, layer.prior, w_std) + kl_to_prior(bp, layer.prior, b_std)
+    if layer.estimator == REPARAM:
+        return (x @ sample(wp, noise.weight_eps, w_std)) + b, kl
+    delta = w_std * noise.weight_eps
+    return ((x @ wp.mu) + (((x * noise.sign_in) @ delta) * noise.sign_out)) + b, kl
+
+
+def assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind,loss_case",
+    [("dense", "output"), ("dense", "elbo-kl0")]
+    + [(kind, case) for kind in (REPARAM, FLIPOUT) for case in LOSSES],
+)
+def test_fused_node_equals_op_level_composition_bit_for_bit(kind, loss_case):
+    from bvihead.train import elbo_loss
+
+    rng = np.random.default_rng(40)
+    layer = fused_case_layer(kind, rng, loss_case == "rho")
+    leaves = (
+        [layer.weight, layer.bias] if kind == "dense"
+        else [layer.weight_post.mu, layer.weight_post.rho, layer.bias_post.mu, layer.bias_post.rho]
+    )
+    x_arr = rng.normal(size=(5, 4))
+    noise = None if kind == "dense" else draw_layer_noise(layer, 5, rng)
+    upstream = rng.normal(size=(5, 3))
+    labels = rng.integers(0, 3, size=5)
+
+    def run(how):
+        for t in leaves:
+            t.grad = None
+        x = Tensor(x_arr)
+        args = (layer, x) if kind == "dense" else (layer, x, noise)
+        if how == "op-level":
+            out, kl = op_level_forward(*args)
+        else:
+            if how == "constant-x":
+                args = (layer, x_arr) + args[2:]
+            res = FUSED[kind](*args, _tape=how == "constant-x")
+            out, kl = (res, Tensor(0.0)) if kind == "dense" else res
+        if loss_case == "output":
+            loss = (out * upstream).sum()
+        elif loss_case == "kl":
+            loss = kl
+        elif loss_case == "elbo-kl0":
+            loss = elbo_loss(out.log_softmax(), labels, kl, 0.0)
+        else:
+            loss = (out * upstream).sum() + kl
+        loss.backward()
+        return [out.data, kl.data, x.grad] + [t.grad for t in leaves]
+
+    want = run("op-level")
+    for got, expected in zip(run("fused"), want, strict=True):
+        assert_same_bits(got, expected)
+    # a constant input changes nothing but its own missing gradient
+    got = run("constant-x")
+    assert got[2] is None
+    for g, expected in zip(got[:2] + got[3:], want[:2] + want[3:], strict=True):
+        assert_same_bits(g, expected)
+
+
+@pytest.mark.parametrize("kind", list(FUSED))
+def test_fused_node_gradients_match_finite_differences(kind):
+    # every leaf, the input included, with the KL weighted into the loss
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(3, 4))
+    proj = Tensor(rng.normal(size=(3, 2)))
+    if kind == "dense":
+        arrays = [x, rng.normal(size=(4, 2)), rng.normal(size=2)]
+
+        def loss(ts):
+            return (dense_forward(DenseDeterministic(ts[1], ts[2]), ts[0]) * proj).sum()
+    else:
+        arrays = [x, rng.normal(size=(4, 2)), rng.uniform(-2, 0.5, size=(4, 2)),
+                  rng.normal(size=2), rng.uniform(-2, 0.5, size=2)]
+        noise = NoiseDraw(rng.standard_normal((4, 2)), rng.standard_normal(2),
+                          rademacher(rng, 12).reshape(3, 4), rademacher(rng, 6).reshape(3, 2))
+
+        def loss(ts):
+            layer = DenseVariational(
+                DiagonalGaussian(ts[1], ts[2]), DiagonalGaussian(ts[3], ts[4]), estimator=kind
+            )
+            out, kl = FUSED[kind](layer, ts[0], noise)
+            return (out * proj).sum() + kl * 0.1
+
+    assert_gradients_match(loss, arrays, rel=1e-6)
+
+
 def test_flipout_training_forward_is_one_node_over_its_inputs():
     layer = make_variational(3, 2, FLIPOUT, seed=32)
     x = Tensor(np.random.default_rng(33).normal(size=(4, 3)))
-    out, _ = variational_forward_flipout(
-        layer, x, draw_layer_noise(layer, 4, np.random.default_rng(34))
-    )
-    x_node, mu, std, b = out._parents
-    assert x_node is x and mu is layer.weight_post.mu
-    assert std._parents == (layer.weight_post.rho,)
-    assert b.shape == (2,)
+    noise = draw_layer_noise(layer, 4, np.random.default_rng(34))
+    out, kl = variational_forward_flipout(layer, x, noise)
+    wp, bp = layer.weight_post, layer.bias_post
+    leaves = [wp.mu, wp.rho, bp.mu, bp.rho]
+    assert all(a is b for a, b in zip(out._parents, [x] + leaves, strict=True))
+    assert len(kl._parents) == 1 and kl._parents[0] is out
+    # a constant batch is no parent
+    out, kl = variational_forward_flipout(layer, x.data, noise, _tape=True)
+    assert all(a is b for a, b in zip(out._parents, leaves, strict=True))
 
 
 def test_flipout_estimator_mismatch():

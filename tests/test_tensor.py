@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bvihead.errors import ContractError, NumericError, ShapeError, TapeError
-from bvihead.tensor import Tensor, log_softmax, matmul, nll
+from bvihead.tensor import Tensor, log_softmax, matmul, nll, sigmoid_array, softplus_and_exp
 
 from helpers import assert_gradients_match
 
@@ -190,6 +190,17 @@ def test_softplus_saturation_and_gradient():
     assert float(out.data[2]) == pytest.approx(100.0, abs=1e-12)
     rng = np.random.default_rng(8)
     assert_gradients_match(lambda ts: ts[0].softplus().sum(), [rng.normal(size=7)], rel=1e-6)
+
+
+def test_sigmoid_reusing_the_softplus_exp_is_bit_identical():
+    # below 0 the softplus's exp(min(x, 30)) is the sigmoid's exp(-|x|)
+    rng = np.random.default_rng(9)
+    negative = np.concatenate([-np.logspace(-300, 3, 500), rng.uniform(-40, 0, 500)])
+    negative = negative[negative < 0]
+    mixed = np.concatenate([negative, [0.0, -0.0, 1e-3, 2.5, 30.0, 31.0, 800.0]])
+    for x in (negative, mixed, negative.reshape(-1, 2)[:3], np.array([-745.5, -1e-320])):
+        with_exp = sigmoid_array(x, softplus_and_exp(x)[1])
+        assert with_exp.tobytes() == sigmoid_array(x).tobytes()
 
 
 def test_log_gradient_and_domain():

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from bvihead import layers
 from bvihead.data import LabeledFeatureSet, SynthSpec, generate
 from bvihead.errors import ConfigError, ContractError, NumericError
 from bvihead.layers import REPARAM, TRAIN
 from bvihead.model import (
     DETERMINISTIC,
+    MC_DROPOUT,
     STOCHASTIC_VI,
     HeadConfig,
     build_head,
@@ -412,13 +414,13 @@ def test_vi_flipout_step_computes_each_softplus_once(monkeypatch):
     # one softplus per posterior (3 layers x weight/bias), shared by the
     # sample and the KL
     calls = []
-    original = Tensor.softplus
+    original = layers.softplus_and_exp
 
-    def counting(self):
-        calls.append(self.shape)
-        return original(self)
+    def counting(rho):
+        calls.append(rho.shape)
+        return original(rho)
 
-    monkeypatch.setattr(Tensor, "softplus", counting)
+    monkeypatch.setattr(layers, "softplus_and_exp", counting)
     head = small_head(STOCHASTIC_VI)
     data = blobs_2class(n_per_class=4)
     train(head, data, TrainConfig(epochs=1, batch_size=data.n))
@@ -426,3 +428,23 @@ def test_vi_flipout_step_computes_each_softplus_once(monkeypatch):
     assert sorted(calls) == sorted(
         s for layer in head.layers for s in (layer.weight_post.shape, layer.bias_post.shape)
     )
+
+
+@pytest.mark.parametrize("variant,nodes", [(DETERMINISTIC, 13), (MC_DROPOUT, 13), (STOCHASTIC_VI, 15)])
+def test_training_step_records_one_node_per_layer(variant, nodes, monkeypatch):
+    # the batch, 3 layer nodes (+3 KL nodes and 2 KL sums for VI), 2 ReLUs
+    # (+2 dropout products), log-softmax, NLL, the (zero) KL, weight and add
+    head = small_head(variant)
+    data = blobs_2class(n_per_class=4)
+    bundle = draw_noise_bundle(head, data.n, np.random.default_rng(0))
+    created = []
+    init = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        created.append(kwargs.get("_op", "tensor"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    log_probs, kl = forward(head, Tensor(data.features), bundle, TRAIN)
+    elbo_loss(log_probs, data.labels, kl, 0.1).backward()
+    assert len(created) == nodes, created

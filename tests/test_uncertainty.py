@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -260,6 +261,28 @@ def test_mc_predict_equals_a_loop_of_independent_passes(variant, estimator):
         passes.append(np.exp(log_probs.data))
     pd = mc_predict(head, x, t=4, seed=7)
     np.testing.assert_array_equal(pd.sample_probs, np.stack(passes, axis=1))
+
+
+@pytest.mark.parametrize("estimator", ["flipout", "reparam"])
+def test_mc_predict_computes_each_posterior_kl_once(estimator, monkeypatch):
+    # the std and KL of a posterior do not change between passes
+    layers_mod = importlib.import_module("bvihead.layers")
+    calls = []
+    real_kl_array = layers_mod.kl_array
+
+    def counting(mu, std, prior):
+        calls.append(mu.shape)
+        return real_kl_array(mu, std, prior)
+
+    monkeypatch.setattr(layers_mod, "kl_array", counting)
+    head = build_head(HeadConfig(5, (7, 3), 3, STOCHASTIC_VI, estimator=estimator), init_seed=12)
+    x = Tensor(np.random.default_rng(13).normal(size=(9, 5)))
+    for _ in range(2):
+        calls.clear()
+        mc_predict(head, x, t=6, seed=7)
+        assert sorted(calls) == sorted(
+            s for layer in head.layers for s in (layer.weight_post.shape, layer.bias_post.shape)
+        )
 
 
 @pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
