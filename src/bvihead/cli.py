@@ -55,6 +55,15 @@ DEFAULT_CONFIG = {
 }
 
 
+# the widest hidden layer a config may ask for, far beyond the default 256:
+# a 4096 x 4096 float64 weight array is 134 MB, and VI training keeps
+# about ten arrays of that size
+MAX_HIDDEN_DIM = 4096
+# far beyond the tens of passes an MC estimate needs; T passes over M rows
+# of K classes hold M * T * K float64 probabilities
+MAX_MC_SAMPLES = 10**4
+
+
 def load_config(path: str | None) -> dict:
     """Defaults, overlaid with the JSON file if given. Unknown keys reject;
     values are checked when they are read (`_get`)."""
@@ -91,8 +100,9 @@ def _get(cfg: dict, section: str, key: str):
 
     An int takes a JSON integer (never a bool), a float a finite JSON
     number, a bool only true or false, a str a string, and a list a list of
-    its default's item type (hidden_dims exactly two); a seed is >= 0.
-    Anything else raises ConfigError naming section.key.
+    its default's item type (hidden_dims exactly two, each at most
+    MAX_HIDDEN_DIM); a seed is >= 0. Anything else raises ConfigError
+    naming section.key.
     """
     default, value = DEFAULT_CONFIG[section][key], cfg[section][key]
     kind, where = type(default), f"{section}.{key}"
@@ -103,6 +113,8 @@ def _get(cfg: dict, section: str, key: str):
         ):
             expected = "two integers" if item is int else "strings"
             raise ConfigError(f"{where} must be a list of {expected}, got {value!r}")
+        if key == "hidden_dims" and max(value) > MAX_HIDDEN_DIM:  # before build_head allocates
+            raise ConfigError(f"{where} must each be at most {MAX_HIDDEN_DIM}, got {value!r}")
         return value
     if kind is float and type(value) is int:  # beyond the float range is inf
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
@@ -112,6 +124,14 @@ def _get(cfg: dict, section: str, key: str):
     if key.endswith("seed") and value < 0:
         raise ConfigError(f"{where} must be >= 0, got {value}")
     return value
+
+
+def _mc_samples(cfg: dict) -> int:
+    """inference.mc_samples, checked against its bound before any pass runs."""
+    t = _get(cfg, "inference", "mc_samples")
+    if not 1 <= t <= MAX_MC_SAMPLES:
+        raise ConfigError(f"inference.mc_samples must be in [1, {MAX_MC_SAMPLES}], got {t}")
+    return t
 
 
 def _build(cls, cfg: dict, section: str, **given):
@@ -229,7 +249,7 @@ def _eval_one(cfg, head, out_dir, eval_dir):
         print("notice: no OOD file found; OOD metrics will be omitted")
         features, labels, flags = val_set.features, val_set.labels, val_set.is_ood
 
-    t = _get(cfg, "inference", "mc_samples")
+    t = _mc_samples(cfg)
     if head.config.variant == DETERMINISTIC and t > 1:
         print(
             f"warning: deterministic variant ignores stochastic passes;"
@@ -253,6 +273,7 @@ def cmd_eval(args) -> int:
         cfg["inference"]["seed"] = args.seed
     if args.mc_samples is not None:
         cfg["inference"]["mc_samples"] = args.mc_samples
+    _mc_samples(cfg)  # before the checkpoint and the data load
     out_dir = Path(args.out)
     ckpt = args.checkpoint or str(out_dir / f"checkpoint_{args.variant}.json")
     head = load_head(ckpt)
@@ -308,6 +329,7 @@ def cmd_compare(args) -> int:
         cfg["train"]["seed"] = args.seed
     if args.mc_samples is not None:
         cfg["inference"]["mc_samples"] = args.mc_samples
+    _mc_samples(cfg)  # before three variants train
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not (out_dir / "train.bfv").exists() and not (out_dir / "train.csv").exists():

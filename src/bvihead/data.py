@@ -74,6 +74,11 @@ class LabeledFeatureSet:
         return LabeledFeatureSet(self.features[idx], self.labels[idx], self.is_ood[idx])
 
 
+# the most feature values gen-data generates, far beyond the default's
+# 256,000: 10**8 float64 values are 800 MB
+MAX_FEATURE_VALUES = 10**8
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     # center_scale 1.3 leaves mild class overlap: a trained head lands at
@@ -93,6 +98,12 @@ class SynthSpec:
         counts = (self.k_in, self.k_out, self.feature_dim, self.per_class)
         if any(int(c) <= 0 for c in counts):
             raise ConfigError(f"all counts must be positive, got {counts}")
+        values = (self.k_in + self.k_out) * self.per_class * self.feature_dim
+        if values > MAX_FEATURE_VALUES:  # checked before generate allocates them
+            raise ConfigError(
+                f"data.per_class: (k_in + k_out) * per_class * feature_dim is {values}"
+                f" feature values, more than {MAX_FEATURE_VALUES}"
+            )
         if not self.within_std > 0:
             raise ConfigError(f"within-class std must be positive, got {self.within_std}")
         if not 0 < self.center_scale <= 1e300:  # centers are drawn from +-center_scale

@@ -4,12 +4,14 @@ Noise is always supplied by the caller as plain arrays, so every forward
 is a pure function of (parameters, input, noise). That keeps stochastic
 passes reproducible and lets tests freeze the noise.
 
-A training forward records one graph node per layer over the layer's
-leaves, and a variational layer one more scalar node for its KL; each
-node's backward is closed-form. It runs on a Tensor input, which gets a
-gradient, or on a plain array with `_tape`, which gets none. An inference
-forward runs the same operations in the same order on plain arrays and
-records nothing.
+Each layer's backward is closed-form and written once. A training
+forward on a plain array with `_backward` returns it next to the output,
+for a training step that runs on arrays alone. The same forward on a
+Tensor input records one graph node per layer over the input and the
+layer's leaves (and a variational layer one more scalar node for its
+KL), whose backward calls that function: the gradient reference of the
+tests. An inference forward runs the same operations in the same order
+on plain arrays and records nothing.
 """
 
 from __future__ import annotations
@@ -90,32 +92,35 @@ class NoiseDraw:
     sign_out: np.ndarray | None = None
 
 
-def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None, *, _tape=False):
+def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None, *, _backward=False):
     """x W + b with the bias broadcast across rows.
 
-    A Tensor x, or a plain array x with `_tape`, gives one graph node over
-    (x, W, b) whose backward is closed-form; an array x gets no gradient.
-    At inference `_memo`, a dict shared by calls on the same x, keeps the
-    output of the first call and returns it to later ones, which must not
-    write to it; a non-finite output raises NumericError.
+    A Tensor x gives one graph node over (x, W, b). An array x with
+    `_backward` also returns the layer's closed-form backward
+    `backward(g, gk, grads, need_dx)`, which writes dW and db into `grads`
+    and returns dx when `need_dx` (a dense layer has no KL, so it ignores
+    gk); the node's backward calls it. At inference `_memo`, a dict shared
+    by calls on the same x, keeps the output of the first call and returns
+    it to later ones, which must not write to it; a non-finite output
+    raises NumericError.
     """
     if len(x.shape) != 2 or x.shape[1] != layer.weight.shape[0]:
         raise ShapeError(
             f"input {x.shape} does not match weight {layer.weight.shape}"
         )
     w, b = layer.weight, layer.bias
-    if isinstance(x, Tensor) or _tape:
-        xa, wa = _array(x), w.data
-        node = Tensor((xa @ wa) + b.data, _inputs(x, w, b), _op="dense")
+    if isinstance(x, Tensor):
+        out, backward = dense_forward(layer, x.data, _backward=True)
+        return _training_node(x, [w, b], out, backward, "dense")
+    if _backward:
+        wa = w.data
 
-        def _bw(g):
-            if isinstance(x, Tensor):
-                x.accumulate_grad(g @ wa.T)
-            w.accumulate_grad(xa.T @ g)
-            b.accumulate_grad(g.sum(axis=0))
+        def backward(g, gk, grads, need_dx):
+            np.matmul(x.T, g, out=grads[0])
+            g.sum(axis=0, out=grads[1])
+            return g @ wa.T if need_dx else None
 
-        node._backward_fn = _bw
-        return node
+        return (x @ wa) + b.data, backward
     memo = {} if _memo is None else _memo
     if "out" not in memo:
         out = (x @ w.data) + b.data
@@ -126,13 +131,33 @@ def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None, *, _t
     return memo["out"]
 
 
-def _array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else x
+def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None):
+    """The graph form of a layer's training forward: one node over x and
+    the layer's leaves whose backward runs the layer's `backward`, and for
+    a variational layer one scalar node for its KL, which hands its
+    gradient to the layer's node in the same backward pass."""
+    node = Tensor(out, (x, *leaves), _op=op)
+    kl_grad: list = []  # the KL node's gradient, for the layer's node
+
+    def _bw(g):
+        grads = [np.empty_like(t.data) for t in leaves]
+        dx = backward(g, kl_grad.pop() if kl_grad else None, grads, True)
+        if dx is not None:
+            x.accumulate_grad(dx)
+        for t, d in zip(leaves, grads):
+            t.accumulate_grad(d)
+
+    node._backward_fn = _bw
+    if kl is None:
+        return node
+    kl_node = Tensor(kl, (node,), _op="kl")
+    kl_node._backward_fn = kl_grad.append
+    return node, kl_node
 
 
-def _inputs(x, *leaves) -> tuple:
-    """A training node's parents: x when it is a Tensor, then the leaves."""
-    return ((x,) if isinstance(x, Tensor) else ()) + leaves
+def _leaves(layer: DenseVariational) -> list[Tensor]:
+    wp, bp = layer.weight_post, layer.bias_post
+    return [wp.mu, wp.rho, bp.mu, bp.rho]
 
 
 def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | None):
@@ -153,83 +178,77 @@ def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | No
     return memo["post"]
 
 
-def _variational_nodes(layer: DenseVariational, x, out, post, data_grads, op: str):
-    """The layer's training node over (x, W_mu, W_rho, b_mu, b_rho), x only
-    when it is a Tensor, and its KL node, which hands its gradient to the
-    layer's node in the same backward pass. `data_grads(g)` adds x's
-    gradient to x and returns [dW_mu, dstd_W, db_mu, dstd_b]; the node adds
-    the KL's terms, each formed as a separate KL node would form it, and
-    then applies drho = dstd * sigmoid(rho) once per posterior.
+def _variational_backward(layer: DenseVariational, post, data_grads):
+    """A variational layer's closed-form backward
+    `backward(g, gk, grads, need_dx)`: writes [dW_mu, dW_rho, db_mu, db_rho]
+    into `grads` and returns dx when `need_dx`.
+
+    `data_grads(g, grads, need_dx)` returns dx and the data terms
+    [dW_mu, dstd_W, db_mu, dstd_b], the two mu terms written into grads;
+    g is None when only the KL reached the loss. gk, the KL's gradient, is
+    None when the KL did not reach it. The KL's terms are formed as a
+    separate KL node would form them and added to the data terms, then
+    drho = dstd * sigmoid(rho) once per posterior.
     """
     wp, bp, prior = layer.weight_post, layer.bias_post, layer.prior
-    w_std, b_std, kl, exps = post
-    mus, rhos = (wp.mu.data, bp.mu.data), (wp.rho.data, bp.rho.data)
-    node = Tensor(out, _inputs(x, wp.mu, wp.rho, bp.mu, bp.rho), _op=op)
-    kl_node = Tensor(kl, (node,), _op="kl")
-    kl_grad: list = []  # the KL node's gradient, for the layer's node
-    kl_node._backward_fn = kl_grad.append
+    w_std, b_std, _, exps = post
     inv_var = 1.0 / prior.std**2
 
-    def _bw(g):
-        # every array below is this call's own, so the sums and products
-        # are formed in place, each in the order the separate nodes use
-        grads = [None] * 4
-        if g is not None:  # None when only the KL reached the loss
-            grads = data_grads(g)
-        if kl_grad:
-            gk = kl_grad.pop()
+    def backward(g, gk, grads, need_dx):
+        dx, terms = (None, [None] * 4) if g is None else data_grads(g, grads, need_dx)
+        if gk is not None:
+            # every array below is this call's own, so the sums and products
+            # are formed in place, each in the order the separate nodes use
             gk_mu = gk * inv_var
-            terms = []
-            for mu, std in zip(mus, (w_std, b_std)):
+            for i, (mu, std) in enumerate(((wp.mu.data, w_std), (bp.mu.data, b_std))):
                 d_mu = mu - prior.mean
                 d_mu *= gk_mu
                 d_std = std * inv_var
                 d_std -= 1.0 / std
                 d_std *= gk
-                terms += [d_mu, d_std]
-            for i, t in enumerate(terms):
-                grads[i] = t if grads[i] is None else np.add(grads[i], t, out=grads[i])
-        d_wmu, d_wstd, d_bmu, d_bstd = grads
-        d_wstd *= sigmoid_array(rhos[0], exps[0])
-        d_bstd *= sigmoid_array(rhos[1], exps[1])
-        wp.mu.accumulate_grad(d_wmu)
-        wp.rho.accumulate_grad(d_wstd)
-        bp.mu.accumulate_grad(d_bmu)
-        bp.rho.accumulate_grad(d_bstd)
+                for j, t in ((2 * i, d_mu), (2 * i + 1, d_std)):
+                    terms[j] = t if terms[j] is None else np.add(terms[j], t, out=terms[j])
+        for j, rho, e in ((0, wp.rho.data, exps[0]), (2, bp.rho.data, exps[1])):
+            if terms[j] is not grads[j]:  # only the KL reached the layer
+                grads[j][...] = terms[j]
+            np.multiply(terms[j + 1], sigmoid_array(rho, e), out=grads[j + 1])
+        return dx
 
-    node._backward_fn = _bw
-    return node, kl_node
+    return backward
 
 
 def variational_forward_reparam(
-    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None, *, _tape=False
+    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None, *, _backward=False
 ):
     """One weight/bias draw shared by the whole batch: x W_sample + b_sample.
 
-    A Tensor x, or an array x with `_tape`, gives the layer's training node
-    and its KL node (an array x gets no gradient). At inference `_memo`, a
-    dict shared by calls on the same parameters, keeps the posterior's std
-    and KL from the first call.
+    A Tensor x gives the layer's training node and its KL node. An array x
+    with `_backward` also returns the layer's closed-form backward (see
+    `_variational_backward`), which the node's backward calls. At inference
+    `_memo`, a dict shared by calls on the same parameters, keeps the
+    posterior's std and KL from the first call.
     """
     if layer.estimator != REPARAM:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
+    if isinstance(x, Tensor):
+        out, kl, backward = variational_forward_reparam(layer, x.data, noise, _backward=True)
+        return _training_node(x, _leaves(layer), out, backward, "reparam", kl)
     _check_input(layer, x)
     post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
     w = w_std * noise.weight_eps
     w += layer.weight_post.mu.data
-    xa = _array(x)
-    out = xa @ w
+    out = x @ w
     out += layer.bias_post.mu.data + b_std * noise.bias_eps
-    if not (isinstance(x, Tensor) or _tape):
+    if not _backward:
         return out, kl
 
-    def data_grads(g):
-        if isinstance(x, Tensor):
-            x.accumulate_grad(g @ w.T)
-        d_w, d_b = xa.T @ g, g.sum(axis=0)
-        return [d_w, d_w * noise.weight_eps, d_b, d_b * noise.bias_eps]
+    def data_grads(g, grads, need_dx):
+        d_w = np.matmul(x.T, g, out=grads[0])
+        d_b = g.sum(axis=0, out=grads[2])
+        dx = g @ w.T if need_dx else None
+        return dx, [d_w, d_w * noise.weight_eps, d_b, d_b * noise.bias_eps]
 
-    return _variational_nodes(layer, x, out, post, data_grads, "reparam")
+    return out, kl, _variational_backward(layer, post, data_grads)
 
 
 def variational_forward_flipout(
@@ -238,8 +257,8 @@ def variational_forward_flipout(
     noise: NoiseDraw,
     _memo: dict | None = None,
     *,
-    _tape=False,
     _same_x=True,
+    _backward=False,
 ):
     """Pseudo-independent per-example weight perturbations.
 
@@ -247,15 +266,19 @@ def variational_forward_flipout(
     perturbation base eps and per-example sign vectors r_n, s_n. The bias
     is sampled once per batch by plain reparameterization.
 
-    Both phases compute the output with the same array operations in the
-    same order. A Tensor x, or an array x with `_tape`, gives the layer's
-    training node, whose backward is the closed form of that affine map,
-    and its KL node (an array x gets no gradient). At inference `_memo`, a
-    dict shared by calls on the same parameters, keeps the posterior's std
-    and KL from the first call, and x W_mu too unless `_same_x` is false.
+    Every mode computes the output with the same array operations in the
+    same order. A Tensor x gives the layer's training node and its KL node.
+    An array x with `_backward` also returns the layer's closed-form
+    backward (see `_variational_backward`), the closed form of that affine
+    map, which the node's backward calls. At inference `_memo`, a dict
+    shared by calls on the same parameters, keeps the posterior's std and
+    KL from the first call, and x W_mu too unless `_same_x` is false.
     """
     if layer.estimator != FLIPOUT:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
+    if isinstance(x, Tensor):
+        out, kl, backward = variational_forward_flipout(layer, x.data, noise, _backward=True)
+        return _training_node(x, _leaves(layer), out, backward, "flipout", kl)
     _check_input(layer, x)
     m = x.shape[0]
     d_in, d_out = layer.weight_post.shape
@@ -269,56 +292,64 @@ def variational_forward_flipout(
     post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
     mua = layer.weight_post.mu.data
     r, s, eps = noise.sign_in, noise.sign_out, noise.weight_eps
-    tape = isinstance(x, Tensor) or _tape
-    if tape:  # products with int8 signs are slower than with float64 ones at batch sizes
+    if _backward:  # products with int8 signs are slower than with float64 ones at batch sizes
         r, s = r.astype(np.float64), s.astype(np.float64)
-    xa = _array(x)
-    xs = xa * r
+    xs = x * r
     delta = w_std * eps
     # ((x W_mu) + ((x*r) delta) * s) + b in place; adding x W_mu second is
     # exact, since floating-point addition commutes
     out = xs @ delta
-    if not tape:
+    if not _backward:
         del xs  # at inference an M x d_in array: freed before the sums below
     out *= s
-    memo = _memo if _memo is not None and _same_x and not tape else {}
+    memo = _memo if _memo is not None and _same_x and not _backward else {}
     if "xw" not in memo:
-        memo["xw"] = xa @ mua
+        memo["xw"] = x @ mua
     out += memo["xw"]
     out += layer.bias_post.mu.data + b_std * noise.bias_eps  # one bias draw per batch
-    if not tape:
+    if not _backward:
         return out, kl
 
-    def data_grads(g):
+    def data_grads(g, grads, need_dx):
         gs = g * s
-        if isinstance(x, Tensor):
+        dx = None
+        if need_dx:
             dx = gs @ delta.T
             dx *= r
             dx += g @ mua.T
-            x.accumulate_grad(dx)
         d_std = xs.T @ gs
         d_std *= eps
-        d_b = g.sum(axis=0)
-        return [xa.T @ g, d_std, d_b, d_b * noise.bias_eps]
+        d_b = g.sum(axis=0, out=grads[2])
+        return dx, [np.matmul(x.T, g, out=grads[0]), d_std, d_b, d_b * noise.bias_eps]
 
-    return _variational_nodes(layer, x, out, post, data_grads, "flipout")
+    return out, kl, _variational_backward(layer, post, data_grads)
 
 
-def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str):
+def dropout_forward(
+    spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str, *, _backward=False
+):
     """Inverted dropout: zero with probability rate, scale survivors.
 
-    DeterministicInference is the identity map regardless of rate.
+    DeterministicInference is the identity map regardless of rate. A
+    Tensor x gives one graph node; an array x with `_backward` also returns
+    the backward `g -> g * keep` that the node calls, or None for the
+    identity map.
     """
     if phase not in PHASES:
         raise ConfigError(f"unknown phase {phase!r}")
     if phase == DETERMINISTIC_INFERENCE or spec.rate == 0.0:
-        return x
+        return (x, None) if _backward else x
+    if isinstance(x, Tensor):
+        out, backward = dropout_forward(spec, x.data, mask_noise, phase, _backward=True)
+        node = Tensor(out, (x,), _op="mul")
+        node._backward_fn = lambda g: x.accumulate_grad(backward(g))
+        return node
     if mask_noise is None or mask_noise.shape != x.shape:
         got = None if mask_noise is None else mask_noise.shape
         raise ShapeError(f"mask noise shape {got} does not match input {x.shape}")
     keep = (mask_noise >= spec.rate) * (1.0 / (1.0 - spec.rate))
-    if isinstance(x, Tensor):
-        return x * keep
+    if _backward:
+        return x * keep, lambda g: g * keep
     keep *= x
     return keep
 

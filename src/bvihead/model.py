@@ -6,9 +6,12 @@ variant decides the layer family: plain deterministic (with training-time
 dropout), MC dropout (dropout also active at inference), or stochastic
 variational layers whose weights carry mean-field Gaussian posteriors.
 
-Only a training forward records the autodiff graph. An inference forward
-runs on the parameters' plain arrays and returns its two results as leaf
-tensors, so a Monte Carlo pass allocates no graph nodes.
+A training step (`train_step`) runs forward and closed-form backward on
+the parameters' plain arrays and writes the gradient into a flat vector;
+it records no autodiff graph. `forward(..., TRAIN)` on a Tensor batch
+records one, over the same layer functions: the gradient reference of
+the tests. An inference forward runs on plain arrays and returns its two
+results as leaf tensors, so a Monte Carlo pass allocates no graph nodes.
 """
 
 from __future__ import annotations
@@ -39,7 +42,14 @@ from .layers import (
     variational_forward_reparam,
     zero_layer_noise,
 )
-from .tensor import Tensor, log_softmax_array
+from .tensor import (
+    Tensor,
+    check_finite,
+    log_softmax_array,
+    log_softmax_backward,
+    nll_backward,
+    relu_backward,
+)
 
 DETERMINISTIC = "deterministic"
 MC_DROPOUT = "mc-dropout"
@@ -181,12 +191,12 @@ def forward(
 
     KL is zero for non-variational variants. Any non-finite intermediate
     raises NumericError naming the offending layer. TRAIN records the
-    autodiff graph, with x as a constant that gets no gradient; the
-    inference phases run the same layer functions on the parameters'
-    arrays, record no graph and return two leaf tensors. `_memo`, a dict
-    shared by inference forwards of the same x, keeps per layer what does
-    not change between them: each posterior's std and KL, and the first
-    layer's noise-free product.
+    autodiff graph, the gradient reference of `train_step`; the inference
+    phases run the same layer functions on the parameters' arrays, record
+    no graph and return two leaf tensors. `_memo`, a dict shared by
+    inference forwards of the same x, keeps per layer what does not change
+    between them: each posterior's std and KL, and the first layer's
+    noise-free product.
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -200,7 +210,7 @@ def forward(
         raise ConfigError(f"unknown phase {phase!r}")
     tape = phase == TRAIN
     kl_total = None
-    h = x.data
+    h = x if tape else x.data
     for i, layer in enumerate(head.layers):
         if isinstance(layer, DenseVariational) and noise[i] is None:
             raise ConfigError(f"layer {i}: variational layer needs a noise draw")
@@ -209,14 +219,12 @@ def forward(
         try:
             if isinstance(layer, DenseVariational):
                 if layer.estimator == FLIPOUT:
-                    h, kl = variational_forward_flipout(
-                        layer, h, noise[i], memo, _tape=tape, _same_x=i == 0
-                    )
+                    h, kl = variational_forward_flipout(layer, h, noise[i], memo, _same_x=i == 0)
                 else:
-                    h, kl = variational_forward_reparam(layer, h, noise[i], memo, _tape=tape)
+                    h, kl = variational_forward_reparam(layer, h, noise[i], memo)
                 kl_total = kl if kl_total is None else kl_total + kl
             else:
-                h = dense_forward(layer, h, memo if i == 0 else None, _tape=tape)
+                h = dense_forward(layer, h, memo if i == 0 else None)
             # checked before relu, which would hide -inf; dense_forward checks its own output
             if not tape and kl is not None and not (np.isfinite(h).all() and np.isfinite(kl)):
                 raise NumericError("forward produced non-finite values")
@@ -239,6 +247,65 @@ def forward(
     return h.log_softmax(), kl_total
 
 
+def train_step(
+    head: Head, x: np.ndarray, labels: np.ndarray, noise: list, kl_weight: float, grads: list
+) -> tuple[np.ndarray, float, float, float]:
+    """One training step on plain arrays: (log_probs, nll, kl, loss) of the
+    batch x under the negated single-sample ELBO, mean NLL plus kl_weight
+    times the KL, with the loss's gradient with respect to each parameter
+    written into `grads`, its views in Head.parameters() order.
+
+    Every value equals that of forward(..., TRAIN), elbo_loss and
+    Tensor.backward: the same layer functions and backward functions run
+    in the same order, and a zero kl_weight adds no KL term. The first
+    layer forms no gradient of x. A non-finite pre-activation, KL or
+    dropout product raises NumericError naming its layer; a non-finite
+    log-probability, NLL or loss raises one too.
+    """
+    kl_total = None
+    saved = []  # per layer: its backward, then its ReLU mask and dropout backward
+    h = x
+    for i, layer in enumerate(head.layers):
+        mask = drop = None
+        try:
+            if isinstance(layer, DenseVariational):
+                fwd = (variational_forward_flipout if layer.estimator == FLIPOUT
+                       else variational_forward_reparam)
+                h, kl, back = fwd(layer, h, noise[i], _backward=True)
+                check_finite(h, "forward")
+                kl_total = check_finite(kl if kl_total is None else kl_total + kl, "kl")
+            else:
+                h, back = dense_forward(layer, h, _backward=True)
+                check_finite(h, "forward")
+            if i < 2:
+                mask = h > 0
+                h = np.where(mask, h, 0.0)
+                if head.dropout is not None:
+                    h, drop = dropout_forward(head.dropout, h, noise[i], TRAIN, _backward=True)
+                    check_finite(h, "dropout")
+        except NumericError as exc:
+            raise NumericError(f"layer {i}: {exc}") from exc
+        saved.append((back, mask, drop))
+    log_probs = check_finite(log_softmax_array(h), "log_softmax")
+    nll = check_finite(-log_probs[np.arange(x.shape[0]), labels].mean(), "nll")
+    kl = 0.0 if kl_total is None else kl_total
+    loss = nll if kl_weight == 0.0 else check_finite(nll + kl * kl_weight, "loss")
+
+    gk = None if kl_weight == 0.0 else kl_weight
+    g = log_softmax_backward(log_probs, nll_backward(log_probs.shape, labels, 1.0))
+    end = len(grads)
+    for i in reversed(range(len(head.layers))):
+        back, mask, drop = saved[i]
+        if mask is not None:  # the layer's output went through ReLU and dropout
+            if drop is not None:
+                g = drop(g)
+            g = relu_backward(mask, g)
+        start = end - (4 if isinstance(head.layers[i], DenseVariational) else 2)
+        g = back(g, gk, grads[start:end], i > 0)
+        end = start
+    return log_probs, nll, kl, loss
+
+
 def inference_phase(head: Head) -> str:
     """The phase mc_predict should use for this head's variant."""
     if head.config.variant == DETERMINISTIC:
@@ -257,12 +324,20 @@ _JSON_TYPES = {
 }
 
 
-def bind_parameters(params: list[Tensor], theta: np.ndarray) -> None:
-    """Rebind each parameter's `.data`, in order, to its reshaped view of
-    the flat vector `theta`, which holds exactly their values."""
+def parameter_views(params: list[Tensor], flat: np.ndarray) -> list[np.ndarray]:
+    """Each parameter's reshaped view, in order, of the flat vector `flat`,
+    which holds exactly as many values as they do."""
     sizes = [p.data.size for p in params]
-    for p, chunk in zip(params, np.split(theta, np.cumsum(sizes)[:-1])):
-        p.data = chunk.reshape(p.data.shape)
+    return [
+        chunk.reshape(p.data.shape)
+        for p, chunk in zip(params, np.split(flat, np.cumsum(sizes)[:-1]))
+    ]
+
+
+def bind_parameters(params: list[Tensor], theta: np.ndarray) -> None:
+    """Rebind each parameter's `.data`, in order, to its view of `theta`."""
+    for p, view in zip(params, parameter_views(params, theta)):
+        p.data = view
 
 
 def head_to_dict(head: Head) -> dict:

@@ -11,10 +11,12 @@ or a constant ``np.ndarray`` of exactly the first operand's shape (a
 noise draw, a sign vector, a dropout mask). Constants get no graph node
 and no gradient; a constant of any other shape raises ShapeError.
 
-Only training records a graph. Inference runs the same formulas on plain
-arrays: ``softplus_and_exp``, ``sigmoid_array`` and ``log_softmax_array``
-hold the math that the graph nodes and the array-only inference forward
-share, so both give bit-identical values.
+Only the gradient reference of the tests records a graph: training and
+inference run the same formulas on plain arrays. ``softplus_and_exp``,
+``sigmoid_array`` and ``log_softmax_array`` hold the forward math, and
+``relu_backward``, ``log_softmax_backward`` and ``nll_backward`` the
+backward math, that the graph nodes and the array code share, so both
+give bit-identical values.
 
 The recorded graph doubles as the gradient tape: each node keeps its
 parents and a backward closure, and ``backward()`` replays the closures
@@ -32,7 +34,8 @@ import numpy as np
 from .errors import ContractError, NumericError, ShapeError, TapeError
 
 
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
+    """arr itself; NumericError naming op if any value is NaN or infinite."""
     if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
     return arr
@@ -72,7 +75,7 @@ class Tensor:
 
     def __init__(self, data, _parents=(), _backward_fn=None, _op="tensor"):
         arr = np.asarray(data, dtype=np.float64, order="C")
-        self.data = _check_finite(arr, _op)
+        self.data = check_finite(arr, _op)
         self.grad = None
         self._parents = _parents
         self._backward_fn = _backward_fn
@@ -180,7 +183,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out = Tensor(np.where(mask, self.data, 0.0), (self,), _op="relu")
-        out._backward_fn = lambda g: self.accumulate_grad(np.where(mask, g, 0.0))
+        out._backward_fn = lambda g: self.accumulate_grad(relu_backward(mask, g))
         return out
 
     def log(self) -> "Tensor":
@@ -270,12 +273,9 @@ def log_softmax(logits: Tensor) -> Tensor:
         raise ShapeError(f"log_softmax: expected a 2-D tensor, got shape {logits.shape}")
     if logits.shape[1] < 2:
         raise ContractError(f"log_softmax: need at least 2 classes, got {logits.shape[1]}")
-    out_data = log_softmax_array(logits.data)
-    out = Tensor(out_data, (logits,), _op="log_softmax")
-    probs = np.exp(out_data)
-    out._backward_fn = lambda g: logits.accumulate_grad(
-        g - probs * g.sum(axis=1, keepdims=True)
-    )
+    log_probs = log_softmax_array(logits.data)
+    out = Tensor(log_probs, (logits,), _op="log_softmax")
+    out._backward_fn = lambda g: logits.accumulate_grad(log_softmax_backward(log_probs, g))
     return out
 
 
@@ -292,13 +292,23 @@ def nll(log_probs: Tensor, labels) -> Tensor:
     if idx.min() < 0 or idx.max() >= k:
         bad = idx[(idx < 0) | (idx >= k)][0]
         raise IndexError(f"nll: label {bad} out of range [0, {k})")
-    rows = np.arange(m)
-    out = Tensor(-log_probs.data[rows, idx].mean(), (log_probs,), _op="nll")
-
-    def _bw(g):
-        buf = np.zeros_like(log_probs.data)
-        buf[rows, idx] = -g / m
-        log_probs.accumulate_grad(buf)
-
-    out._backward_fn = _bw
+    out = Tensor(-log_probs.data[np.arange(m), idx].mean(), (log_probs,), _op="nll")
+    out._backward_fn = lambda g: log_probs.accumulate_grad(nll_backward(log_probs.shape, idx, g))
     return out
+
+
+def relu_backward(mask: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient through relu: g where its input was positive (`mask`), 0 elsewhere."""
+    return np.where(mask, g, 0.0)
+
+
+def log_softmax_backward(log_probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient through a row-wise log-softmax, given its output."""
+    return g - np.exp(log_probs) * g.sum(axis=1, keepdims=True)
+
+
+def nll_backward(shape: tuple[int, int], labels: np.ndarray, g) -> np.ndarray:
+    """The gradient of g times the mean NLL with respect to the log-probabilities."""
+    buf = np.zeros(shape)
+    buf[np.arange(shape[0]), labels] = -g / shape[0]
+    return buf

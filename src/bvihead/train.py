@@ -6,8 +6,10 @@ given the config seed: shuffling and per-batch noise derive their own
 sub-seeded generators from (seed, epoch, batch).
 
 For the length of a run the head's parameters are views into one flat
-float64 vector, and each step gathers their grads into a second one; the
-optimizers update that vector in place with a few vector operations.
+float64 vector. Each step (`model.train_step`) runs forward and
+closed-form backward on plain arrays and writes every parameter's
+gradient into its view of a second one; the optimizers update the first
+in place with a few vector operations. No autodiff graph is recorded.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .data import LabeledFeatureSet, batches
 from .errors import ConfigError, ContractError, NumericError
 from .fsio import atomic_write_text
-from .layers import TRAIN
-from .model import Head, bind_parameters, draw_noise_bundle, forward
+from .model import Head, bind_parameters, draw_noise_bundle, parameter_views, train_step
+from .model import forward  # noqa: F401  # perfbench/tracer.py wraps it here
 from .tensor import Tensor, nll
 
 SGD = "sgd"
@@ -97,7 +99,8 @@ class TrainReport:
 
 
 def elbo_loss(log_probs: Tensor, labels, kl_total: Tensor, kl_weight: float) -> Tensor:
-    """Negated single-sample ELBO: mean NLL plus kl_weight * KL."""
+    """Negated single-sample ELBO: mean NLL plus kl_weight * KL, as a graph
+    node (the reference of `model.train_step`)."""
     if kl_weight < 0:
         raise ConfigError(f"kl_weight must be >= 0, got {kl_weight}")
     data_term = nll(log_probs, labels)
@@ -209,6 +212,7 @@ def train(head: Head, data: LabeledFeatureSet, cfg: TrainConfig) -> tuple[Head, 
     params = head.parameters()
     theta = flatten_parameters(params)
     grad = np.empty_like(theta)
+    grads = parameter_views(params, grad)  # train_step writes every value each step
     report = TrainReport()
 
     for epoch in range(cfg.epochs):
@@ -227,23 +231,20 @@ def train(head: Head, data: LabeledFeatureSet, cfg: TrainConfig) -> tuple[Head, 
         for b_idx, batch in enumerate(epoch_batches):
             noise_rng = np.random.default_rng((cfg.seed, epoch, b_idx))
             bundle = draw_noise_bundle(head, batch.n, noise_rng)
-            x = Tensor(batch.features)
             try:
-                log_probs, kl_total = forward(head, x, bundle, TRAIN)
-                loss = elbo_loss(log_probs, batch.labels, kl_total, kl_weight)
+                log_probs, batch_nll, kl, loss = train_step(
+                    head, batch.features, batch.labels, bundle, kl_weight, grads
+                )
             except NumericError as exc:
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {b_idx}: {exc}"
                 ) from exc
-            loss.backward()
-            gather_grads(params, grad)
             optimizer.step(theta, grad)
 
-            batch_nll = float(nll_value(log_probs.data, batch.labels))
-            sum_nll += batch_nll * batch.n
-            sum_kl += float(kl_total.data) * batch.n
-            sum_loss += float(loss.data) * batch.n
-            correct += int((log_probs.data.argmax(axis=1) == batch.labels).sum())
+            sum_nll += float(batch_nll) * batch.n
+            sum_kl += float(kl) * batch.n
+            sum_loss += float(loss) * batch.n
+            correct += int((log_probs.argmax(axis=1) == batch.labels).sum())
         report.epochs.append(
             EpochStats(
                 epoch=epoch,
@@ -266,20 +267,3 @@ def flatten_parameters(params: list[Tensor]) -> np.ndarray:
     theta = np.concatenate([p.data.ravel() for p in params])
     bind_parameters(params, theta)
     return theta
-
-
-def gather_grads(params: list[Tensor], out: np.ndarray) -> None:
-    """Copy every parameter's grad, in order, into the flat vector `out`."""
-    for i, p in enumerate(params):
-        if p.grad is None:
-            raise ContractError(f"parameter {i} received no gradient")
-        if p.grad.shape != p.data.shape:
-            raise ContractError(
-                f"parameter {i}: gradient shape {p.grad.shape} does not match {p.data.shape}"
-            )
-    np.concatenate([p.grad.ravel() for p in params], out=out)
-
-
-def nll_value(log_probs: np.ndarray, labels) -> float:
-    rows = np.arange(log_probs.shape[0])
-    return float(-log_probs[rows, np.asarray(labels)].mean())

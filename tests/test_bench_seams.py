@@ -78,7 +78,8 @@ def test_every_per_layer_metric_is_defined(bench, tmp_path):
     assert not undefined
     # the layers' nodes compute softplus on arrays, not through Tensor.softplus
     assert metrics["dist.softplus_calls_per_step"] == 0
-    assert metrics["tensor.nodes_per_step.stochastic-vi"] <= 15
+    # a training step runs on arrays and records no graph
+    assert metrics["tensor.nodes_per_step.stochastic-vi"] == 0
     # an MC pass records no graph: only the two leaf results are tensors
     assert metrics["tensor.nodes_per_pass.stochastic-vi"] <= 2
     # the eval's MC run builds one batched distribution, not one per example

@@ -129,6 +129,9 @@ def negative_seed(section, key):
 @example(edits=[("data", "center_scale", -1.0)], raw=None, variant=STOCHASTIC_VI)
 @example(edits=[("data", "center_scale", 1e308)], raw=None, variant=STOCHASTIC_VI)
 @example(edits=[("data", "formats", None)], raw=None, variant=STOCHASTIC_VI)
+@example(edits=[("data", "per_class", 10**12)], raw=None, variant=STOCHASTIC_VI)
+@example(edits=[("head", "hidden_dims", [4, 10**12])], raw=None, variant=STOCHASTIC_VI)
+@example(edits=[("inference", "mc_samples", 10**12)], raw=None, variant=STOCHASTIC_VI)
 @negative_seed("data", "center_seed")
 @negative_seed("data", "noise_seed")
 @negative_seed("head", "init_seed")
@@ -164,6 +167,34 @@ def test_negative_seed_flag_exits_2_naming_the_key(workdir, command):
     assert code == EXIT_CONFIG
     key = {"gen-data": "data.center_seed", "train": "train.seed", "eval": "inference.seed"}
     assert err == f"error: {key[command]} must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "command, argv, key",
+    [
+        ("gen-data", [], "data.per_class"),
+        ("train", [], "head.hidden_dims"),
+        ("eval", ["--mc-samples", str(10**12)], "inference.mc_samples"),
+        ("compare", ["--mc-samples", str(10**12)], "inference.mc_samples"),
+    ],
+)
+def test_oversized_count_exits_2_naming_the_key(workdir, command, argv, key):
+    # each bound is checked before the count sizes an allocation
+    out = workdir / f"huge-{command}"
+    path = workdir / f"huge-{command}.json"
+    cfg = json.loads(json.dumps(TINY))
+    common = ["--config", str(path), "--out", str(out)]
+    path.write_text(json.dumps(cfg))
+    assert run_cli(["gen-data", *common])[0] == EXIT_OK
+    if command == "eval":
+        assert run_cli(["train", *common])[0] == EXIT_OK
+    section, name = key.split(".")
+    if command in ("gen-data", "train"):
+        cfg[section][name] = [4, 10**12] if name == "hidden_dims" else 10**12
+        path.write_text(json.dumps(cfg))
+    code, err = run_cli([command, *common, *argv])
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"error: {key}") and err.count("\n") == 1, err
 
 
 # ---- feature files -------------------------------------------------------------

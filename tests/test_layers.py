@@ -376,9 +376,7 @@ def test_fused_node_equals_op_level_composition_bit_for_bit(kind, loss_case):
         if how == "op-level":
             out, kl = op_level_forward(*args)
         else:
-            if how == "constant-x":
-                args = (layer, x_arr) + args[2:]
-            res = FUSED[kind](*args, _tape=how == "constant-x")
+            res = FUSED[kind](*args)
             out, kl = (res, Tensor(0.0)) if kind == "dense" else res
         if loss_case == "output":
             loss = (out * upstream).sum()
@@ -389,16 +387,24 @@ def test_fused_node_equals_op_level_composition_bit_for_bit(kind, loss_case):
         else:
             loss = (out * upstream).sum() + kl
         loss.backward()
-        return [out.data, kl.data, x.grad] + [t.grad for t in leaves]
+        return [out.data, kl.data, x.grad] + [t.grad for t in leaves], out.grad, kl.grad
 
-    want = run("op-level")
-    for got, expected in zip(run("fused"), want, strict=True):
-        assert_same_bits(got, expected)
-    # a constant input changes nothing but its own missing gradient
-    got = run("constant-x")
-    assert got[2] is None
-    for g, expected in zip(got[:2] + got[3:], want[:2] + want[3:], strict=True):
-        assert_same_bits(g, expected)
+    want, _, _ = run("op-level")
+    got, g, gk = run("fused")
+    for value, expected in zip(got, want, strict=True):
+        assert_same_bits(value, expected)
+    # the array form a training step runs: from the node's upstream
+    # gradients, the same bytes, and no gradient of the batch
+    array_args = (layer, x_arr) if kind == "dense" else (layer, x_arr, noise)
+    res = FUSED[kind](*array_args, _backward=True)
+    backward = res[-1]
+    grads = [np.empty_like(t.data) for t in leaves]
+    assert backward(g, gk, grads, False) is None
+    assert_same_bits(res[0], want[0])
+    if kind != "dense":
+        assert_same_bits(res[1], want[1])
+    for value, expected in zip(grads, want[3:], strict=True):
+        assert_same_bits(value, expected)
 
 
 @pytest.mark.parametrize("kind", list(FUSED))
@@ -437,9 +443,9 @@ def test_flipout_training_forward_is_one_node_over_its_inputs():
     leaves = [wp.mu, wp.rho, bp.mu, bp.rho]
     assert all(a is b for a, b in zip(out._parents, [x] + leaves, strict=True))
     assert len(kl._parents) == 1 and kl._parents[0] is out
-    # a constant batch is no parent
-    out, kl = variational_forward_flipout(layer, x.data, noise, _tape=True)
-    assert all(a is b for a, b in zip(out._parents, leaves, strict=True))
+    # an array batch records no node: the output comes with its backward
+    out, kl, backward = variational_forward_flipout(layer, x.data, noise, _backward=True)
+    assert type(out) is np.ndarray and callable(backward)
 
 
 def test_flipout_estimator_mismatch():
