@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import BviError, ConfigError, NumericError, ParseError
-from .evaluate import density_histogram, evaluation_suite, write_bundle
+from .evaluate import MAX_BINS, density_histogram, evaluation_suite, write_bundle
 from .fsio import atomic_write_text
 from .model import (
     DETERMINISTIC,
@@ -126,12 +126,18 @@ def _get(cfg: dict, section: str, key: str):
     return value
 
 
-def _mc_samples(cfg: dict) -> int:
-    """inference.mc_samples, checked against its bound before any pass runs."""
-    t = _get(cfg, "inference", "mc_samples")
-    if not 1 <= t <= MAX_MC_SAMPLES:
-        raise ConfigError(f"inference.mc_samples must be in [1, {MAX_MC_SAMPLES}], got {t}")
-    return t
+def _count(cfg: dict, section: str, key: str, most: int) -> int:
+    """cfg[section][key], an integer checked to lie in [1, most]."""
+    n = _get(cfg, section, key)
+    if not 1 <= n <= most:
+        raise ConfigError(f"{section}.{key} must be in [1, {most}], got {n}")
+    return n
+
+
+def _eval_keys(cfg: dict) -> tuple[int, int, int]:
+    """(mc_samples, inference seed, bins), each checked before any pass runs."""
+    return (_count(cfg, "inference", "mc_samples", MAX_MC_SAMPLES),
+            _get(cfg, "inference", "seed"), _count(cfg, "eval", "bins", MAX_BINS))
 
 
 def _build(cls, cfg: dict, section: str, **given):
@@ -249,15 +255,15 @@ def _eval_one(cfg, head, out_dir, eval_dir):
         print("notice: no OOD file found; OOD metrics will be omitted")
         features, labels, flags = val_set.features, val_set.labels, val_set.is_ood
 
-    t = _mc_samples(cfg)
+    t, seed, bins = _eval_keys(cfg)
     if head.config.variant == DETERMINISTIC and t > 1:
         print(
             f"warning: deterministic variant ignores stochastic passes;"
             f" using T=1 instead of requested T={t}"
         )
         t = 1
-    pd = mc_predict(head, Tensor(features), t=t, seed=_get(cfg, "inference", "seed"))
-    bundle = evaluation_suite(pd, labels, flags, bins=_get(cfg, "eval", "bins"))
+    pd = mc_predict(head, Tensor(features), t=t, seed=seed)
+    bundle = evaluation_suite(pd, labels, flags, bins=bins)
     eval_dir = Path(eval_dir)
     eval_dir.mkdir(parents=True, exist_ok=True)
     save_reports(eval_dir / "report.csv", bundle.reports, labels, flags)
@@ -273,7 +279,7 @@ def cmd_eval(args) -> int:
         cfg["inference"]["seed"] = args.seed
     if args.mc_samples is not None:
         cfg["inference"]["mc_samples"] = args.mc_samples
-    _mc_samples(cfg)  # before the checkpoint and the data load
+    _eval_keys(cfg)  # before the checkpoint and the data load
     out_dir = Path(args.out)
     ckpt = args.checkpoint or str(out_dir / f"checkpoint_{args.variant}.json")
     head = load_head(ckpt)
@@ -329,9 +335,13 @@ def cmd_compare(args) -> int:
         cfg["train"]["seed"] = args.seed
     if args.mc_samples is not None:
         cfg["inference"]["mc_samples"] = args.mc_samples
-    _mc_samples(cfg)  # before three variants train
+    # every key the stages read, before the first file is written; the
+    # head's input and class counts come from the data when it loads
+    _eval_keys(cfg)
+    head_config_from(cfg, DETERMINISTIC, 1, 2)
+    _get(cfg, "head", "init_seed")
+    train_config_from(cfg)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not (out_dir / "train.bfv").exists() and not (out_dir / "train.csv").exists():
         gen_args = argparse.Namespace(
             config=args.config,

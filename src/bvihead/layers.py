@@ -11,7 +11,8 @@ Tensor input records one graph node per layer over the input and the
 layer's leaves (and a variational layer one more scalar node for its
 KL), whose backward calls that function: the gradient reference of the
 tests. An inference forward runs the same operations in the same order
-on plain arrays and records nothing.
+on plain arrays and records nothing; for a variational layer of either
+estimator that is the reparam forward.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class NoiseDraw:
 
     weight_eps/bias_eps are standard-normal draws matching the posterior
     shapes. sign_in/sign_out are per-example Rademacher vectors, only used
-    by the Flipout estimator. They are drawn as int8 +-1; float64 +-1 is
-    accepted too and gives the same output.
+    by the Flipout estimator in training. They are drawn as int8 +-1;
+    float64 +-1 is accepted too and gives the same output.
     """
 
     weight_eps: np.ndarray
@@ -224,11 +225,12 @@ def variational_forward_reparam(
 
     A Tensor x gives the layer's training node and its KL node. An array x
     with `_backward` also returns the layer's closed-form backward (see
-    `_variational_backward`), which the node's backward calls. At inference
+    `_variational_backward`), which the node's backward calls; both take a
+    reparam layer only. Inference, an array x alone, takes either estimator;
     `_memo`, a dict shared by calls on the same parameters, keeps the
     posterior's std and KL from the first call.
     """
-    if layer.estimator != REPARAM:
+    if (_backward or isinstance(x, Tensor)) and layer.estimator != REPARAM:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
     if isinstance(x, Tensor):
         out, kl, backward = variational_forward_reparam(layer, x.data, noise, _backward=True)
@@ -251,34 +253,26 @@ def variational_forward_reparam(
     return out, kl, _variational_backward(layer, post, data_grads)
 
 
-def variational_forward_flipout(
-    layer: DenseVariational,
-    x,
-    noise: NoiseDraw,
-    _memo: dict | None = None,
-    *,
-    _same_x=True,
-    _backward=False,
-):
-    """Pseudo-independent per-example weight perturbations.
+def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw, *, _backward=False):
+    """Pseudo-independent per-example weight perturbations, for training.
 
     Row n sees x_n W_mu + ((x_n * r_n) (std * eps)) * s_n with a shared
     perturbation base eps and per-example sign vectors r_n, s_n. The bias
     is sampled once per batch by plain reparameterization.
 
-    Every mode computes the output with the same array operations in the
-    same order. A Tensor x gives the layer's training node and its KL node.
-    An array x with `_backward` also returns the layer's closed-form
-    backward (see `_variational_backward`), the closed form of that affine
-    map, which the node's backward calls. At inference `_memo`, a dict
-    shared by calls on the same parameters, keeps the posterior's std and
-    KL from the first call, and x W_mu too unless `_same_x` is false.
+    A Tensor x gives the layer's training node and its KL node. An array x
+    with `_backward` also returns the layer's closed-form backward (see
+    `_variational_backward`), the closed form of that affine map, which the
+    node's backward calls. There is no inference form: inference runs
+    `variational_forward_reparam` on a sign-less draw.
     """
     if layer.estimator != FLIPOUT:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
     if isinstance(x, Tensor):
         out, kl, backward = variational_forward_flipout(layer, x.data, noise, _backward=True)
         return _training_node(x, _leaves(layer), out, backward, "flipout", kl)
+    if not _backward:
+        raise ContractError("flipout is a training estimator; inference runs the reparam forward")
     _check_input(layer, x)
     m = x.shape[0]
     d_in, d_out = layer.weight_post.shape
@@ -289,26 +283,19 @@ def variational_forward_flipout(
             f"sign shapes {noise.sign_in.shape}/{noise.sign_out.shape} do not match"
             f" batch {m} with dims ({d_in}, {d_out})"
         )
-    post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
+    post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, None)
     mua = layer.weight_post.mu.data
-    r, s, eps = noise.sign_in, noise.sign_out, noise.weight_eps
-    if _backward:  # products with int8 signs are slower than with float64 ones at batch sizes
-        r, s = r.astype(np.float64), s.astype(np.float64)
+    eps = noise.weight_eps
+    # products with int8 signs are slower than with float64 ones at batch sizes
+    r, s = noise.sign_in.astype(np.float64), noise.sign_out.astype(np.float64)
     xs = x * r
     delta = w_std * eps
     # ((x W_mu) + ((x*r) delta) * s) + b in place; adding x W_mu second is
     # exact, since floating-point addition commutes
     out = xs @ delta
-    if not _backward:
-        del xs  # at inference an M x d_in array: freed before the sums below
     out *= s
-    memo = _memo if _memo is not None and _same_x and not _backward else {}
-    if "xw" not in memo:
-        memo["xw"] = x @ mua
-    out += memo["xw"]
+    out += x @ mua
     out += layer.bias_post.mu.data + b_std * noise.bias_eps  # one bias draw per batch
-    if not _backward:
-        return out, kl
 
     def data_grads(g, grads, need_dx):
         gs = g * s
@@ -362,18 +349,18 @@ def _check_input(layer: DenseVariational, x) -> None:
 
 
 def draw_layer_noise(
-    layer: DenseVariational, m: int, rng: np.random.Generator
+    layer: DenseVariational, m: int, rng: np.random.Generator, phase: str = TRAIN
 ) -> NoiseDraw:
     """Fresh standard-normal (and Rademacher, for Flipout) draws for one batch.
 
     The values and the generator's next state are those of drawing
-    weight_eps, bias_eps, then sign_in and sign_out with
-    `rng.integers(0, 2, shape) * 2 - 1` each.
+    weight_eps, bias_eps, then, for a Flipout layer in TRAIN only, sign_in
+    and sign_out with `rng.integers(0, 2, shape) * 2 - 1` each.
     """
     d_in, d_out = layer.weight_post.shape
     weight_eps = rng.standard_normal((d_in, d_out))
     bias_eps = rng.standard_normal(d_out)
-    if layer.estimator == FLIPOUT:
+    if layer.estimator == FLIPOUT and phase == TRAIN:
         signs = rademacher(rng, m * (d_in + d_out))
         sign_in = signs[: m * d_in].reshape(m, d_in)
         sign_out = signs[m * d_in :].reshape(m, d_out)

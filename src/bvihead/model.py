@@ -31,6 +31,7 @@ from .layers import (
     FLIPOUT,
     MC_INFERENCE,
     PHASES,
+    REPARAM,
     TRAIN,
     DenseDeterministic,
     DenseVariational,
@@ -158,13 +159,14 @@ def build_head(cfg: HeadConfig, init_seed: int) -> Head:
 # ---- noise bundles --------------------------------------------------------
 
 
-def draw_noise_bundle(head: Head, m: int, rng: np.random.Generator) -> list:
-    """One entry per layer: NoiseDraw for variational layers, dropout mask
-    noise for the two hidden activations of dropout variants, None otherwise."""
+def draw_noise_bundle(head: Head, m: int, rng: np.random.Generator, phase: str = TRAIN) -> list:
+    """One entry per layer: NoiseDraw for variational layers (with Flipout
+    signs in TRAIN only), dropout mask noise for the two hidden activations
+    of dropout variants, None otherwise."""
     bundle = []
     for i, layer in enumerate(head.layers):
         if isinstance(layer, DenseVariational):
-            bundle.append(draw_layer_noise(layer, m, rng))
+            bundle.append(draw_layer_noise(layer, m, rng, phase))
         elif i < 2 and head.dropout is not None and head.dropout.rate > 0:
             d_out = layer.weight.shape[1]
             bundle.append(rng.random((m, d_out)))
@@ -193,10 +195,11 @@ def forward(
     raises NumericError naming the offending layer. TRAIN records the
     autodiff graph, the gradient reference of `train_step`; the inference
     phases run the same layer functions on the parameters' arrays, record
-    no graph and return two leaf tensors. `_memo`, a dict shared by
+    no graph, run every variational layer's reparam forward (one weight draw
+    per pass) and return two leaf tensors. `_memo`, a dict shared by
     inference forwards of the same x, keeps per layer what does not change
-    between them: each posterior's std and KL, and the first layer's
-    noise-free product.
+    between them: each posterior's std and KL, and a dense first layer's
+    output.
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -218,10 +221,10 @@ def forward(
         memo = None if _memo is None else _memo.setdefault(i, {})
         try:
             if isinstance(layer, DenseVariational):
-                if layer.estimator == FLIPOUT:
-                    h, kl = variational_forward_flipout(layer, h, noise[i], memo, _same_x=i == 0)
-                else:
+                if not tape or layer.estimator == REPARAM:
                     h, kl = variational_forward_reparam(layer, h, noise[i], memo)
+                else:
+                    h, kl = variational_forward_flipout(layer, h, noise[i])
                 kl_total = kl if kl_total is None else kl_total + kl
             else:
                 h = dense_forward(layer, h, memo if i == 0 else None)

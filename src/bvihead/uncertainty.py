@@ -135,7 +135,8 @@ def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistributi
     """Run t stochastic passes over the M examples of x; one M x T x K
     distribution. Pass i draws its noise from a generator sub-seeded with
     (seed, i), so results do not depend on execution order and are
-    reproducible. The first layer's noise-free product is computed once."""
+    reproducible: one weight draw per variational layer (no Flipout signs)
+    or the dropout masks. A dense first layer's output is computed once."""
     if t < 1:
         raise ConfigError(f"sample count must be >= 1, got {t}")
     m = x.shape[0]
@@ -147,7 +148,7 @@ def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistributi
         if phase == DETERMINISTIC_INFERENCE:
             bundle = zero_noise_bundle(head, m)
         else:
-            bundle = draw_noise_bundle(head, m, rng)
+            bundle = draw_noise_bundle(head, m, rng, phase)
         log_probs, _ = forward(head, x, bundle, phase, _memo=memo)
         all_probs[:, i] = np.exp(log_probs.data)
     return PredictiveDistribution.from_samples(all_probs)

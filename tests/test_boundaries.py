@@ -197,6 +197,35 @@ def test_oversized_count_exits_2_naming_the_key(workdir, command, argv, key):
     assert err.startswith(f"error: {key}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv, edit, words",
+    [
+        (["--seed", "-3"], None, "train.seed must be >= 0"),
+        ([], ("eval", "bins", 0), "eval.bins must be in [1,"),
+        (["--mc-samples", "0"], None, "inference.mc_samples must be in [1,"),
+        ([], ("inference", "seed", -1), "inference.seed must be >= 0"),
+        ([], ("head", "init_seed", -1), "head.init_seed must be >= 0"),
+        ([], ("head", "dropout_rate", 1.5), "dropout rate must be in [0, 1)"),
+        ([], ("head", "estimator", "bogus"), "unknown estimator"),
+        ([], ("train", "epochs", -1), "epochs must be >= 0"),
+        ([], ("train", "optimizer", 3), "train.optimizer must be str"),
+        ([], ("data", "per_class", 0), "all counts must be positive"),
+    ],
+)
+def test_compare_rejects_a_bad_key_before_writing_anything(workdir, argv, edit, words):
+    out = workdir / f"reject-{len(list(workdir.iterdir()))}"
+    out.mkdir()
+    cfg = json.loads(json.dumps(TINY))
+    if edit is not None:
+        cfg.setdefault(edit[0], {})[edit[1]] = edit[2]
+    path = workdir / f"{out.name}.json"
+    path.write_text(json.dumps(cfg))
+    code, err = run_cli(["compare", "--config", str(path), "--out", str(out), *argv])
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and err.count("\n") == 1 and words in err, err
+    assert list(out.iterdir()) == []
+
+
 # ---- feature files -------------------------------------------------------------
 
 CELLS = (

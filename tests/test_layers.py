@@ -456,7 +456,7 @@ def test_flipout_estimator_mismatch():
         )
 
 
-def test_flipout_inference_in_place_equals_the_expression_bit_for_bit():
+def test_flipout_array_form_equals_the_expression_bit_for_bit():
     layer = make_variational(5, 4, FLIPOUT, seed=35, rho=-0.7)
     rng = np.random.default_rng(36)
     x = rng.normal(size=(9, 5))
@@ -471,11 +471,55 @@ def test_flipout_inference_in_place_equals_the_expression_bit_for_bit():
         noise.sign_in.astype(np.float64),
         noise.sign_out.astype(np.float64),
     )
-    memo = {}
-    for draw, kept in ((noise, None), (as_float, None), (noise, memo), (noise, memo)):
-        out, _ = variational_forward_flipout(layer, x, draw, kept)
+    for draw in (noise, as_float):
+        out, _, _ = variational_forward_flipout(layer, x, draw, _backward=True)
         np.testing.assert_array_equal(out, want)
-    np.testing.assert_array_equal(memo["xw"], x @ wp.mu.data)
+    # Flipout has no inference form: inference runs the reparam forward
+    with pytest.raises(ContractError, match="training"):
+        variational_forward_flipout(layer, x, noise)
+
+
+@pytest.mark.parametrize("estimator", [REPARAM, FLIPOUT])
+def test_inference_form_is_one_sampled_weight_for_either_estimator(estimator):
+    layer = make_variational(5, 4, estimator, seed=35, rho=-0.7)
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(9, 5))
+    noise = draw_layer_noise(layer, 9, rng, MC_INFERENCE)
+    assert noise.sign_in is None and noise.sign_out is None
+    wp, bp = layer.weight_post, layer.bias_post
+    w = wp.mu.data + np.log1p(np.exp(wp.rho.data)) * noise.weight_eps
+    want = (x @ w) + (bp.mu.data + np.log1p(np.exp(bp.rho.data)) * noise.bias_eps)
+    memo = {}
+    for kept in (None, memo, memo):
+        out, _ = variational_forward_reparam(layer, x, noise, kept)
+        np.testing.assert_array_equal(out, want)
+    # the training forms keep their estimator check
+    if estimator == FLIPOUT:
+        with pytest.raises(ContractError):
+            variational_forward_reparam(layer, x, noise, _backward=True)
+
+
+def test_shared_weight_draw_has_the_flipout_law_per_example():
+    # each example's Flipout perturbation dW * (r s^T) has the law of dW, so
+    # one weight draw shared by the batch leaves each example's output law
+    # as it is: mean and variance over 2e4 draws agree within 4 SE
+    layer = make_variational(3, 2, FLIPOUT, seed=50, rho=-0.5)
+    x = np.random.default_rng(51).normal(size=(4, 3))
+    rng = np.random.default_rng(52)
+    n = 20000
+    shared, flip = np.empty((n, 4, 2)), np.empty((n, 4, 2))
+    memo = {}  # the posterior's std, as mc_predict keeps it across passes
+    for t in range(n):
+        shared[t] = variational_forward_reparam(
+            layer, x, draw_layer_noise(layer, 4, rng, MC_INFERENCE), memo
+        )[0]
+        flip[t] = variational_forward_flipout(
+            layer, x, draw_layer_noise(layer, 4, rng), _backward=True
+        )[0]
+    for stat in (lambda a: a, lambda a: (a - a.mean(axis=0)) ** 2):
+        a, b = stat(shared), stat(flip)
+        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / n)
+        assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * se).all()
 
 
 def test_dense_memo_returns_the_first_output():

@@ -160,14 +160,30 @@ def test_mc_dropout_inference_is_stochastic_across_draws():
     [(STOCHASTIC_VI, "flipout"), (STOCHASTIC_VI, REPARAM), (MC_DROPOUT, "flipout")],
 )
 def test_inference_forward_matches_train_forward_bitwise(variant, estimator):
+    # inference runs every variational layer through the reparam forward,
+    # so the oracle is the training forward of the reparam head with the
+    # same parameters on the same sign-less draw
     head = build_head(small_config(variant, estimator), init_seed=17)
+    ref = build_head(small_config(variant, REPARAM), init_seed=17)
     rng = np.random.default_rng(18)
     x = Tensor(rng.normal(size=(9, 5)))
-    noise = draw_noise_bundle(head, 9, rng)
-    lp_train, kl_train = forward(head, x, noise, TRAIN)
+    noise = draw_noise_bundle(head, 9, rng, MC_INFERENCE)
+    lp_train, kl_train = forward(ref, x, noise, TRAIN)
     lp_mc, kl_mc = forward(head, x, noise, MC_INFERENCE)
     assert lp_mc.data.tobytes() == lp_train.data.tobytes()
     assert kl_mc.data.tobytes() == kl_train.data.tobytes()
+
+
+@pytest.mark.parametrize("estimator", ["flipout", REPARAM])
+def test_inference_bundle_draws_only_the_eps_arrays(estimator):
+    head = build_head(small_config(STOCHASTIC_VI, estimator), init_seed=27)
+    rng, ref = np.random.default_rng((5, 0)), np.random.default_rng((5, 0))
+    bundle = draw_noise_bundle(head, 9, rng, MC_INFERENCE)
+    for layer, draw in zip(head.layers, bundle, strict=True):
+        assert draw.sign_in is None and draw.sign_out is None
+        np.testing.assert_array_equal(draw.weight_eps, ref.standard_normal(layer.weight_post.shape))
+        np.testing.assert_array_equal(draw.bias_eps, ref.standard_normal(layer.bias_post.shape))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_deterministic_inference_matches_train_without_dropout():

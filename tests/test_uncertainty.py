@@ -247,20 +247,39 @@ def test_mc_predict_convergence_with_more_samples():
      (STOCHASTIC_VI, "reparam")],
 )
 def test_mc_predict_equals_a_loop_of_independent_passes(variant, estimator):
-    # each pass on its own: no state shared between passes
+    # each pass on its own: no state shared between passes. The loop runs
+    # the reparam head with the same parameters, since inference samples a
+    # Flipout layer's weights as the reparam forward does
     head = build_head(HeadConfig(5, (7, 3), 3, variant, estimator=estimator), init_seed=12)
+    ref = build_head(HeadConfig(5, (7, 3), 3, variant, estimator="reparam"), init_seed=12)
     x = Tensor(np.random.default_rng(13).normal(size=(9, 5)))
-    phase = inference_phase(head)
+    phase = inference_phase(ref)
     passes = []
     for i in range(4):
         if phase == DETERMINISTIC_INFERENCE:
-            bundle = zero_noise_bundle(head, 9)
+            bundle = zero_noise_bundle(ref, 9)
         else:
-            bundle = draw_noise_bundle(head, 9, np.random.default_rng((7, i)))
-        log_probs, _ = forward(head, x, bundle, phase)
+            bundle = draw_noise_bundle(ref, 9, np.random.default_rng((7, i)))
+        log_probs, _ = forward(ref, x, bundle, phase)
         passes.append(np.exp(log_probs.data))
     pd = mc_predict(head, x, t=4, seed=7)
     np.testing.assert_array_equal(pd.sample_probs, np.stack(passes, axis=1))
+
+
+def test_flipout_and_reparam_heads_with_one_theta_predict_the_same_bytes():
+    rng = np.random.default_rng(14)
+    heads = [build_head(HeadConfig(5, (7, 3), 3, STOCHASTIC_VI, estimator=e), init_seed=0)
+             for e in ("flipout", "reparam")]
+    # every rho (odd index) near -2, so that sigma is about 0.13
+    theta = [rng.normal(size=p.data.shape) - 2.0 * (j % 2)
+             for j, p in enumerate(heads[0].parameters())]
+    for head in heads:
+        for p, value in zip(head.parameters(), theta, strict=True):
+            p.data = value.copy()
+    x = Tensor(rng.normal(size=(9, 5)))
+    flip, rep = (mc_predict(head, x, t=6, seed=8).sample_probs for head in heads)
+    assert flip.tobytes() == rep.tobytes()
+    assert not (flip == flip[:, :1]).all()  # the passes differ
 
 
 @pytest.mark.parametrize("estimator", ["flipout", "reparam"])
