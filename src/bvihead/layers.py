@@ -93,7 +93,9 @@ class NoiseDraw:
     sign_out: np.ndarray | None = None
 
 
-def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None, *, _backward=False):
+def dense_forward(
+    layer: DenseDeterministic, x, _memo: dict | None = None, *, out=None, _backward=False
+):
     """x W + b with the bias broadcast across rows.
 
     A Tensor x gives one graph node over (x, W, b). An array x with
@@ -102,7 +104,7 @@ def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None, *, _b
     and returns dx when `need_dx` (a dense layer has no KL, so it ignores
     gk); the node's backward calls it. At inference `_memo`, a dict shared
     by calls on the same x, keeps the output of the first call and returns
-    it to later ones, which must not write to it; a non-finite output
+    it to later ones, and `out` receives the output; a non-finite output
     raises NumericError.
     """
     if len(x.shape) != 2 or x.shape[1] != layer.weight.shape[0]:
@@ -124,7 +126,8 @@ def dense_forward(layer: DenseDeterministic, x, _memo: dict | None = None, *, _b
         return (x @ wa) + b.data, backward
     memo = {} if _memo is None else _memo
     if "out" not in memo:
-        out = (x @ w.data) + b.data
+        out = np.matmul(x, w.data, out=out)
+        out += b.data
         # checked once, here: later calls return this same array
         if not np.isfinite(out).all():
             raise NumericError("forward produced non-finite values")
@@ -219,7 +222,8 @@ def _variational_backward(layer: DenseVariational, post, data_grads):
 
 
 def variational_forward_reparam(
-    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None, *, _backward=False
+    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None, *, out=None,
+    _backward=False,
 ):
     """One weight/bias draw shared by the whole batch: x W_sample + b_sample.
 
@@ -228,7 +232,8 @@ def variational_forward_reparam(
     `_variational_backward`), which the node's backward calls; both take a
     reparam layer only. Inference, an array x alone, takes either estimator;
     `_memo`, a dict shared by calls on the same parameters, keeps the
-    posterior's std and KL from the first call.
+    posterior's std and KL from the first call, and `out` receives the
+    output.
     """
     if (_backward or isinstance(x, Tensor)) and layer.estimator != REPARAM:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
@@ -239,7 +244,7 @@ def variational_forward_reparam(
     post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
     w = w_std * noise.weight_eps
     w += layer.weight_post.mu.data
-    out = x @ w
+    out = np.matmul(x, w, out=out)
     out += layer.bias_post.mu.data + b_std * noise.bias_eps
     if not _backward:
         return out, kl
@@ -313,14 +318,16 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw, *,
 
 
 def dropout_forward(
-    spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str, *, _backward=False
+    spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str, *, out=None, _backward=False
 ):
     """Inverted dropout: zero with probability rate, scale survivors.
 
     DeterministicInference is the identity map regardless of rate. A
     Tensor x gives one graph node; an array x with `_backward` also returns
     the backward `g -> g * keep` that the node calls, or None for the
-    identity map.
+    identity map. At inference `mask_noise` may also be the boolean mask
+    `mask_noise >= rate` of the kept units, and `out`, which may be x or
+    the mask noise, receives the output.
     """
     if phase not in PHASES:
         raise ConfigError(f"unknown phase {phase!r}")
@@ -334,11 +341,14 @@ def dropout_forward(
     if mask_noise is None or mask_noise.shape != x.shape:
         got = None if mask_noise is None else mask_noise.shape
         raise ShapeError(f"mask noise shape {got} does not match input {x.shape}")
-    keep = (mask_noise >= spec.rate) * (1.0 / (1.0 - spec.rate))
     if _backward:
+        keep = (mask_noise >= spec.rate) * (1.0 / (1.0 - spec.rate))
         return x * keep, lambda g: g * keep
-    keep *= x
-    return keep
+    keep = mask_noise if mask_noise.dtype == bool else mask_noise >= spec.rate
+    # (x * 1.0 or x * 0.0) * scale is bit for bit (1.0 or 0.0) * scale * x
+    out = np.multiply(x, keep, out=out)
+    out *= 1.0 / (1.0 - spec.rate)
+    return out
 
 
 def _check_input(layer: DenseVariational, x) -> None:
@@ -402,16 +412,3 @@ def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
         bg.state = state
     return signs
 
-
-def zero_layer_noise(layer: DenseVariational, m: int) -> NoiseDraw:
-    """All-zero noise: collapses any estimator onto the posterior means."""
-    d_in, d_out = layer.weight_post.shape
-    draw = NoiseDraw(np.zeros((d_in, d_out)), np.zeros(d_out))
-    if layer.estimator == FLIPOUT:
-        return NoiseDraw(
-            draw.weight_eps,
-            draw.bias_eps,
-            np.ones((m, d_in), dtype=np.int8),
-            np.ones((m, d_out), dtype=np.int8),
-        )
-    return draw

@@ -41,7 +41,6 @@ from .layers import (
     dropout_forward,
     variational_forward_flipout,
     variational_forward_reparam,
-    zero_layer_noise,
 )
 from .tensor import (
     Tensor,
@@ -176,14 +175,8 @@ def draw_noise_bundle(head: Head, m: int, rng: np.random.Generator, phase: str =
 
 
 def zero_noise_bundle(head: Head, m: int) -> list:
-    """Zero-noise bundle: VI layers collapse to posterior means, no dropout."""
-    bundle = []
-    for layer in head.layers:
-        if isinstance(layer, DenseVariational):
-            bundle.append(zero_layer_noise(layer, m))
-        else:
-            bundle.append(None)
-    return bundle
+    """No noise for any layer: a deterministic head's inference bundle."""
+    return [None] * len(head.layers)
 
 
 def forward(
@@ -198,8 +191,10 @@ def forward(
     no graph, run every variational layer's reparam forward (one weight draw
     per pass) and return two leaf tensors. `_memo`, a dict shared by
     inference forwards of the same x, keeps per layer what does not change
-    between them: each posterior's std and KL, and a dense first layer's
-    output.
+    between them: each posterior's std and KL, a dense first layer's ReLU'd
+    output, and the array each other layer writes its output into. An MC
+    dropout layer writes over its mask noise instead, once read off as
+    booleans, so that bundle serves one forward.
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -212,32 +207,49 @@ def forward(
     if phase not in PHASES:
         raise ConfigError(f"unknown phase {phase!r}")
     tape = phase == TRAIN
+    spec = head.dropout
+    if spec is not None and phase == MC_INFERENCE and not spec.mc_at_inference:
+        phase = DETERMINISTIC_INFERENCE
+    masked = not tape and spec is not None and spec.rate > 0 and phase == MC_INFERENCE
+    memo = {} if tape or _memo is None else _memo
     kl_total = None
     h = x if tape else x.data
     for i, layer in enumerate(head.layers):
         if isinstance(layer, DenseVariational) and noise[i] is None:
             raise ConfigError(f"layer {i}: variational layer needs a noise draw")
-        kl = None
-        memo = None if _memo is None else _memo.setdefault(i, {})
+        kl, reused, mask = None, False, None  # the last layer's mask is freed first
+        layer_memo = memo.setdefault(i, {})  # its "out" is the layer's output array
+        shape = (x.shape[0], head.config.layer_dims[i][1])
+        # a mask of another shape goes to dropout_forward, which rejects it
+        over_mask = masked and i < 2 and noise[i] is not None and noise[i].shape == shape
+        mask = noise[i] >= spec.rate if over_mask else noise[i]
         try:
             if isinstance(layer, DenseVariational):
                 if not tape or layer.estimator == REPARAM:
-                    h, kl = variational_forward_reparam(layer, h, noise[i], memo)
+                    h, kl = variational_forward_reparam(
+                        layer, h, noise[i], layer_memo, out=layer_memo.get("out")
+                    )
                 else:
                     h, kl = variational_forward_flipout(layer, h, noise[i])
                 kl_total = kl if kl_total is None else kl_total + kl
+            elif i == 0 and not tape:
+                reused = "out" in layer_memo  # then it holds the ReLU'd output
+                h = dense_forward(layer, h, layer_memo)
             else:
-                h = dense_forward(layer, h, memo if i == 0 else None)
+                out = noise[i] if over_mask else layer_memo.get("out")
+                h = dense_forward(layer, h, out=out)
+            if not over_mask:
+                layer_memo["out"] = h
             # checked before relu, which would hide -inf; dense_forward checks its own output
             if not tape and kl is not None and not (np.isfinite(h).all() and np.isfinite(kl)):
                 raise NumericError("forward produced non-finite values")
             if i < 2:
-                h = h.relu() if tape else np.maximum(h, 0.0)
-                if head.dropout is not None:
-                    drop_phase = phase
-                    if phase == MC_INFERENCE and not head.dropout.mc_at_inference:
-                        drop_phase = DETERMINISTIC_INFERENCE
-                    h = dropout_forward(head.dropout, h, noise[i], drop_phase)
+                if tape:
+                    h = h.relu()
+                elif not reused:
+                    np.maximum(h, 0.0, out=h)
+                if spec is not None:
+                    h = dropout_forward(spec, h, mask, phase, out=noise[i])
         except NumericError as exc:
             raise NumericError(f"layer {i}: {exc}") from exc
     if not tape:
@@ -245,9 +257,7 @@ def forward(
             Tensor(log_softmax_array(h), _op="log_softmax"),
             Tensor(0.0 if kl_total is None else kl_total, _op="kl"),
         )
-    if kl_total is None:
-        kl_total = Tensor(0.0)
-    return h.log_softmax(), kl_total
+    return h.log_softmax(), Tensor(0.0) if kl_total is None else kl_total
 
 
 def train_step(

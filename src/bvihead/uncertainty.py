@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import MAX_FEATURE_VALUES
 from .errors import ConfigError, DataError
 from .fsio import atomic_write_text
 from .layers import DETERMINISTIC_INFERENCE
@@ -136,21 +137,26 @@ def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistributi
     distribution. Pass i draws its noise from a generator sub-seeded with
     (seed, i), so results do not depend on execution order and are
     reproducible: one weight draw per variational layer (no Flipout signs)
-    or the dropout masks. A dense first layer's output is computed once."""
+    or the dropout masks. A dense first layer's output is computed once and
+    the passes share one workspace. M * T * K > MAX_FEATURE_VALUES raises
+    ConfigError before any pass."""
     if t < 1:
         raise ConfigError(f"sample count must be >= 1, got {t}")
-    m = x.shape[0]
+    m, k = x.shape[0], head.config.num_classes
+    if m * t * k > MAX_FEATURE_VALUES:
+        raise ConfigError(f"inference.mc_samples: {t} passes over {m} rows of {k} classes"
+                          f" are {m * t * k} probabilities, more than {MAX_FEATURE_VALUES}")
     phase = inference_phase(head)
-    all_probs = np.empty((m, t, head.config.num_classes))
+    all_probs = np.empty((m, t, k))
     memo: dict = {}
     for i in range(t):
-        rng = np.random.default_rng((seed, i))
         if phase == DETERMINISTIC_INFERENCE:
             bundle = zero_noise_bundle(head, m)
         else:
-            bundle = draw_noise_bundle(head, m, rng, phase)
+            bundle = draw_noise_bundle(head, m, np.random.default_rng((seed, i)), phase)
         log_probs, _ = forward(head, x, bundle, phase, _memo=memo)
-        all_probs[:, i] = np.exp(log_probs.data)
+        del bundle  # its masks hold this pass's activations: freed before the next draw
+        np.exp(log_probs.data, out=all_probs[:, i])
     return PredictiveDistribution.from_samples(all_probs)
 
 

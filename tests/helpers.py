@@ -1,7 +1,9 @@
-"""Shared test oracles: central finite differences against autodiff."""
+"""Shared test oracles: central finite differences against autodiff, and
+all-zero noise that collapses a variational layer onto its posterior means."""
 
 import numpy as np
 
+from bvihead.layers import FLIPOUT, DenseVariational, NoiseDraw
 from bvihead.tensor import Tensor
 
 
@@ -51,3 +53,24 @@ def gradient_rel_error(make_loss, arrays, h=1e-5):
 def assert_gradients_match(make_loss, arrays, rel=1e-6, h=1e-5):
     err = gradient_rel_error(make_loss, arrays, h=h)
     assert err < rel, f"gradient mismatch: rel error {err:.3e} >= {rel}"
+
+
+def zero_layer_noise(layer: DenseVariational, m: int) -> NoiseDraw:
+    """All-zero noise: collapses any estimator onto the posterior means."""
+    d_in, d_out = layer.weight_post.shape
+    draw = NoiseDraw(np.zeros((d_in, d_out)), np.zeros(d_out))
+    if layer.estimator == FLIPOUT:
+        return NoiseDraw(
+            draw.weight_eps,
+            draw.bias_eps,
+            np.ones((m, d_in), dtype=np.int8),
+            np.ones((m, d_out), dtype=np.int8),
+        )
+    return draw
+
+
+def zero_noise(head, m: int) -> list:
+    """A bundle with all-zero noise for each variational layer and no
+    dropout mask."""
+    return [zero_layer_noise(layer, m) if isinstance(layer, DenseVariational) else None
+            for layer in head.layers]

@@ -197,6 +197,23 @@ def test_oversized_count_exits_2_naming_the_key(workdir, command, argv, key):
     assert err.startswith(f"error: {key}") and err.count("\n") == 1, err
 
 
+def test_eval_bounds_the_mc_result_before_writing_anything(workdir):
+    # 1,536 rows (256 validation, 1,280 OOD) * 10**4 passes * 8 classes
+    # are more than 10**8 probabilities
+    out = workdir / "huge-result"
+    path = workdir / "huge-result.json"
+    data = {"k_in": 8, "k_out": 8, "feature_dim": 4, "per_class": 160, "formats": ["bfv"]}
+    path.write_text(json.dumps({**TINY, "data": data, "train": {"epochs": 1}}))
+    common = ["--config", str(path), "--out", str(out)]
+    for command in ("gen-data", "train"):
+        assert run_cli([command, *common])[0] == EXIT_OK
+    code, err = run_cli(["eval", *common, "--mc-samples", "10000"])
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: inference.mc_samples: 10000 passes over 1536 rows"), err
+    assert err.count("\n") == 1
+    assert list(out.glob("eval_*")) == []
+
+
 @pytest.mark.parametrize(
     "argv, edit, words",
     [

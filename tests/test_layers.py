@@ -22,11 +22,10 @@ from bvihead.layers import (
     rademacher,
     variational_forward_flipout,
     variational_forward_reparam,
-    zero_layer_noise,
 )
 from bvihead.tensor import Tensor
 
-from helpers import assert_gradients_match
+from helpers import assert_gradients_match, zero_layer_noise
 
 
 def make_variational(d_in, d_out, estimator, seed=0, rho=-1.0):

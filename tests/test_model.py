@@ -25,6 +25,8 @@ from bvihead.model import (
 )
 from bvihead.tensor import Tensor
 
+from helpers import zero_noise
+
 
 def small_config(variant, estimator="flipout"):
     return HeadConfig(
@@ -105,7 +107,7 @@ def test_vi_zero_noise_equals_mean_forward():
     cfg = small_config(STOCHASTIC_VI, estimator=REPARAM)
     head = build_head(cfg, init_seed=2)
     x = Tensor(np.random.default_rng(1).normal(size=(3, 5)))
-    lp, _ = forward(head, x, zero_noise_bundle(head, 3), DETERMINISTIC_INFERENCE)
+    lp, _ = forward(head, x, zero_noise(head, 3), DETERMINISTIC_INFERENCE)
 
     det = build_head(small_config(DETERMINISTIC), init_seed=2)
     for dl, vl in zip(det.layers, head.layers):

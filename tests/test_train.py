@@ -31,7 +31,7 @@ from bvihead.train import (
     train,
 )
 
-from helpers import assert_gradients_match
+from helpers import assert_gradients_match, zero_noise
 
 
 def blobs_2class(n_per_class=100, seed=0):
@@ -326,7 +326,7 @@ def test_vi_zero_weight_zero_noise_matches_deterministic_gradients():
         dl.weight.data = vl.weight_post.mu.data.copy()
         dl.bias.data = vl.bias_post.mu.data.copy()
 
-    lp_vi, kl_vi = forward(vi, Tensor(x), zero_noise_bundle(vi, 5), TRAIN)
+    lp_vi, kl_vi = forward(vi, Tensor(x), zero_noise(vi, 5), TRAIN)
     loss_vi = elbo_loss(lp_vi, labels, kl_vi, 0.0)
     loss_vi.backward()
 

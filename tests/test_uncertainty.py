@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,21 +250,26 @@ def test_mc_predict_convergence_with_more_samples():
 def test_mc_predict_equals_a_loop_of_independent_passes(variant, estimator):
     # each pass on its own: no state shared between passes. The loop runs
     # the reparam head with the same parameters, since inference samples a
-    # Flipout layer's weights as the reparam forward does
-    head = build_head(HeadConfig(5, (7, 3), 3, variant, estimator=estimator), init_seed=12)
-    ref = build_head(HeadConfig(5, (7, 3), 3, variant, estimator="reparam"), init_seed=12)
+    # Flipout layer's weights as the reparam forward does. Hidden widths
+    # and class count all differ, so that no layer can pass with another
+    # layer's output array or mask; rate 0 draws no mask at all
     x = Tensor(np.random.default_rng(13).normal(size=(9, 5)))
-    phase = inference_phase(ref)
-    passes = []
-    for i in range(4):
-        if phase == DETERMINISTIC_INFERENCE:
-            bundle = zero_noise_bundle(ref, 9)
-        else:
-            bundle = draw_noise_bundle(ref, 9, np.random.default_rng((7, i)))
-        log_probs, _ = forward(ref, x, bundle, phase)
-        passes.append(np.exp(log_probs.data))
-    pd = mc_predict(head, x, t=4, seed=7)
-    np.testing.assert_array_equal(pd.sample_probs, np.stack(passes, axis=1))
+    for dims, rate in (((7, 4), 0.2), ((4, 7), 0.2), ((7, 4), 0.0)):
+        head, ref = (
+            build_head(HeadConfig(5, dims, 3, variant, rate, estimator=e), init_seed=12)
+            for e in (estimator, "reparam")
+        )
+        phase = inference_phase(ref)
+        passes = []
+        for i in range(4):
+            if phase == DETERMINISTIC_INFERENCE:
+                bundle = zero_noise_bundle(ref, 9)
+            else:
+                bundle = draw_noise_bundle(ref, 9, np.random.default_rng((7, i)))
+            log_probs, _ = forward(ref, x, bundle, phase)
+            passes.append(np.exp(log_probs.data))
+        pd = mc_predict(head, x, t=4, seed=7)
+        np.testing.assert_array_equal(pd.sample_probs, np.stack(passes, axis=1))
 
 
 def test_flipout_and_reparam_heads_with_one_theta_predict_the_same_bytes():
@@ -324,6 +330,66 @@ def test_mc_predict_first_layer_overflow_raises_on_the_first_pass(variant, monke
         with pytest.raises(NumericError, match="layer 0"):
             mc_predict(head, x, t=5, seed=3)
     assert passes == [0]
+
+
+def set_weight_means(head, values):
+    for layer, value in zip(head.layers, values):
+        weight = layer.weight if head.config.variant != STOCHASTIC_VI else layer.weight_post.mu
+        weight.data = np.full(weight.shape, value)
+
+
+@pytest.mark.parametrize("value", [1e150, -1e150])  # an in-place relu would map -inf to 0
+@pytest.mark.parametrize("index", [1, 2])
+@pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
+def test_mc_predict_hidden_overflow_names_its_layer_on_the_first_pass(
+    variant, index, value, monkeypatch
+):
+    # the layers before `index` map rows of 1e200 to activations of at
+    # least 5e200, which layer `index` then takes to +-inf; the weights
+    # stay small enough for a finite KL
+    head = build_head(HeadConfig(5, (7, 6), 3, variant), init_seed=12)
+    set_weight_means(head, [1.0] * index + [value])
+    passes = []
+    real_forward = uncertainty_mod.forward
+
+    def counting_forward(*args, **kwargs):
+        passes.append(len(passes))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(uncertainty_mod, "forward", counting_forward)
+    x = Tensor(np.full((4, 5), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=f"layer {index}"):
+            mc_predict(head, x, t=3, seed=3)
+    assert passes == [0]
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
+def test_mc_predict_peak_memory_is_at_most_four_hidden_arrays(variant):
+    # the passes reuse one workspace: a dense first layer's output, one
+    # array per other layer or the dropout masks, and nothing as wide
+    # per pass; an MC-dropout pass that allocates every layer output and
+    # dropout product anew peaks at about six
+    m = 2000
+    head = build_head(HeadConfig(16, (256, 256), 8, variant), init_seed=12)
+    x = Tensor(np.random.default_rng(13).normal(size=(m, 16)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mc_predict(head, x, t=2, seed=7)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    hidden_array = m * 256 * 8
+    assert peak <= 4 * hidden_array, f"{peak / hidden_array:.2f} hidden arrays"
+
+
+def test_mc_predict_bounds_the_result_before_any_pass(monkeypatch):
+    # 1,251 rows * 10**4 passes * 8 classes are 100,080,000 > 10**8 values
+    monkeypatch.setattr(uncertainty_mod, "forward", None)  # no pass may start
+    head = build_head(HeadConfig(5, (7, 3), 8, STOCHASTIC_VI), init_seed=12)
+    with pytest.raises(ConfigError, match=r"inference.mc_samples: 10000 passes over 1251 rows"):
+        mc_predict(head, Tensor(np.zeros((1251, 5))), t=10**4, seed=0)
 
 
 def test_mc_predict_stochastic_passes_differ():
