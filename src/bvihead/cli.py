@@ -33,7 +33,7 @@ from .model import (
 )
 from .tensor import Tensor
 from .train import TrainConfig, train
-from .uncertainty import mc_predict, save_reports
+from .uncertainty import check_mc_size, mc_predict, save_reports
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -230,10 +230,23 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_one(cfg, head, out_dir, eval_dir):
-    """Evaluate a trained head on val (+ ood when present); writes artifacts."""
-    val_path, fmt = _find_dataset(out_dir, "val")
-    val_set = data_mod.load_features(val_path, fmt)
+def _eval_data(out_dir):
+    """(val set, features, labels, is_ood) of the evaluation rows in out_dir:
+    val, then ood when present."""
+    val_set = data_mod.load_features(*_find_dataset(out_dir, "val"))
+    try:
+        ood_set = data_mod.load_features(*_find_dataset(out_dir, "ood"))
+    except FileNotFoundError:
+        print("notice: no OOD file found; OOD metrics will be omitted")
+        return val_set, val_set.features, val_set.labels, val_set.is_ood
+    return (val_set, np.concatenate([val_set.features, ood_set.features]),
+            np.concatenate([val_set.labels, ood_set.labels]),
+            np.concatenate([val_set.is_ood, ood_set.is_ood]))
+
+
+def _eval_one(cfg, head, eval_data, eval_dir):
+    """Evaluate a trained head on `_eval_data`'s rows; writes artifacts."""
+    val_set, features, labels, flags = eval_data
     if head.config.input_dim != val_set.feature_dim:
         raise ConfigError(
             f"checkpoint expects F={head.config.input_dim} features but the"
@@ -245,16 +258,6 @@ def _eval_one(cfg, head, out_dir, eval_dir):
             f"checkpoint has K={head.config.num_classes} classes but the"
             f" dataset needs K={k_data}"
         )
-    try:
-        ood_path, ood_fmt = _find_dataset(out_dir, "ood")
-        ood_set = data_mod.load_features(ood_path, ood_fmt)
-        features = np.concatenate([val_set.features, ood_set.features])
-        labels = np.concatenate([val_set.labels, ood_set.labels])
-        flags = np.concatenate([val_set.is_ood, ood_set.is_ood])
-    except FileNotFoundError:
-        print("notice: no OOD file found; OOD metrics will be omitted")
-        features, labels, flags = val_set.features, val_set.labels, val_set.is_ood
-
     t, seed, bins = _eval_keys(cfg)
     if head.config.variant == DETERMINISTIC and t > 1:
         print(
@@ -283,7 +286,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     ckpt = args.checkpoint or str(out_dir / f"checkpoint_{args.variant}.json")
     head = load_head(ckpt)
-    bundle = _eval_one(cfg, head, out_dir, out_dir / f"eval_{args.variant}")
+    bundle = _eval_one(cfg, head, _eval_data(out_dir), out_dir / f"eval_{args.variant}")
     print(json.dumps(bundle.summary, indent=1, sort_keys=True))
     return EXIT_OK
 
@@ -337,7 +340,7 @@ def cmd_compare(args) -> int:
         cfg["inference"]["mc_samples"] = args.mc_samples
     # every key the stages read, before the first file is written; the
     # head's input and class counts come from the data when it loads
-    _eval_keys(cfg)
+    t = _eval_keys(cfg)[0]
     head_config_from(cfg, DETERMINISTIC, 1, 2)
     _get(cfg, "head", "init_seed")
     train_config_from(cfg)
@@ -351,11 +354,16 @@ def cmd_compare(args) -> int:
             classes=getattr(args, "classes", None),
         )
         cmd_gen_data(gen_args)
+    eval_data = _eval_data(out_dir)
+    # the heads' class count is the training set's; the MC heads' result
+    # is the largest, and is bounded before the first head trains
+    k = data_mod.load_features(*_find_dataset(out_dir, "train")).num_classes()
+    check_mc_size(len(eval_data[2]), t, k)
 
     results = {}
     for idx, variant in enumerate(VARIANTS):
         head = _train_one(cfg, variant, out_dir, seed_offset=idx, tag=variant)
-        bundle = _eval_one(cfg, head, out_dir, out_dir / f"eval_{variant}")
+        bundle = _eval_one(cfg, head, eval_data, out_dir / f"eval_{variant}")
         results[variant] = bundle.summary
 
     md, csv_text = comparison_tables(results)

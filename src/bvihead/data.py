@@ -205,15 +205,6 @@ def generate(spec: SynthSpec) -> tuple[LabeledFeatureSet, LabeledFeatureSet, Lab
     return sets
 
 
-def min_center_gap(spec: SynthSpec) -> float:
-    """Smallest distance between any OOD center and any in-dist center."""
-    in_centers, out_centers = _centers(spec)
-    gaps = np.linalg.norm(
-        in_centers[:, None, :] - out_centers[None, :, :], axis=2
-    )
-    return float(gaps.min())
-
-
 # ---- batching ----------------------------------------------------------------
 
 

@@ -30,11 +30,10 @@ REPARAM = "reparam"
 FLIPOUT = "flipout"
 ESTIMATORS = (REPARAM, FLIPOUT)
 
-# forward-pass phases
+# forward-pass phases; which noise a pass sees is its noise bundle's choice
 TRAIN = "train"
 MC_INFERENCE = "mc-inference"
-DETERMINISTIC_INFERENCE = "deterministic-inference"
-PHASES = (TRAIN, MC_INFERENCE, DETERMINISTIC_INFERENCE)
+PHASES = (TRAIN, MC_INFERENCE)
 
 
 @dataclass
@@ -70,7 +69,6 @@ class DenseVariational:
 @dataclass(frozen=True)
 class DropoutSpec:
     rate: float
-    mc_at_inference: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
@@ -322,16 +320,17 @@ def dropout_forward(
 ):
     """Inverted dropout: zero with probability rate, scale survivors.
 
-    DeterministicInference is the identity map regardless of rate. A
-    Tensor x gives one graph node; an array x with `_backward` also returns
-    the backward `g -> g * keep` that the node calls, or None for the
-    identity map. At inference `mask_noise` may also be the boolean mask
-    `mask_noise >= rate` of the kept units, and `out`, which may be x or
-    the mask noise, receives the output.
+    The noise bundle decides: at inference a None mask is the identity map;
+    in TRAIN a rate > 0 with no mask raises ShapeError. A Tensor x gives one
+    graph node; an array x with `_backward` also returns the backward
+    `g -> g * keep` that the node calls, or None for the identity map. At
+    inference `mask_noise` may also be the boolean mask `mask_noise >= rate`
+    of the kept units, and `out`, which may be x or the mask noise,
+    receives the output.
     """
     if phase not in PHASES:
         raise ConfigError(f"unknown phase {phase!r}")
-    if phase == DETERMINISTIC_INFERENCE or spec.rate == 0.0:
+    if spec.rate == 0.0 or (mask_noise is None and phase != TRAIN):
         return (x, None) if _backward else x
     if isinstance(x, Tensor):
         out, backward = dropout_forward(spec, x.data, mask_noise, phase, _backward=True)

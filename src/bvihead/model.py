@@ -26,10 +26,8 @@ from .dist import DiagonalGaussian, PriorSpec
 from .errors import ConfigError, NumericError, ShapeError
 from .fsio import atomic_write_text
 from .layers import (
-    DETERMINISTIC_INFERENCE,
     ESTIMATORS,
     FLIPOUT,
-    MC_INFERENCE,
     PHASES,
     REPARAM,
     TRAIN,
@@ -147,11 +145,7 @@ def build_head(cfg: HeadConfig, init_seed: int) -> Head:
             layers.append(
                 DenseDeterministic(Tensor(w), Tensor(np.zeros(d_out)))
             )
-    dropout = None
-    if cfg.variant in (DETERMINISTIC, MC_DROPOUT):
-        dropout = DropoutSpec(
-            cfg.dropout_rate, mc_at_inference=cfg.variant == MC_DROPOUT
-        )
+    dropout = DropoutSpec(cfg.dropout_rate) if cfg.variant != STOCHASTIC_VI else None
     return Head(config=cfg, layers=layers, dropout=dropout)
 
 
@@ -159,16 +153,18 @@ def build_head(cfg: HeadConfig, init_seed: int) -> Head:
 
 
 def draw_noise_bundle(head: Head, m: int, rng: np.random.Generator, phase: str = TRAIN) -> list:
-    """One entry per layer: NoiseDraw for variational layers (with Flipout
-    signs in TRAIN only), dropout mask noise for the two hidden activations
-    of dropout variants, None otherwise."""
+    """One entry per layer, the only code that decides which noise a forward
+    sees: NoiseDraw for variational layers (with Flipout signs in TRAIN
+    only), mask noise for the two hidden activations at a dropout rate > 0
+    in TRAIN, and at inference for MC dropout only, None (no noise) else."""
+    masks = (head.dropout is not None and head.dropout.rate > 0
+             and (phase == TRAIN or head.config.variant == MC_DROPOUT))
     bundle = []
     for i, layer in enumerate(head.layers):
         if isinstance(layer, DenseVariational):
             bundle.append(draw_layer_noise(layer, m, rng, phase))
-        elif i < 2 and head.dropout is not None and head.dropout.rate > 0:
-            d_out = layer.weight.shape[1]
-            bundle.append(rng.random((m, d_out)))
+        elif i < 2 and masks:
+            bundle.append(rng.random((m, layer.weight.shape[1])))
         else:
             bundle.append(None)
     return bundle
@@ -185,16 +181,17 @@ def forward(
     """Batched forward pass returning (log_probs, total KL).
 
     KL is zero for non-variational variants. Any non-finite intermediate
-    raises NumericError naming the offending layer. TRAIN records the
-    autodiff graph, the gradient reference of `train_step`; the inference
-    phases run the same layer functions on the parameters' arrays, record
-    no graph, run every variational layer's reparam forward (one weight draw
-    per pass) and return two leaf tensors. `_memo`, a dict shared by
+    raises NumericError naming the offending layer. The noise bundle alone
+    decides what is random; a None dropout entry is no dropout at
+    inference. TRAIN records the autodiff graph, the gradient reference of
+    `train_step`; MC_INFERENCE runs the same layer functions on plain
+    arrays, records no graph, runs every variational layer's reparam
+    forward and returns two leaf tensors. `_memo`, a dict shared by
     inference forwards of the same x, keeps per layer what does not change
     between them: each posterior's std and KL, a dense first layer's ReLU'd
-    output, and the array each other layer writes its output into. An MC
-    dropout layer writes over its mask noise instead, once read off as
-    booleans, so that bundle serves one forward.
+    output, and the array each other layer writes its output into. A
+    masked dropout layer writes over its mask noise instead, once read off
+    as booleans, so that bundle serves one forward.
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -208,9 +205,6 @@ def forward(
         raise ConfigError(f"unknown phase {phase!r}")
     tape = phase == TRAIN
     spec = head.dropout
-    if spec is not None and phase == MC_INFERENCE and not spec.mc_at_inference:
-        phase = DETERMINISTIC_INFERENCE
-    masked = not tape and spec is not None and spec.rate > 0 and phase == MC_INFERENCE
     memo = {} if tape or _memo is None else _memo
     kl_total = None
     h = x if tape else x.data
@@ -221,7 +215,8 @@ def forward(
         layer_memo = memo.setdefault(i, {})  # its "out" is the layer's output array
         shape = (x.shape[0], head.config.layer_dims[i][1])
         # a mask of another shape goes to dropout_forward, which rejects it
-        over_mask = masked and i < 2 and noise[i] is not None and noise[i].shape == shape
+        over_mask = (not tape and spec is not None and i < 2 and noise[i] is not None
+                     and noise[i].shape == shape)
         mask = noise[i] >= spec.rate if over_mask else noise[i]
         try:
             if isinstance(layer, DenseVariational):
@@ -317,13 +312,6 @@ def train_step(
         g = back(g, gk, grads[start:end], i > 0)
         end = start
     return log_probs, nll, kl, loss
-
-
-def inference_phase(head: Head) -> str:
-    """The phase mc_predict should use for this head's variant."""
-    if head.config.variant == DETERMINISTIC:
-        return DETERMINISTIC_INFERENCE
-    return MC_INFERENCE
 
 
 # ---- checkpoint serialization ----------------------------------------------

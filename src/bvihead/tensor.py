@@ -175,9 +175,6 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
 
-    def matmul(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
     # ---- unary ops ---------------------------------------------------------
 
     def relu(self) -> "Tensor":
@@ -206,9 +203,6 @@ class Tensor:
 
     def log_softmax(self) -> "Tensor":
         return log_softmax(self)
-
-    def nll(self, labels) -> "Tensor":
-        return nll(self, labels)
 
     # ---- backward ------------------------------------------------------------
 

@@ -24,8 +24,9 @@ import numpy as np
 from .data import MAX_FEATURE_VALUES
 from .errors import ConfigError, DataError
 from .fsio import atomic_write_text
-from .layers import DETERMINISTIC_INFERENCE
-from .model import Head, draw_noise_bundle, forward, inference_phase, zero_noise_bundle
+from .layers import MC_INFERENCE
+from .model import Head, draw_noise_bundle, forward
+from .model import zero_noise_bundle  # noqa: F401  # perfbench/tracer.py wraps it here
 from .tensor import Tensor
 
 
@@ -132,29 +133,29 @@ def report(pd: PredictiveDistribution) -> ReportColumns:
     return ReportColumns(predicted, confidence, pe, ee, pe - ee)
 
 
-def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistribution:
-    """Run t stochastic passes over the M examples of x; one M x T x K
-    distribution. Pass i draws its noise from a generator sub-seeded with
-    (seed, i), so results do not depend on execution order and are
-    reproducible: one weight draw per variational layer (no Flipout signs)
-    or the dropout masks. A dense first layer's output is computed once and
-    the passes share one workspace. M * T * K > MAX_FEATURE_VALUES raises
-    ConfigError before any pass."""
+def check_mc_size(m: int, t: int, k: int) -> None:
+    """ConfigError unless t >= 1 and t passes over m rows of k classes are
+    at most MAX_FEATURE_VALUES probabilities."""
     if t < 1:
         raise ConfigError(f"sample count must be >= 1, got {t}")
-    m, k = x.shape[0], head.config.num_classes
     if m * t * k > MAX_FEATURE_VALUES:
         raise ConfigError(f"inference.mc_samples: {t} passes over {m} rows of {k} classes"
                           f" are {m * t * k} probabilities, more than {MAX_FEATURE_VALUES}")
-    phase = inference_phase(head)
+
+
+def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistribution:
+    """Run t stochastic passes over the M examples of x; one M x T x K
+    distribution. Pass i draws its MC_INFERENCE noise bundle from a
+    generator sub-seeded with (seed, i), so results do not depend on
+    execution order and are reproducible. A dense first layer's output is
+    computed once and the passes share one workspace."""
+    m, k = x.shape[0], head.config.num_classes
+    check_mc_size(m, t, k)  # before any pass
     all_probs = np.empty((m, t, k))
     memo: dict = {}
     for i in range(t):
-        if phase == DETERMINISTIC_INFERENCE:
-            bundle = zero_noise_bundle(head, m)
-        else:
-            bundle = draw_noise_bundle(head, m, np.random.default_rng((seed, i)), phase)
-        log_probs, _ = forward(head, x, bundle, phase, _memo=memo)
+        bundle = draw_noise_bundle(head, m, np.random.default_rng((seed, i)), MC_INFERENCE)
+        log_probs, _ = forward(head, x, bundle, MC_INFERENCE, _memo=memo)
         del bundle  # its masks hold this pass's activations: freed before the next draw
         np.exp(log_probs.data, out=all_probs[:, i])
     return PredictiveDistribution.from_samples(all_probs)

@@ -1,8 +1,10 @@
-"""Shared test oracles: central finite differences against autodiff, and
-all-zero noise that collapses a variational layer onto its posterior means."""
+"""Shared test oracles: central finite differences against autodiff,
+all-zero noise that collapses a variational layer onto its posterior means,
+and the distance between the synthetic in-distribution and OOD centers."""
 
 import numpy as np
 
+from bvihead.data import SynthSpec, _centers
 from bvihead.layers import FLIPOUT, DenseVariational, NoiseDraw
 from bvihead.tensor import Tensor
 
@@ -74,3 +76,12 @@ def zero_noise(head, m: int) -> list:
     dropout mask."""
     return [zero_layer_noise(layer, m) if isinstance(layer, DenseVariational) else None
             for layer in head.layers]
+
+
+def min_center_gap(spec: SynthSpec) -> float:
+    """Smallest distance between any OOD center and any in-dist center."""
+    in_centers, out_centers = _centers(spec)
+    gaps = np.linalg.norm(
+        in_centers[:, None, :] - out_centers[None, :, :], axis=2
+    )
+    return float(gaps.min())

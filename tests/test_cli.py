@@ -384,6 +384,23 @@ def test_compare_emits_three_row_table(tiny_config, tmp_path, capsys):
     assert (out / "compare.csv").exists()
 
 
+def test_compare_bounds_the_mc_result_before_training(tmp_path, capsys):
+    # 1,536 evaluation rows (256 validation, 1,280 OOD) * 10**4 passes * 8
+    # classes are more than 10**8 probabilities; the deterministic head's
+    # single pass would fit, so the bound must not wait for the MC heads
+    path = tmp_path / "config.json"
+    data = {**TINY["data"], "k_in": 8, "k_out": 8, "per_class": 160}
+    path.write_text(json.dumps({**TINY, "data": data}))
+    out = tmp_path / "ws"
+    code = run(["compare", "--config", str(path), "--out", str(out), "--mc-samples", "10000"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: inference.mc_samples: 10000 passes over 1536 rows"), err
+    assert err.count("\n") == 1
+    written = [p.name for p in out.iterdir()]
+    assert [n for n in written if n.startswith(("checkpoint_", "train_report_", "eval_"))] == []
+
+
 def test_compare_rerun_identical_outputs(tiny_config, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

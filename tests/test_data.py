@@ -7,10 +7,11 @@ from bvihead.data import (
     batches,
     generate,
     load_features,
-    min_center_gap,
     save_features,
 )
 from bvihead.errors import ConfigError, DataError, GenerationError, ParseError
+
+from helpers import min_center_gap
 
 
 def tiny_spec(**overrides):

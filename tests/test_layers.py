@@ -7,7 +7,6 @@ import pytest
 from bvihead.dist import DiagonalGaussian
 from bvihead.errors import ConfigError, ContractError, ShapeError
 from bvihead.layers import (
-    DETERMINISTIC_INFERENCE,
     FLIPOUT,
     MC_INFERENCE,
     REPARAM,
@@ -602,15 +601,19 @@ def test_zero_flipout_noise_has_int8_signs():
 def test_dropout_rate_zero_is_identity_in_all_phases():
     spec = DropoutSpec(0.0)
     x = Tensor(np.random.default_rng(30).normal(size=(3, 4)))
-    for phase in (TRAIN, MC_INFERENCE, DETERMINISTIC_INFERENCE):
+    for phase in (TRAIN, MC_INFERENCE):
         out = dropout_forward(spec, x, np.zeros((3, 4)), phase)
         assert out is x
 
 
-def test_dropout_deterministic_inference_is_identity():
+def test_dropout_without_mask_is_identity_at_inference_only():
     spec = DropoutSpec(0.7)
-    x = Tensor(np.random.default_rng(31).normal(size=(2, 5)))
-    assert dropout_forward(spec, x, None, DETERMINISTIC_INFERENCE) is x
+    x = np.random.default_rng(31).normal(size=(2, 5))
+    assert dropout_forward(spec, x, None, MC_INFERENCE) is x
+    t = Tensor(x)
+    assert dropout_forward(spec, t, None, MC_INFERENCE) is t
+    with pytest.raises(ShapeError):
+        dropout_forward(spec, Tensor(x), None, TRAIN)
 
 
 def test_dropout_preserves_expectation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bvihead.errors import ConfigError, NumericError, ShapeError
-from bvihead.layers import DETERMINISTIC_INFERENCE, MC_INFERENCE, REPARAM, TRAIN
+from bvihead.layers import MC_INFERENCE, REPARAM, TRAIN
 from bvihead.model import (
     DETERMINISTIC,
     MC_DROPOUT,
@@ -18,7 +18,6 @@ from bvihead.model import (
     forward,
     head_from_dict,
     head_to_dict,
-    inference_phase,
     load_head,
     save_head,
     zero_noise_bundle,
@@ -99,7 +98,7 @@ def test_noise_bundle_reproduces_the_uniform_and_integer_stream(variant, estimat
 def test_deterministic_variant_kl_is_zero():
     head = build_head(small_config(DETERMINISTIC), init_seed=1)
     x = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
-    _, kl = forward(head, x, zero_noise_bundle(head, 4), DETERMINISTIC_INFERENCE)
+    _, kl = forward(head, x, zero_noise_bundle(head, 4), MC_INFERENCE)
     assert float(kl.data) == 0.0
 
 
@@ -107,13 +106,13 @@ def test_vi_zero_noise_equals_mean_forward():
     cfg = small_config(STOCHASTIC_VI, estimator=REPARAM)
     head = build_head(cfg, init_seed=2)
     x = Tensor(np.random.default_rng(1).normal(size=(3, 5)))
-    lp, _ = forward(head, x, zero_noise(head, 3), DETERMINISTIC_INFERENCE)
+    lp, _ = forward(head, x, zero_noise(head, 3), MC_INFERENCE)
 
     det = build_head(small_config(DETERMINISTIC), init_seed=2)
     for dl, vl in zip(det.layers, head.layers):
         dl.weight.data = vl.weight_post.mu.data.copy()
         dl.bias.data = vl.bias_post.mu.data.copy()
-    lp_det, _ = forward(det, x, zero_noise_bundle(det, 3), DETERMINISTIC_INFERENCE)
+    lp_det, _ = forward(det, x, zero_noise_bundle(det, 3), MC_INFERENCE)
     np.testing.assert_allclose(lp.data, lp_det.data, rtol=1e-12)
 
 
@@ -143,8 +142,8 @@ def test_kl_total_ignores_input_and_noise():
 def test_deterministic_inference_is_pure():
     head = build_head(small_config(DETERMINISTIC), init_seed=7)
     x = Tensor(np.random.default_rng(8).normal(size=(3, 5)))
-    lp1, _ = forward(head, x, zero_noise_bundle(head, 3), DETERMINISTIC_INFERENCE)
-    lp2, _ = forward(head, x, zero_noise_bundle(head, 3), DETERMINISTIC_INFERENCE)
+    lp1, _ = forward(head, x, zero_noise_bundle(head, 3), MC_INFERENCE)
+    lp2, _ = forward(head, x, zero_noise_bundle(head, 3), MC_INFERENCE)
     np.testing.assert_array_equal(lp1.data, lp2.data)
 
 
@@ -188,13 +187,32 @@ def test_inference_bundle_draws_only_the_eps_arrays(estimator):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def test_deterministic_inference_bundle_is_empty_and_draws_nothing():
+    head = build_head(small_config(DETERMINISTIC), init_seed=28)
+    rng = np.random.default_rng(29)
+    state = rng.bit_generator.state
+    assert draw_noise_bundle(head, 9, rng, MC_INFERENCE) == [None, None, None]
+    assert rng.bit_generator.state == state
+
+
+def test_mc_dropout_inference_bundle_equals_its_train_bundle():
+    head = build_head(small_config(MC_DROPOUT), init_seed=30)
+    rng_train, rng_mc = np.random.default_rng(31), np.random.default_rng(31)
+    train = draw_noise_bundle(head, 9, rng_train, TRAIN)
+    mc = draw_noise_bundle(head, 9, rng_mc, MC_INFERENCE)
+    assert [a is None for a in mc] == [False, False, True]
+    for a, b in zip(train, mc, strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert rng_mc.bit_generator.state == rng_train.bit_generator.state
+
+
 def test_deterministic_inference_matches_train_without_dropout():
     cfg = HeadConfig(5, (7, 6), 3, DETERMINISTIC, dropout_rate=0.0)
     head = build_head(cfg, init_seed=19)
     x = Tensor(np.random.default_rng(20).normal(size=(4, 5)))
     noise = zero_noise_bundle(head, 4)
     lp_train, _ = forward(head, x, noise, TRAIN)
-    lp_det, kl_det = forward(head, x, noise, DETERMINISTIC_INFERENCE)
+    lp_det, kl_det = forward(head, x, noise, MC_INFERENCE)
     assert lp_det.data.tobytes() == lp_train.data.tobytes()
     assert float(kl_det.data) == 0.0
 
@@ -207,9 +225,9 @@ def test_inference_overflow_names_the_layer(variant, value):
     weight = layer.weight if variant != STOCHASTIC_VI else layer.weight_post.mu
     weight.data = np.full(weight.shape, value)
     x = Tensor(np.full((3, 5), 1.0))
-    noise = draw_noise_bundle(head, 3, np.random.default_rng(22))
     with np.errstate(over="ignore", invalid="ignore"):
-        for phase in (TRAIN, inference_phase(head)):
+        for phase in (TRAIN, MC_INFERENCE):
+            noise = draw_noise_bundle(head, 3, np.random.default_rng(22), phase)
             with pytest.raises(NumericError, match="layer 1"):
                 forward(head, x, noise, phase)
 

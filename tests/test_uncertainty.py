@@ -7,7 +7,7 @@ import pytest
 
 import bvihead.uncertainty as uncertainty_mod
 from bvihead.errors import ConfigError, DataError, NumericError
-from bvihead.layers import DETERMINISTIC_INFERENCE
+from bvihead.layers import MC_INFERENCE
 from bvihead.model import (
     DETERMINISTIC,
     MC_DROPOUT,
@@ -16,8 +16,6 @@ from bvihead.model import (
     build_head,
     draw_noise_bundle,
     forward,
-    inference_phase,
-    zero_noise_bundle,
 )
 from bvihead.tensor import Tensor
 from bvihead.uncertainty import (
@@ -259,14 +257,10 @@ def test_mc_predict_equals_a_loop_of_independent_passes(variant, estimator):
             build_head(HeadConfig(5, dims, 3, variant, rate, estimator=e), init_seed=12)
             for e in (estimator, "reparam")
         )
-        phase = inference_phase(ref)
         passes = []
         for i in range(4):
-            if phase == DETERMINISTIC_INFERENCE:
-                bundle = zero_noise_bundle(ref, 9)
-            else:
-                bundle = draw_noise_bundle(ref, 9, np.random.default_rng((7, i)))
-            log_probs, _ = forward(ref, x, bundle, phase)
+            bundle = draw_noise_bundle(ref, 9, np.random.default_rng((7, i)), MC_INFERENCE)
+            log_probs, _ = forward(ref, x, bundle, MC_INFERENCE)
             passes.append(np.exp(log_probs.data))
         pd = mc_predict(head, x, t=4, seed=7)
         np.testing.assert_array_equal(pd.sample_probs, np.stack(passes, axis=1))
