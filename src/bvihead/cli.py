@@ -201,21 +201,19 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _train_one(cfg, variant, out_dir, seed_offset=0, tag=None):
-    """Train one variant against the datasets in out_dir; returns the head."""
-    tag = tag or variant
-    train_path, fmt = _find_dataset(out_dir, "train")
-    train_set = data_mod.load_features(train_path, fmt)
+def _train_one(cfg, variant, train_set, out_dir, seed_offset=0):
+    """Train one variant on train_set and write its checkpoint and report
+    into out_dir; returns the head."""
     k = train_set.num_classes()
     head_cfg = head_config_from(cfg, variant, train_set.feature_dim, k)
     head = build_head(head_cfg, init_seed=_get(cfg, "head", "init_seed") + seed_offset)
     train_cfg = train_config_from(cfg, seed_offset)
     head, report = train(head, train_set, train_cfg)
-    save_head(head, out_dir / f"checkpoint_{tag}.json")
-    report.save(out_dir / f"train_report_{tag}.csv")
+    save_head(head, out_dir / f"checkpoint_{variant}.json")
+    report.save(out_dir / f"train_report_{variant}.csv")
     final_acc = report.epochs[-1].accuracy if report.epochs else float("nan")
     print(
-        f"[{tag}] trained {train_cfg.epochs} epochs"
+        f"[{variant}] trained {train_cfg.epochs} epochs"
         f" (train seed {train_cfg.seed}), final train accuracy {final_acc:.4f}"
     )
     return head
@@ -226,7 +224,8 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg["train"]["seed"] = args.seed
     out_dir = Path(args.out)
-    _train_one(cfg, args.variant, out_dir)
+    train_set = data_mod.load_features(*_find_dataset(out_dir, "train"))
+    _train_one(cfg, args.variant, train_set, out_dir)
     return EXIT_OK
 
 
@@ -357,12 +356,12 @@ def cmd_compare(args) -> int:
     eval_data = _eval_data(out_dir)
     # the heads' class count is the training set's; the MC heads' result
     # is the largest, and is bounded before the first head trains
-    k = data_mod.load_features(*_find_dataset(out_dir, "train")).num_classes()
-    check_mc_size(len(eval_data[2]), t, k)
+    train_set = data_mod.load_features(*_find_dataset(out_dir, "train"))
+    check_mc_size(len(eval_data[2]), t, train_set.num_classes())
 
     results = {}
     for idx, variant in enumerate(VARIANTS):
-        head = _train_one(cfg, variant, out_dir, seed_offset=idx, tag=variant)
+        head = _train_one(cfg, variant, train_set, out_dir, seed_offset=idx)
         bundle = _eval_one(cfg, head, eval_data, out_dir / f"eval_{variant}")
         results[variant] = bundle.summary
 

@@ -263,20 +263,16 @@ def evaluation_suite(
 
     # (d, e) density histograms
     ln_k = float(np.log(k))
-    _try_hist(bundle, "confidence_true", confidence[in_dist][correct], bins, 0.0, 1.0)
-    _try_hist(bundle, "confidence_false", confidence[in_dist][~correct], bins, 0.0, 1.0)
-    _try_hist(bundle, "entropy_true", pred_entropy[in_dist][correct], bins, 0.0, ln_k)
-    _try_hist(bundle, "entropy_false", pred_entropy[in_dist][~correct], bins, 0.0, ln_k)
-    _try_hist(bundle, "bald_true", bald_scores[in_dist][correct], bins, 0.0, ln_k)
-    _try_hist(bundle, "bald_false", bald_scores[in_dist][~correct], bins, 0.0, ln_k)
+    scores = (("confidence", confidence, 1.0), ("entropy", pred_entropy, ln_k),
+              ("bald", bald_scores, ln_k))
+    for name, values, hi in scores:
+        _try_hist(bundle, f"{name}_true", values[in_dist][correct], bins, 0.0, hi)
+        _try_hist(bundle, f"{name}_false", values[in_dist][~correct], bins, 0.0, hi)
 
     if ood_flags.any():
-        _try_hist(bundle, "confidence_in", confidence[in_dist], bins, 0.0, 1.0)
-        _try_hist(bundle, "confidence_out", confidence[ood_flags], bins, 0.0, 1.0)
-        _try_hist(bundle, "entropy_in", pred_entropy[in_dist], bins, 0.0, ln_k)
-        _try_hist(bundle, "entropy_out", pred_entropy[ood_flags], bins, 0.0, ln_k)
-        _try_hist(bundle, "bald_in", bald_scores[in_dist], bins, 0.0, ln_k)
-        _try_hist(bundle, "bald_out", bald_scores[ood_flags], bins, 0.0, ln_k)
+        for name, values, hi in scores:
+            _try_hist(bundle, f"{name}_in", values[in_dist], bins, 0.0, hi)
+            _try_hist(bundle, f"{name}_out", values[ood_flags], bins, 0.0, hi)
 
         # (f) OOD detection: uncertainty as the score, OOD as the positive
         roc_e = roc_curve_auc(ScoredBinary(pred_entropy, ood_flags))

@@ -23,8 +23,8 @@ import numpy as np
 
 from .dist import DiagonalGaussian, PriorSpec, kl_array
 from .dist import kl_to_prior, sample  # noqa: F401  # perfbench/tracer.py wraps them here
-from .errors import ConfigError, ContractError, NumericError, ShapeError
-from .tensor import Tensor, sigmoid_array, softplus_and_exp
+from .errors import ConfigError, ContractError, ShapeError
+from .tensor import Tensor, check_finite, sigmoid_array, softplus_and_exp
 
 REPARAM = "reparam"
 FLIPOUT = "flipout"
@@ -47,6 +47,9 @@ class DenseDeterministic:
                 f"weight {self.weight.shape} and bias {self.bias.shape} are inconsistent"
             )
 
+    def leaves(self) -> list[Tensor]:
+        return [self.weight, self.bias]
+
 
 @dataclass
 class DenseVariational:
@@ -65,6 +68,10 @@ class DenseVariational:
                 " are inconsistent"
             )
 
+    def leaves(self) -> list[Tensor]:
+        wp, bp = self.weight_post, self.bias_post
+        return [wp.mu, wp.rho, bp.mu, bp.rho]
+
 
 @dataclass(frozen=True)
 class DropoutSpec:
@@ -80,9 +87,8 @@ class NoiseDraw:
     """One batch worth of noise for a variational layer.
 
     weight_eps/bias_eps are standard-normal draws matching the posterior
-    shapes. sign_in/sign_out are per-example Rademacher vectors, only used
-    by the Flipout estimator in training. They are drawn as int8 +-1;
-    float64 +-1 is accepted too and gives the same output.
+    shapes. sign_in/sign_out are per-example Rademacher vectors of float64
+    +-1, only used by the Flipout estimator in training.
     """
 
     weight_eps: np.ndarray
@@ -91,19 +97,15 @@ class NoiseDraw:
     sign_out: np.ndarray | None = None
 
 
-def dense_forward(
-    layer: DenseDeterministic, x, _memo: dict | None = None, *, out=None, _backward=False
-):
+def dense_forward(layer: DenseDeterministic, x, *, out=None, _backward=False):
     """x W + b with the bias broadcast across rows.
 
     A Tensor x gives one graph node over (x, W, b). An array x with
     `_backward` also returns the layer's closed-form backward
     `backward(g, gk, grads, need_dx)`, which writes dW and db into `grads`
     and returns dx when `need_dx` (a dense layer has no KL, so it ignores
-    gk); the node's backward calls it. At inference `_memo`, a dict shared
-    by calls on the same x, keeps the output of the first call and returns
-    it to later ones, and `out` receives the output; a non-finite output
-    raises NumericError.
+    gk); the node's backward calls it. At inference `out` receives the
+    output; a non-finite output raises NumericError.
     """
     if len(x.shape) != 2 or x.shape[1] != layer.weight.shape[0]:
         raise ShapeError(
@@ -112,7 +114,7 @@ def dense_forward(
     w, b = layer.weight, layer.bias
     if isinstance(x, Tensor):
         out, backward = dense_forward(layer, x.data, _backward=True)
-        return _training_node(x, [w, b], out, backward, "dense")
+        return _training_node(x, layer.leaves(), out, backward, "dense")
     if _backward:
         wa = w.data
 
@@ -122,15 +124,9 @@ def dense_forward(
             return g @ wa.T if need_dx else None
 
         return (x @ wa) + b.data, backward
-    memo = {} if _memo is None else _memo
-    if "out" not in memo:
-        out = np.matmul(x, w.data, out=out)
-        out += b.data
-        # checked once, here: later calls return this same array
-        if not np.isfinite(out).all():
-            raise NumericError("forward produced non-finite values")
-        memo["out"] = out
-    return memo["out"]
+    out = np.matmul(x, w.data, out=out)
+    out += b.data
+    return check_finite(out, "forward")
 
 
 def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None):
@@ -155,11 +151,6 @@ def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None):
     kl_node = Tensor(kl, (node,), _op="kl")
     kl_node._backward_fn = kl_grad.append
     return node, kl_node
-
-
-def _leaves(layer: DenseVariational) -> list[Tensor]:
-    wp, bp = layer.weight_post, layer.bias_post
-    return [wp.mu, wp.rho, bp.mu, bp.rho]
 
 
 def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | None):
@@ -237,7 +228,7 @@ def variational_forward_reparam(
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
     if isinstance(x, Tensor):
         out, kl, backward = variational_forward_reparam(layer, x.data, noise, _backward=True)
-        return _training_node(x, _leaves(layer), out, backward, "reparam", kl)
+        return _training_node(x, layer.leaves(), out, backward, "reparam", kl)
     _check_input(layer, x)
     post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
     w = w_std * noise.weight_eps
@@ -273,7 +264,7 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw, *,
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
     if isinstance(x, Tensor):
         out, kl, backward = variational_forward_flipout(layer, x.data, noise, _backward=True)
-        return _training_node(x, _leaves(layer), out, backward, "flipout", kl)
+        return _training_node(x, layer.leaves(), out, backward, "flipout", kl)
     if not _backward:
         raise ContractError("flipout is a training estimator; inference runs the reparam forward")
     _check_input(layer, x)
@@ -288,9 +279,7 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw, *,
         )
     post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, None)
     mua = layer.weight_post.mu.data
-    eps = noise.weight_eps
-    # products with int8 signs are slower than with float64 ones at batch sizes
-    r, s = noise.sign_in.astype(np.float64), noise.sign_out.astype(np.float64)
+    eps, r, s = noise.weight_eps, noise.sign_in, noise.sign_out
     xs = x * r
     delta = w_std * eps
     # ((x W_mu) + ((x*r) delta) * s) + b in place; adding x W_mu second is
@@ -362,52 +351,16 @@ def draw_layer_noise(
 ) -> NoiseDraw:
     """Fresh standard-normal (and Rademacher, for Flipout) draws for one batch.
 
-    The values and the generator's next state are those of drawing
-    weight_eps, bias_eps, then, for a Flipout layer in TRAIN only, sign_in
-    and sign_out with `rng.integers(0, 2, shape) * 2 - 1` each.
+    weight_eps, then bias_eps, then, for a Flipout layer in TRAIN only,
+    sign_in and sign_out from one bounded 32-bit draw: the same stream as
+    `rng.integers(0, 2, shape) * 2 - 1` for each in turn.
     """
     d_in, d_out = layer.weight_post.shape
     weight_eps = rng.standard_normal((d_in, d_out))
     bias_eps = rng.standard_normal(d_out)
     if layer.estimator == FLIPOUT and phase == TRAIN:
-        signs = rademacher(rng, m * (d_in + d_out))
+        signs = rng.integers(0, 2, size=m * (d_in + d_out), dtype=np.int32) * 2.0 - 1.0
         sign_in = signs[: m * d_in].reshape(m, d_in)
         sign_out = signs[m * d_in :].reshape(m, d_out)
         return NoiseDraw(weight_eps, bias_eps, sign_in, sign_out)
     return NoiseDraw(weight_eps, bias_eps)
-
-
-def rademacher(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n int8 signs equal to `rng.integers(0, 2, n) * 2 - 1`, leaving rng
-    where that call leaves it.
-
-    For a range of two numpy's bounded draw is the top bit of one 32-bit
-    output. PCG64 serves each 64-bit output as its low, then its high
-    32-bit half, and keeps the unused half in its state. So the signs are
-    the top bits of the halves of `random_raw`, with the kept half used
-    first and an unused last half kept, as numpy would.
-    """
-    bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64:
-        return (rng.integers(0, 2, size=n) * 2 - 1).astype(np.int8)
-    signs = np.empty(n, dtype=np.int8)
-    if n == 0:
-        return signs
-    state = bg.state
-    spare = state["has_uint32"]
-    raw = bg.random_raw((n - spare + 1) // 2)
-    halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
-    if spare:
-        signs[0] = state["uinteger"] >> 31
-    np.right_shift(halves[: n - spare], 31, out=signs[spare:], casting="unsafe")
-    signs *= 2
-    signs -= 1
-    left = len(halves) + spare - n  # 1 when the last high half went unused
-    if spare or left:  # random_raw neither reads nor writes the kept half
-        state = bg.state
-        state["has_uint32"] = left
-        if left:
-            state["uinteger"] = int(halves[-1])
-        bg.state = state
-    return signs
-

@@ -95,21 +95,8 @@ class Head:
     dropout: DropoutSpec | None = None
 
     def parameters(self) -> list[Tensor]:
-        """All leaf parameter tensors, in a fixed order."""
-        params = []
-        for layer in self.layers:
-            if isinstance(layer, DenseDeterministic):
-                params.extend([layer.weight, layer.bias])
-            else:
-                params.extend(
-                    [
-                        layer.weight_post.mu,
-                        layer.weight_post.rho,
-                        layer.bias_post.mu,
-                        layer.bias_post.rho,
-                    ]
-                )
-        return params
+        """All leaf parameter tensors, layer by layer in each one's order."""
+        return [t for layer in self.layers for t in layer.leaves()]
 
 
 def _he_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
@@ -229,7 +216,8 @@ def forward(
                 kl_total = kl if kl_total is None else kl_total + kl
             elif i == 0 and not tape:
                 reused = "out" in layer_memo  # then it holds the ReLU'd output
-                h = dense_forward(layer, h, layer_memo)
+                h = layer_memo["out"] if reused else dense_forward(layer, h)
+                layer_memo["out"] = h
             else:
                 out = noise[i] if over_mask else layer_memo.get("out")
                 h = dense_forward(layer, h, out=out)
@@ -308,7 +296,7 @@ def train_step(
             if drop is not None:
                 g = drop(g)
             g = relu_backward(mask, g)
-        start = end - (4 if isinstance(head.layers[i], DenseVariational) else 2)
+        start = end - len(head.layers[i].leaves())
         g = back(g, gk, grads[start:end], i > 0)
         end = start
     return log_probs, nll, kl, loss

@@ -65,8 +65,8 @@ def zero_layer_noise(layer: DenseVariational, m: int) -> NoiseDraw:
         return NoiseDraw(
             draw.weight_eps,
             draw.bias_eps,
-            np.ones((m, d_in), dtype=np.int8),
-            np.ones((m, d_out), dtype=np.int8),
+            np.ones((m, d_in)),
+            np.ones((m, d_out)),
         )
     return draw
 

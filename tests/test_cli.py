@@ -1,6 +1,9 @@
+import collections
+import importlib
 import json
 import typing
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +402,20 @@ def test_compare_bounds_the_mc_result_before_training(tmp_path, capsys):
     assert err.count("\n") == 1
     written = [p.name for p in out.iterdir()]
     assert [n for n in written if n.startswith(("checkpoint_", "train_report_", "eval_"))] == []
+
+
+def test_compare_loads_each_dataset_once(tiny_config, tmp_path, monkeypatch):
+    data_mod = importlib.import_module("bvihead.data")
+    real_load = data_mod.load_features
+    loads = collections.Counter()
+
+    def counting(path, fmt):
+        loads[Path(path).name] += 1
+        return real_load(path, fmt)
+
+    monkeypatch.setattr(data_mod, "load_features", counting)
+    assert run(["compare", "--config", tiny_config, "--out", str(tmp_path / "ws")]) == EXIT_OK
+    assert loads == {"train.bfv": 1, "val.bfv": 1, "ood.bfv": 1}
 
 
 def test_compare_rerun_identical_outputs(tiny_config, tmp_path):

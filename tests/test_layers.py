@@ -18,7 +18,6 @@ from bvihead.layers import (
     dense_forward,
     draw_layer_noise,
     dropout_forward,
-    rademacher,
     variational_forward_flipout,
     variational_forward_reparam,
 )
@@ -420,7 +419,8 @@ def test_fused_node_gradients_match_finite_differences(kind):
         arrays = [x, rng.normal(size=(4, 2)), rng.uniform(-2, 0.5, size=(4, 2)),
                   rng.normal(size=2), rng.uniform(-2, 0.5, size=2)]
         noise = NoiseDraw(rng.standard_normal((4, 2)), rng.standard_normal(2),
-                          rademacher(rng, 12).reshape(3, 4), rademacher(rng, 6).reshape(3, 2))
+                          rng.integers(0, 2, size=(3, 4)) * 2.0 - 1.0,
+                          rng.integers(0, 2, size=(3, 2)) * 2.0 - 1.0)
 
         def loss(ts):
             layer = DenseVariational(
@@ -463,15 +463,8 @@ def test_flipout_array_form_equals_the_expression_bit_for_bit():
     delta = np.log1p(np.exp(wp.rho.data)) * noise.weight_eps
     b = bp.mu.data + np.log1p(np.exp(bp.rho.data)) * noise.bias_eps
     want = ((x @ wp.mu.data) + (((x * noise.sign_in) @ delta) * noise.sign_out)) + b
-    as_float = NoiseDraw(
-        noise.weight_eps,
-        noise.bias_eps,
-        noise.sign_in.astype(np.float64),
-        noise.sign_out.astype(np.float64),
-    )
-    for draw in (noise, as_float):
-        out, _, _ = variational_forward_flipout(layer, x, draw, _backward=True)
-        np.testing.assert_array_equal(out, want)
+    out, _, _ = variational_forward_flipout(layer, x, noise, _backward=True)
+    np.testing.assert_array_equal(out, want)
     # Flipout has no inference form: inference runs the reparam forward
     with pytest.raises(ContractError, match="training"):
         variational_forward_flipout(layer, x, noise)
@@ -520,16 +513,7 @@ def test_shared_weight_draw_has_the_flipout_law_per_example():
         assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * se).all()
 
 
-def test_dense_memo_returns_the_first_output():
-    layer = DenseDeterministic(Tensor(np.arange(6.0).reshape(3, 2)), Tensor([0.5, -1.0]))
-    x = np.random.default_rng(37).normal(size=(4, 3))
-    memo = {}
-    first = dense_forward(layer, x, memo)
-    assert dense_forward(layer, x, memo) is first
-    np.testing.assert_array_equal(first, dense_forward(layer, x))
-
-
-# ---- Rademacher signs --------------------------------------------------------
+# ---- Flipout signs -----------------------------------------------------------
 
 
 def next_draws(rng):
@@ -539,42 +523,13 @@ def next_draws(rng):
 
 
 @pytest.mark.parametrize("lead", [0, 1, 2])
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 1001])
-def test_rademacher_equals_integer_signs_bit_for_bit(lead, n):
-    ours, ref = np.random.default_rng(40), np.random.default_rng(40)
-    for rng in (ours, ref):
-        rng.integers(0, 2, size=lead)  # an odd lead leaves a spare 32-bit half
-        rng.standard_normal(2)
-    assert ours.bit_generator.state["has_uint32"] == lead % 2
-    got = rademacher(ours, n)
-    assert got.dtype == np.int8 and got.shape == (n,)
-    np.testing.assert_array_equal(got, ref.integers(0, 2, size=n) * 2 - 1)
-    for a, b in zip(next_draws(ours), next_draws(ref)):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_rademacher_sequence_with_normal_draws_between():
-    ours, ref = np.random.default_rng(41), np.random.default_rng(41)
-    for n in (3, 0, 5, 4, 1, 1, 6, 0, 9):
-        np.testing.assert_array_equal(rademacher(ours, n), ref.integers(0, 2, size=n) * 2 - 1)
-        np.testing.assert_array_equal(ours.standard_normal(n), ref.standard_normal(n))
-    for a, b in zip(next_draws(ours), next_draws(ref)):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_rademacher_other_bit_generators_use_integers():
-    ours, ref = (np.random.Generator(np.random.MT19937(42)) for _ in range(2))
-    np.testing.assert_array_equal(rademacher(ours, 7), ref.integers(0, 2, size=7) * 2 - 1)
-    for a, b in zip(next_draws(ours), next_draws(ref)):
-        np.testing.assert_array_equal(a, b)
-
-
 @pytest.mark.parametrize("m", [0, 1, 4, 9])
-def test_flipout_noise_draw_is_the_integer_sign_stream(m):
+def test_flipout_noise_draw_is_the_integer_sign_stream(lead, m):
     layer = make_variational(5, 3, FLIPOUT, seed=43)
     ours, ref = np.random.default_rng(44), np.random.default_rng(44)
     for rng in (ours, ref):
-        rng.integers(0, 2, size=1)
+        rng.integers(0, 2, size=lead)  # an odd lead leaves a spare 32-bit half
+    assert ours.bit_generator.state["has_uint32"] == lead % 2
     got = draw_layer_noise(layer, m, ours)
     want = [
         ref.standard_normal((5, 3)),
@@ -582,16 +537,16 @@ def test_flipout_noise_draw_is_the_integer_sign_stream(m):
         ref.integers(0, 2, size=(m, 5)).astype(np.float64) * 2.0 - 1.0,
         ref.integers(0, 2, size=(m, 3)).astype(np.float64) * 2.0 - 1.0,
     ]
-    assert got.sign_in.dtype == got.sign_out.dtype == np.int8
+    assert got.sign_in.dtype == got.sign_out.dtype == np.float64
     for a, b in zip((got.weight_eps, got.bias_eps, got.sign_in, got.sign_out), want):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(next_draws(ours), next_draws(ref)):
         np.testing.assert_array_equal(a, b)
 
 
-def test_zero_flipout_noise_has_int8_signs():
+def test_zero_flipout_noise_has_float64_signs():
     noise = zero_layer_noise(make_variational(3, 2, FLIPOUT), 4)
-    assert noise.sign_in.dtype == noise.sign_out.dtype == np.int8
+    assert noise.sign_in.dtype == noise.sign_out.dtype == np.float64
     assert (noise.sign_in == 1).all() and noise.sign_out.shape == (4, 2)
 
 

@@ -304,6 +304,24 @@ def test_mc_predict_computes_each_posterior_kl_once(estimator, monkeypatch):
         )
 
 
+def test_mc_predict_computes_the_dense_first_layer_once(monkeypatch):
+    # every MC dropout pass sees the same x, so the first layer's ReLU'd
+    # output is formed on the first pass and kept for the others
+    model_mod = importlib.import_module("bvihead.model")
+    head = build_head(HeadConfig(5, (7, 3), 3, MC_DROPOUT), init_seed=12)
+    calls = []
+    real_dense = model_mod.dense_forward
+
+    def counting(layer, *args, **kwargs):
+        calls.append(head.layers.index(layer))
+        return real_dense(layer, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "dense_forward", counting)
+    x = Tensor(np.random.default_rng(13).normal(size=(9, 5)))
+    mc_predict(head, x, t=5, seed=7)
+    assert calls.count(0) == 1 and calls.count(1) == calls.count(2) == 5
+
+
 @pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
 def test_mc_predict_first_layer_overflow_raises_on_the_first_pass(variant, monkeypatch):
     # the dense variants compute the first layer once, and check it then
