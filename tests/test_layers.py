@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bvihead.dist import DiagonalGaussian
-from bvihead.errors import ConfigError, ContractError, ShapeError
+from bvihead.errors import ConfigError, ContractError, NumericError, ShapeError
 from bvihead.layers import (
     FLIPOUT,
     MC_INFERENCE,
@@ -513,6 +513,17 @@ def test_shared_weight_draw_has_the_flipout_law_per_example():
         assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * se).all()
 
 
+def test_dense_inference_writes_into_out_and_rejects_non_finite():
+    layer = DenseDeterministic(Tensor(np.arange(6.0).reshape(3, 2)), Tensor([0.5, -1.0]))
+    x = np.random.default_rng(37).normal(size=(4, 3))
+    buf = np.empty((4, 2))
+    assert dense_forward(layer, x, out=buf) is buf
+    np.testing.assert_array_equal(buf, (x @ layer.weight.data) + layer.bias.data)
+    x[2, 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        dense_forward(layer, x)
+
+
 # ---- Flipout signs -----------------------------------------------------------
 
 
@@ -520,6 +531,27 @@ def next_draws(rng):
     """What a generator yields next, to compare two generators' states
     (the state dicts can differ in a stale spare half that is never read)."""
     return rng.standard_normal(3), rng.integers(0, 2, size=5), rng.random(2), rng.integers(9)
+
+
+def assert_draw_is_the_integer_stream(layer, m, ours, ref, phase=TRAIN):
+    """draw_layer_noise on `ours` equals the separate draws on `ref`: two
+    normal arrays, then, for Flipout in TRAIN, one integers call per sign."""
+    d_in, d_out = layer.weight_post.shape
+    got = draw_layer_noise(layer, m, ours, phase)
+    np.testing.assert_array_equal(got.weight_eps, ref.standard_normal((d_in, d_out)))
+    np.testing.assert_array_equal(got.bias_eps, ref.standard_normal(d_out))
+    if layer.estimator == FLIPOUT and phase == TRAIN:
+        assert got.sign_in.dtype == got.sign_out.dtype == np.float64
+        for sign, d in ((got.sign_in, d_in), (got.sign_out, d_out)):
+            want = ref.integers(0, 2, size=(m, d)).astype(np.float64) * 2.0 - 1.0
+            np.testing.assert_array_equal(sign, want)
+    else:
+        assert got.sign_in is None and got.sign_out is None
+
+
+def assert_same_next_draws(ours, ref):
+    for a, b in zip(next_draws(ours), next_draws(ref)):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("lead", [0, 1, 2])
@@ -530,18 +562,55 @@ def test_flipout_noise_draw_is_the_integer_sign_stream(lead, m):
     for rng in (ours, ref):
         rng.integers(0, 2, size=lead)  # an odd lead leaves a spare 32-bit half
     assert ours.bit_generator.state["has_uint32"] == lead % 2
-    got = draw_layer_noise(layer, m, ours)
-    want = [
-        ref.standard_normal((5, 3)),
-        ref.standard_normal(3),
-        ref.integers(0, 2, size=(m, 5)).astype(np.float64) * 2.0 - 1.0,
-        ref.integers(0, 2, size=(m, 3)).astype(np.float64) * 2.0 - 1.0,
-    ]
-    assert got.sign_in.dtype == got.sign_out.dtype == np.float64
-    for a, b in zip((got.weight_eps, got.bias_eps, got.sign_in, got.sign_out), want):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(next_draws(ours), next_draws(ref)):
-        np.testing.assert_array_equal(a, b)
+    assert_draw_is_the_integer_stream(layer, m, ours, ref)
+    assert_same_next_draws(ours, ref)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 7), (8, 1), (33, 64)])
+def test_flipout_noise_draw_is_the_integer_sign_stream_at_any_layer_shape(shape):
+    # m * (d_in + d_out) odd and even, so the joined draw ends on either half
+    layer = make_variational(*shape, FLIPOUT, seed=45)
+    for m in (1, 3):
+        ours, ref = np.random.default_rng(46), np.random.default_rng(46)
+        assert_draw_is_the_integer_stream(layer, m, ours, ref)
+        assert_same_next_draws(ours, ref)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM]
+)
+def test_flipout_noise_draw_is_the_integer_sign_stream_on_other_bit_generators(bit_generator):
+    layer = make_variational(4, 3, FLIPOUT, seed=47)
+    for lead in (0, 1):
+        ours, ref = (np.random.Generator(bit_generator(48)) for _ in range(2))
+        for rng in (ours, ref):
+            rng.integers(0, 2, size=lead)
+        assert_draw_is_the_integer_stream(layer, 5, ours, ref)
+        assert_same_next_draws(ours, ref)
+
+
+def test_flipout_noise_draws_in_sequence_with_normal_draws_between():
+    # a training step's draws: one per layer, other consumers of rng between
+    layers = [make_variational(d_in, d_out, FLIPOUT, seed=49 + i)
+              for i, (d_in, d_out) in enumerate([(3, 5), (5, 1), (1, 4), (4, 4)])]
+    ours, ref = np.random.default_rng(50), np.random.default_rng(50)
+    for m in (3, 0, 5, 1):
+        for layer in layers:
+            assert_draw_is_the_integer_stream(layer, m, ours, ref)
+            np.testing.assert_array_equal(ours.standard_normal(m), ref.standard_normal(m))
+    assert_same_next_draws(ours, ref)
+
+
+@pytest.mark.parametrize(
+    "estimator, phase", [(REPARAM, TRAIN), (REPARAM, MC_INFERENCE), (FLIPOUT, MC_INFERENCE)]
+)
+def test_noise_draw_without_signs_takes_only_the_normal_draws(estimator, phase):
+    layer = make_variational(5, 3, estimator, seed=51)
+    ours, ref = np.random.default_rng(52), np.random.default_rng(52)
+    ours.integers(0, 2, size=1)
+    ref.integers(0, 2, size=1)
+    assert_draw_is_the_integer_stream(layer, 4, ours, ref, phase)
+    assert_same_next_draws(ours, ref)
 
 
 def test_zero_flipout_noise_has_float64_signs():
