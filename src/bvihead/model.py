@@ -47,6 +47,7 @@ from .tensor import (
     log_softmax_backward,
     nll_backward,
     relu_backward,
+    relu_forward,
 )
 
 DETERMINISTIC = "deterministic"
@@ -274,8 +275,7 @@ def train_step(
                 h, back = dense_forward(layer, h, _backward=True)
                 check_finite(h, "forward")
             if i < 2:
-                mask = h > 0
-                h = np.where(mask, h, 0.0)
+                h, mask = relu_forward(h)
                 if head.dropout is not None:
                     h, drop = dropout_forward(head.dropout, h, noise[i], TRAIN, _backward=True)
                     check_finite(h, "dropout")

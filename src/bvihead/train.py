@@ -9,7 +9,8 @@ For the length of a run the head's parameters are views into one flat
 float64 vector. Each step (`model.train_step`) runs forward and
 closed-form backward on plain arrays and writes every parameter's
 gradient into its view of a second one; the optimizers update the first
-in place with a few vector operations. No autodiff graph is recorded.
+in place with a few vector operations, run block by block so that each
+block stays in cache between them. No autodiff graph is recorded.
 """
 
 from __future__ import annotations
@@ -119,29 +120,56 @@ def kl_weight_for(cfg: TrainConfig, n_examples: int, n_batches: int) -> float:
 
 # ---- optimizers ------------------------------------------------------------
 
+# Values per block of an optimizer step. Each array's block, 256 KB, stays in
+# a core's L2 cache through the step's in-place ufunc calls, where a whole
+# vector of a default VI head (1.35 MB per array) is streamed from memory on
+# every call; 8,192-value blocks measured slower.
+BLOCK = 32_768
+
+
+def _blocks(arrays: tuple, scratch: tuple) -> list[tuple]:
+    """The arrays, equal-sized flat vectors, cut into BLOCK-value blocks,
+    each joined by as many leading values of every scratch buffer; the
+    whole arrays, unsliced, as the one block when they fit in one."""
+    n = arrays[0].size
+    if n <= BLOCK:
+        return [arrays + scratch]
+    return [
+        tuple(x[lo:lo + BLOCK] for x in arrays) + tuple(s[:min(BLOCK, n - lo)] for s in scratch)
+        for lo in range(0, n, BLOCK)
+    ]
+
 
 class Sgd:
-    """Momentum SGD on a flat parameter vector, updated in place."""
+    """Momentum SGD on a flat parameter vector, updated in place block by block."""
 
     def __init__(self, learning_rate: float, momentum: float = 0.0):
         self.lr = learning_rate
         self.momentum = momentum
         self.velocity: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
+        self._scratch: tuple[np.ndarray] | None = None
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         if self.velocity is None:
             self.velocity = np.zeros_like(theta)
-            self._scratch = np.empty_like(theta)
+            self._scratch = (np.empty(min(theta.size, BLOCK)),)
         _check_flat(theta, grad, self.velocity)
-        v, buf = self.velocity, self._scratch
-        v *= self.momentum
-        v -= np.multiply(self.lr, grad, out=buf)
-        theta += v
+        for th, g, v, buf in _blocks((theta, grad, self.velocity), self._scratch):
+            v *= self.momentum
+            v -= np.multiply(self.lr, g, out=buf)
+            th += v
 
 
 class Adam:
-    """Adam on a flat parameter vector, updated in place."""
+    """Adam on a flat parameter vector, updated in place block by block.
+
+    A gradient that differs only in the signs of exact zeros gives the same
+    step. A round-to-nearest sum is -0.0 only when both terms are, and m
+    and v start at +0.0, so m never turns -0.0 and m + (±0.0) is m; g * g
+    is +0.0 for either sign. Sgd's velocity is the same unless a zero
+    momentum or an underflow turns it -0.0, and even then only a parameter
+    that is itself -0.0 could change.
+    """
 
     def __init__(self, learning_rate: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
@@ -157,22 +185,23 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
-            self._scratch = (np.empty_like(theta), np.empty_like(theta))
+            k = min(theta.size, BLOCK)
+            self._scratch = (np.empty(k), np.empty(k))
         _check_flat(theta, grad, self.m)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        m, v, (a, b) = self.m, self.v, self._scratch
-        # m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v)
-        m += np.multiply(1.0 - self.beta1, np.subtract(grad, m, out=a), out=a)
-        np.multiply(grad, grad, out=a)
-        a -= v
-        v += np.multiply(1.0 - self.beta2, a, out=a)
-        # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        np.sqrt(np.divide(v, bc2, out=a), out=a)
-        a += self.eps
-        np.multiply(self.lr, np.divide(m, bc1, out=b), out=b)
-        theta -= np.divide(b, a, out=b)
+        for th, g, m, v, a, b in _blocks((theta, grad, self.m, self.v), self._scratch):
+            # m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v)
+            m += np.multiply(1.0 - self.beta1, np.subtract(g, m, out=a), out=a)
+            np.multiply(g, g, out=a)
+            a -= v
+            v += np.multiply(1.0 - self.beta2, a, out=a)
+            # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.sqrt(np.divide(v, bc2, out=a), out=a)
+            a += self.eps
+            np.multiply(self.lr, np.divide(m, bc1, out=b), out=b)
+            th -= np.divide(b, a, out=b)
 
 
 def _check_flat(theta: np.ndarray, grad: np.ndarray, state: np.ndarray) -> None:

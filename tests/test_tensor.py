@@ -192,6 +192,16 @@ def test_softplus_saturation_and_gradient():
     assert_gradients_match(lambda ts: ts[0].softplus().sum(), [rng.normal(size=7)], rel=1e-6)
 
 
+def test_softplus_equals_the_select_form_byte_for_byte():
+    # x itself above 30 and log1p(exp(x)) elsewhere, whether or not any x is above 30
+    rng = np.random.default_rng(10)
+    below = np.concatenate([rng.uniform(-40, 30, 300), [-0.0, 0.0, 30.0, -745.5]])
+    for x in (below, np.append(below, [np.nextafter(30.0, 31.0), 31.0, 1e300]),
+              below[:300].reshape(20, 15), np.array([40.0]), np.zeros(0)):
+        sp, e = softplus_and_exp(x)
+        assert sp.tobytes() == np.where(x > 30.0, x, np.log1p(e)).tobytes()
+
+
 def test_sigmoid_reusing_the_softplus_exp_is_bit_identical():
     # below 0 the softplus's exp(min(x, 30)) is the sigmoid's exp(-|x|)
     rng = np.random.default_rng(9)

@@ -18,8 +18,9 @@ from bvihead.model import (
     parameter_views,
     zero_noise_bundle,
 )
-from bvihead.tensor import Tensor, nll
+from bvihead.tensor import Tensor, nll, relu_backward, relu_forward
 from bvihead.train import (
+    BLOCK,
     KL_CONSTANT,
     Adam,
     Sgd,
@@ -256,6 +257,27 @@ def test_flat_optimizer_equals_per_tensor_oracle_bit_for_bit(flat, oracle):
             np.testing.assert_array_equal(p.data, r)
 
 
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize(
+    "flat, oracle",
+    [
+        (lambda: Adam(3e-3), lambda: PerTensorAdam(3e-3)),
+        (lambda: Sgd(0.05, momentum=0.9), lambda: PerTensorSgd(0.05, 0.9)),
+    ],
+    ids=["adam", "sgd-momentum"],
+)
+def test_blocked_optimizer_equals_per_tensor_oracle_at_block_edges(flat, oracle, size):
+    rng = np.random.default_rng(size)
+    theta = rng.normal(size=size)
+    reference = np.split(theta.copy(), [size // 3])  # two tensors, one may be empty
+    opt, ref_opt = flat(), oracle()
+    for _ in range(3):
+        grad = rng.normal(scale=rng.uniform(0.01, 10.0), size=size)
+        opt.step(theta, grad)
+        ref_opt.step(reference, np.split(grad, [size // 3]))
+    assert theta.tobytes() == np.concatenate(reference).tobytes()
+
+
 def test_flatten_parameters_rebinds_views_of_one_vector():
     head = small_head(STOCHASTIC_VI)
     params = head.parameters()
@@ -267,6 +289,40 @@ def test_flatten_parameters_rebinds_views_of_one_vector():
         np.testing.assert_array_equal(p.data, b)
     theta += 1.0
     np.testing.assert_array_equal(params[0].data, before[0] + 1.0)
+
+
+def test_relu_forward_equals_where_select_byte_for_byte():
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+    values = [-0.0, 0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308, 1e308, -1e308,
+              1.0, -1.0]
+    for x in (np.array(values), np.tile(values, 11)[:-3].reshape(43, 3)):  # past SIMD widths
+        out, mask = relu_forward(x)
+        assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert mask.dtype == np.float64 and mask.tobytes() == (x > 0).astype(float).tobytes()
+
+
+def relu_gradients(rng, shape=(8, 6)):
+    """A gradient through relu as relu_backward forms it and as np.where
+    would: -0.0 against +0.0 wherever the unit was off and g < 0."""
+    h, g = rng.normal(size=shape), rng.normal(size=shape)
+    return relu_backward(relu_forward(h)[1], g).ravel(), np.where(h > 0, g, 0.0).ravel()
+
+
+@pytest.mark.parametrize("make", [lambda: Adam(3e-3), lambda: Sgd(0.05, momentum=0.9)],
+                         ids=["adam", "sgd-momentum"])
+def test_gradients_differing_in_zero_signs_give_byte_identical_steps(make):
+    rng = np.random.default_rng(21)
+    product, select = relu_gradients(rng)
+    assert np.array_equal(product, select) and product.tobytes() != select.tobytes()
+    theta = rng.normal(size=product.size)
+    opts, thetas = (make(), make()), (theta.copy(), theta.copy())
+    for _ in range(3):
+        for opt, th, grad in zip(opts, thetas, (product, select)):
+            opt.step(th, grad)
+        product, select = relu_gradients(rng)
+        assert thetas[0].tobytes() == thetas[1].tobytes()
+        for state in ("m", "v") if isinstance(opts[0], Adam) else ("velocity",):
+            assert getattr(opts[0], state).tobytes() == getattr(opts[1], state).tobytes()
 
 
 # ---- kl weights ------------------------------------------------------------------
@@ -466,11 +522,19 @@ def reference_train(head, data, cfg):
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("kl_mode", ["zero", "one-over-batches"])
 @pytest.mark.parametrize(
-    "variant,estimator",
-    [(DETERMINISTIC, FLIPOUT), (MC_DROPOUT, FLIPOUT), (STOCHASTIC_VI, FLIPOUT),
-     (STOCHASTIC_VI, REPARAM)],
+    "variant,estimator,hidden",
+    [
+        pytest.param(DETERMINISTIC, FLIPOUT, (7, 6), id="deterministic-flipout"),
+        pytest.param(MC_DROPOUT, FLIPOUT, (7, 6), id="mc-dropout-flipout"),
+        pytest.param(STOCHASTIC_VI, FLIPOUT, (7, 6), id="stochastic-vi-flipout"),
+        pytest.param(STOCHASTIC_VI, REPARAM, (7, 6), id="stochastic-vi-reparam"),
+        # 35,334 values: the optimizer steps over two blocks, the second short
+        pytest.param(STOCHASTIC_VI, FLIPOUT, (128, 128), id="stochastic-vi-flipout-two-blocks"),
+    ],
 )
-def test_training_step_equals_graph_reference_bit_for_bit(variant, estimator, kl_mode, optimizer):
+def test_training_step_equals_graph_reference_bit_for_bit(
+    variant, estimator, hidden, kl_mode, optimizer
+):
     # 4 epochs of 16 batches (the last one short): 64 steps
     spec = SynthSpec(k_in=3, k_out=1, feature_dim=5, per_class=26, center_seed=5, noise_seed=6)
     data, _, _ = generate(spec)
@@ -478,10 +542,11 @@ def test_training_step_equals_graph_reference_bit_for_bit(variant, estimator, kl
         "kl_weight_mode": kl_mode}
     cfg = TrainConfig(epochs=4, batch_size=4, optimizer=optimizer, learning_rate=5e-3, seed=3,
                       **weight)
-    head_cfg = HeadConfig(5, (7, 6), 3, variant, dropout_rate=0.3, estimator=estimator)
+    head_cfg = HeadConfig(5, hidden, 3, variant, dropout_rate=0.3, estimator=estimator)
     head, report = train(build_head(head_cfg, init_seed=4), data, cfg)
     theta = np.concatenate([p.data.ravel() for p in head.parameters()])
     want_theta, want_rows = reference_train(build_head(head_cfg, init_seed=4), data, cfg)
+    assert hidden == (7, 6) or theta.size > BLOCK
     assert theta.tobytes() == want_theta.tobytes()
     rows = [(e.epoch, e.nll, e.kl, e.loss, e.accuracy) for e in report.epochs]
     assert repr(rows) == repr(want_rows)
