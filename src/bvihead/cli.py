@@ -101,8 +101,8 @@ def _get(cfg: dict, section: str, key: str):
     An int takes a JSON integer (never a bool), a float a finite JSON
     number, a bool only true or false, a str a string, and a list a list of
     its default's item type (hidden_dims exactly two, each at most
-    MAX_HIDDEN_DIM); a seed is >= 0. Anything else raises ConfigError
-    naming section.key.
+    MAX_HIDDEN_DIM; formats at least one, each a dataset format); a seed
+    is >= 0. Anything else raises ConfigError naming section.key.
     """
     default, value = DEFAULT_CONFIG[section][key], cfg[section][key]
     kind, where = type(default), f"{section}.{key}"
@@ -115,6 +115,10 @@ def _get(cfg: dict, section: str, key: str):
             raise ConfigError(f"{where} must be a list of {expected}, got {value!r}")
         if key == "hidden_dims" and max(value) > MAX_HIDDEN_DIM:  # before build_head allocates
             raise ConfigError(f"{where} must each be at most {MAX_HIDDEN_DIM}, got {value!r}")
+        if key == "formats" and not (value and set(value) <= set(data_mod.FORMATS)):
+            raise ConfigError(
+                f"{where} must list one or more of {data_mod.FORMATS}, got {value!r}"
+            )
         return value
     if kind is float and type(value) is int:  # beyond the float range is inf
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
@@ -163,7 +167,7 @@ def _dataset_paths(out_dir: Path, fmt: str) -> dict[str, Path]:
 
 
 def _find_dataset(out_dir: Path, name: str) -> tuple[Path, str]:
-    for fmt in ("bfv", "csv"):
+    for fmt in data_mod.FORMATS:
         path = out_dir / f"{name}.{fmt}"
         if path.exists():
             return path, fmt
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         if checkpoint:
             p.add_argument("--checkpoint", help="checkpoint path (default from --out)")
         if fmt:
-            p.add_argument("--format", choices=("csv", "bfv"), help="dataset format")
+            p.add_argument("--format", choices=data_mod.FORMATS, help="dataset format")
 
     p_gen = sub.add_parser("gen-data", help="generate synthetic feature datasets")
     common(p_gen, fmt=True)
@@ -472,9 +476,13 @@ def exit_code(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command; an error prints one `error: ...` line. Every
+    non-finite value raises NumericError, so numpy's floating-point
+    warnings, which would print before it, are silenced."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (BviError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)

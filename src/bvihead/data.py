@@ -23,6 +23,7 @@ from .fsio import atomic_write_bytes, atomic_write_text
 
 OOD_LABEL = -1
 BFV_MAGIC = b"BFV1"
+FORMATS = ("bfv", "csv")  # the on-disk formats, in the order commands look for them
 # BFV stores float32, and a larger feature would overflow any head anyway
 FEATURE_MAX = float(np.finfo(np.float32).max)
 

@@ -4,15 +4,16 @@ Noise is always supplied by the caller as plain arrays, so every forward
 is a pure function of (parameters, input, noise). That keeps stochastic
 passes reproducible and lets tests freeze the noise.
 
-Each layer's backward is closed-form and written once. A training
-forward on a plain array with `_backward` returns it next to the output,
-for a training step that runs on arrays alone. The same forward on a
-Tensor input records one graph node per layer over the input and the
-layer's leaves (and a variational layer one more scalar node for its
-KL), whose backward calls that function: the gradient reference of the
-tests. An inference forward runs the same operations in the same order
-on plain arrays and records nothing; for a variational layer of either
-estimator that is the reparam forward.
+Each layer function has two forms. On a plain array it returns the
+output, a variational layer's KL, and the layer's closed-form backward,
+written once: a training step keeps the backward, a Monte Carlo pass
+drops it at once. It checks its own output, and `_posterior_arrays` the
+KL, so a non-finite value raises NumericError naming what produced it.
+On a Tensor input it runs the array form and records one graph node over
+the input and the layer's leaves (and a variational layer one more scalar
+node for its KL), whose backward calls that backward: the gradient
+reference of the tests. Inference runs a variational layer of either
+estimator through the reparam forward.
 """
 
 from __future__ import annotations
@@ -97,36 +98,33 @@ class NoiseDraw:
     sign_out: np.ndarray | None = None
 
 
-def dense_forward(layer: DenseDeterministic, x, *, out=None, _backward=False):
+def dense_forward(layer: DenseDeterministic, x, *, out=None):
     """x W + b with the bias broadcast across rows.
 
-    A Tensor x gives one graph node over (x, W, b). An array x with
-    `_backward` also returns the layer's closed-form backward
-    `backward(g, gk, grads, need_dx)`, which writes dW and db into `grads`
-    and returns dx when `need_dx` (a dense layer has no KL, so it ignores
-    gk); the node's backward calls it. At inference `out` receives the
-    output; a non-finite output raises NumericError.
+    A Tensor x gives one graph node over (x, W, b). An array x gives the
+    output, written into `out` when given, and the layer's closed-form
+    backward `backward(g, gk, grads, need_dx)`, which writes dW and db
+    into `grads` and returns dx when `need_dx` (a dense layer has no KL,
+    so it ignores gk); the node's backward calls it. A non-finite output
+    raises NumericError.
     """
     if len(x.shape) != 2 or x.shape[1] != layer.weight.shape[0]:
         raise ShapeError(
             f"input {x.shape} does not match weight {layer.weight.shape}"
         )
-    w, b = layer.weight, layer.bias
     if isinstance(x, Tensor):
-        out, backward = dense_forward(layer, x.data, _backward=True)
+        out, backward = dense_forward(layer, x.data)
         return _training_node(x, layer.leaves(), out, backward, "dense")
-    if _backward:
-        wa = w.data
+    w = layer.weight.data
+    out = np.matmul(x, w, out=out)
+    out += layer.bias.data
 
-        def backward(g, gk, grads, need_dx):
-            np.matmul(x.T, g, out=grads[0])
-            g.sum(axis=0, out=grads[1])
-            return g @ wa.T if need_dx else None
+    def backward(g, gk, grads, need_dx):
+        np.matmul(x.T, g, out=grads[0])
+        g.sum(axis=0, out=grads[1])
+        return g @ w.T if need_dx else None
 
-        return (x @ wa) + b.data, backward
-    out = np.matmul(x, w.data, out=out)
-    out += b.data
-    return check_finite(out, "forward")
+    return check_finite(out, "forward"), backward
 
 
 def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None):
@@ -156,7 +154,8 @@ def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None):
 def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | None):
     """(std_W, std_b, KL, the softplus's two exps) from one softplus(rho)
     per posterior, shared by the draws, the KL and the backward's sigmoid.
-    `memo`, a dict shared by calls on the same parameters, keeps them."""
+    `memo`, a dict shared by calls on the same parameters, keeps them. A
+    non-finite KL raises NumericError."""
     wp, bp = layer.weight_post, layer.bias_post
     if noise.weight_eps.shape != wp.shape or noise.bias_eps.shape != bp.shape:
         raise ShapeError(
@@ -167,7 +166,7 @@ def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | No
     if "post" not in memo:
         (w_std, w_exp), (b_std, b_exp) = softplus_and_exp(wp.rho.data), softplus_and_exp(bp.rho.data)
         kl = kl_array(wp.mu.data, w_std, layer.prior) + kl_array(bp.mu.data, b_std, layer.prior)
-        memo["post"] = (w_std, b_std, kl, (w_exp, b_exp))
+        memo["post"] = (w_std, b_std, check_finite(kl, "kl"), (w_exp, b_exp))
     return memo["post"]
 
 
@@ -211,23 +210,21 @@ def _variational_backward(layer: DenseVariational, post, data_grads):
 
 
 def variational_forward_reparam(
-    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None, *, out=None,
-    _backward=False,
+    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None, *, out=None
 ):
     """One weight/bias draw shared by the whole batch: x W_sample + b_sample.
 
-    A Tensor x gives the layer's training node and its KL node. An array x
-    with `_backward` also returns the layer's closed-form backward (see
-    `_variational_backward`), which the node's backward calls; both take a
-    reparam layer only. Inference, an array x alone, takes either estimator;
-    `_memo`, a dict shared by calls on the same parameters, keeps the
-    posterior's std and KL from the first call, and `out` receives the
-    output.
+    A Tensor x gives the layer's training node and its KL node, for a
+    reparam layer only. An array x, of a layer of either estimator, gives
+    the output, written into `out` when given, the KL and the layer's
+    closed-form backward (see `_variational_backward`), which the node's
+    backward calls. `_memo`, a dict shared by calls on the same
+    parameters, keeps the posterior's std and KL from the first call.
     """
-    if (_backward or isinstance(x, Tensor)) and layer.estimator != REPARAM:
-        raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
     if isinstance(x, Tensor):
-        out, kl, backward = variational_forward_reparam(layer, x.data, noise, _backward=True)
+        if layer.estimator != REPARAM:
+            raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
+        out, kl, backward = variational_forward_reparam(layer, x.data, noise)
         return _training_node(x, layer.leaves(), out, backward, "reparam", kl)
     _check_input(layer, x)
     post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
@@ -235,8 +232,6 @@ def variational_forward_reparam(
     w += layer.weight_post.mu.data
     out = np.matmul(x, w, out=out)
     out += layer.bias_post.mu.data + b_std * noise.bias_eps
-    if not _backward:
-        return out, kl
 
     def data_grads(g, grads, need_dx):
         d_w = np.matmul(x.T, g, out=grads[0])
@@ -244,10 +239,10 @@ def variational_forward_reparam(
         dx = g @ w.T if need_dx else None
         return dx, [d_w, d_w * noise.weight_eps, d_b, d_b * noise.bias_eps]
 
-    return out, kl, _variational_backward(layer, post, data_grads)
+    return check_finite(out, "forward"), kl, _variational_backward(layer, post, data_grads)
 
 
-def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw, *, _backward=False):
+def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
     """Pseudo-independent per-example weight perturbations, for training.
 
     Row n sees x_n W_mu + ((x_n * r_n) (std * eps)) * s_n with a shared
@@ -255,18 +250,16 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw, *,
     is sampled once per batch by plain reparameterization.
 
     A Tensor x gives the layer's training node and its KL node. An array x
-    with `_backward` also returns the layer's closed-form backward (see
+    gives the output, the KL and the layer's closed-form backward (see
     `_variational_backward`), the closed form of that affine map, which the
-    node's backward calls. There is no inference form: inference runs
-    `variational_forward_reparam` on a sign-less draw.
+    node's backward calls. Inference runs `variational_forward_reparam` on
+    a sign-less draw instead.
     """
     if layer.estimator != FLIPOUT:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
     if isinstance(x, Tensor):
-        out, kl, backward = variational_forward_flipout(layer, x.data, noise, _backward=True)
+        out, kl, backward = variational_forward_flipout(layer, x.data, noise)
         return _training_node(x, layer.leaves(), out, backward, "flipout", kl)
-    if not _backward:
-        raise ContractError("flipout is a training estimator; inference runs the reparam forward")
     _check_input(layer, x)
     m = x.shape[0]
     d_in, d_out = layer.weight_post.shape
@@ -301,42 +294,46 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw, *,
         d_b = g.sum(axis=0, out=grads[2])
         return dx, [np.matmul(x.T, g, out=grads[0]), d_std, d_b, d_b * noise.bias_eps]
 
-    return out, kl, _variational_backward(layer, post, data_grads)
+    return check_finite(out, "forward"), kl, _variational_backward(layer, post, data_grads)
 
 
-def dropout_forward(
-    spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str, *, out=None, _backward=False
-):
+def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str, *, out=None):
     """Inverted dropout: zero with probability rate, scale survivors.
 
     The noise bundle decides: at inference a None mask is the identity map;
     in TRAIN a rate > 0 with no mask raises ShapeError. A Tensor x gives one
-    graph node; an array x with `_backward` also returns the backward
-    `g -> g * keep` that the node calls, or None for the identity map. At
-    inference `mask_noise` may also be the boolean mask `mask_noise >= rate`
-    of the kept units, and `out`, which may be x or the mask noise,
-    receives the output.
+    graph node, or x itself for the identity map. An array x gives the
+    output, written into `out` (which may be x or the mask noise) when
+    given, and the backward `g -> (g * keep) * scale` that the node calls,
+    or (x, None) for the identity map. `mask_noise` may also be the boolean
+    mask `mask_noise >= rate` of the kept units. A non-finite output raises
+    NumericError.
     """
     if phase not in PHASES:
         raise ConfigError(f"unknown phase {phase!r}")
     if spec.rate == 0.0 or (mask_noise is None and phase != TRAIN):
-        return (x, None) if _backward else x
+        return x if isinstance(x, Tensor) else (x, None)
     if isinstance(x, Tensor):
-        out, backward = dropout_forward(spec, x.data, mask_noise, phase, _backward=True)
+        out, backward = dropout_forward(spec, x.data, mask_noise, phase)
         node = Tensor(out, (x,), _op="mul")
         node._backward_fn = lambda g: x.accumulate_grad(backward(g))
         return node
     if mask_noise is None or mask_noise.shape != x.shape:
         got = None if mask_noise is None else mask_noise.shape
         raise ShapeError(f"mask noise shape {got} does not match input {x.shape}")
-    if _backward:
-        keep = (mask_noise >= spec.rate) * (1.0 / (1.0 - spec.rate))
-        return x * keep, lambda g: g * keep
     keep = mask_noise if mask_noise.dtype == bool else mask_noise >= spec.rate
-    # (x * 1.0 or x * 0.0) * scale is bit for bit (1.0 or 0.0) * scale * x
+    scale = 1.0 / (1.0 - spec.rate)
+    # (x * 1.0 or x * 0.0) * scale is bit for bit x * (1.0 or 0.0) * scale,
+    # signed zeros included
     out = np.multiply(x, keep, out=out)
-    out *= 1.0 / (1.0 - spec.rate)
-    return out
+    out *= scale
+
+    def backward(g):
+        dx = g * keep
+        dx *= scale
+        return dx
+
+    return check_finite(out, "dropout"), backward
 
 
 def _check_input(layer: DenseVariational, x) -> None:

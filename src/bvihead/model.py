@@ -6,12 +6,15 @@ variant decides the layer family: plain deterministic (with training-time
 dropout), MC dropout (dropout also active at inference), or stochastic
 variational layers whose weights carry mean-field Gaussian posteriors.
 
-A training step (`train_step`) runs forward and closed-form backward on
-the parameters' plain arrays and writes the gradient into a flat vector;
-it records no autodiff graph. `forward(..., TRAIN)` on a Tensor batch
-records one, over the same layer functions: the gradient reference of
-the tests. An inference forward runs on plain arrays and returns its two
-results as leaf tensors, so a Monte Carlo pass allocates no graph nodes.
+A training step (`train_step`) runs each layer function's array form,
+forward and closed-form backward, on the parameters' plain arrays and
+writes the gradient into a flat vector; it records no autodiff graph.
+`forward(..., TRAIN)` runs their Tensor form in the same order and
+records one: the gradient reference of the tests. A Monte Carlo pass,
+`forward(..., MC_INFERENCE)`, runs their array form in a reused
+workspace, drops each backward, and returns its two results as leaf
+tensors. Every layer function checks its own output, so both phases name
+the same layer and operation for the same non-finite value.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .layers import (
     ESTIMATORS,
     FLIPOUT,
     PHASES,
-    REPARAM,
     TRAIN,
     DenseDeterministic,
     DenseVariational,
@@ -171,15 +173,15 @@ def forward(
     KL is zero for non-variational variants. Any non-finite intermediate
     raises NumericError naming the offending layer. The noise bundle alone
     decides what is random; a None dropout entry is no dropout at
-    inference. TRAIN records the autodiff graph, the gradient reference of
-    `train_step`; MC_INFERENCE runs the same layer functions on plain
-    arrays, records no graph, runs every variational layer's reparam
-    forward and returns two leaf tensors. `_memo`, a dict shared by
-    inference forwards of the same x, keeps per layer what does not change
-    between them: each posterior's std and KL, a dense first layer's ReLU'd
-    output, and the array each other layer writes its output into. A
-    masked dropout layer writes over its mask noise instead, once read off
-    as booleans, so that bundle serves one forward.
+    inference. TRAIN records the autodiff graph over the layer functions'
+    Tensor form, the gradient reference of `train_step`. MC_INFERENCE runs
+    their array form, records no graph, runs every variational layer's
+    reparam forward and returns two leaf tensors. `_memo`, a dict shared
+    by inference forwards of the same x, keeps per layer what does not
+    change between them: each posterior's std and KL, a dense first
+    layer's ReLU'd output, and the array each other layer writes its
+    output into. A masked dropout layer writes over its mask noise
+    instead, once read off as booleans, so that bundle serves one forward.
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -191,57 +193,65 @@ def forward(
         )
     if phase not in PHASES:
         raise ConfigError(f"unknown phase {phase!r}")
-    tape = phase == TRAIN
-    spec = head.dropout
-    memo = {} if tape or _memo is None else _memo
-    kl_total = None
-    h = x if tape else x.data
     for i, layer in enumerate(head.layers):
         if isinstance(layer, DenseVariational) and noise[i] is None:
             raise ConfigError(f"layer {i}: variational layer needs a noise draw")
-        kl, reused, mask = None, False, None  # the last layer's mask is freed first
+    spec = head.dropout
+    kl_total = None
+    if phase == TRAIN:  # train_step's layers, as graph nodes
+        h = x
+        for i, layer in enumerate(head.layers):
+            try:
+                if isinstance(layer, DenseVariational):
+                    fwd = (variational_forward_flipout if layer.estimator == FLIPOUT
+                           else variational_forward_reparam)
+                    h, kl = fwd(layer, h, noise[i])
+                    kl_total = kl if kl_total is None else kl_total + kl
+                else:
+                    h = dense_forward(layer, h)
+                if i < 2:
+                    h = h.relu()
+                    if spec is not None:
+                        h = dropout_forward(spec, h, noise[i], TRAIN)
+            except NumericError as exc:
+                raise NumericError(f"layer {i}: {exc}") from exc
+        return h.log_softmax(), Tensor(0.0) if kl_total is None else kl_total
+
+    memo = {} if _memo is None else _memo
+    h = x.data
+    for i, layer in enumerate(head.layers):
+        reused, mask = False, None  # the last layer's mask is freed first
         layer_memo = memo.setdefault(i, {})  # its "out" is the layer's output array
         shape = (x.shape[0], head.config.layer_dims[i][1])
         # a mask of another shape goes to dropout_forward, which rejects it
-        over_mask = (not tape and spec is not None and i < 2 and noise[i] is not None
+        over_mask = (spec is not None and i < 2 and noise[i] is not None
                      and noise[i].shape == shape)
         mask = noise[i] >= spec.rate if over_mask else noise[i]
         try:
             if isinstance(layer, DenseVariational):
-                if not tape or layer.estimator == REPARAM:
-                    h, kl = variational_forward_reparam(
-                        layer, h, noise[i], layer_memo, out=layer_memo.get("out")
-                    )
-                else:
-                    h, kl = variational_forward_flipout(layer, h, noise[i])
+                h, kl = variational_forward_reparam(
+                    layer, h, noise[i], layer_memo, out=layer_memo.get("out")
+                )[:2]
                 kl_total = kl if kl_total is None else kl_total + kl
-            elif i == 0 and not tape:
+            elif i == 0:
                 reused = "out" in layer_memo  # then it holds the ReLU'd output
-                h = layer_memo["out"] if reused else dense_forward(layer, h)
+                h = layer_memo["out"] if reused else dense_forward(layer, h)[0]
                 layer_memo["out"] = h
             else:
-                out = noise[i] if over_mask else layer_memo.get("out")
-                h = dense_forward(layer, h, out=out)
+                h = dense_forward(layer, h, out=noise[i] if over_mask else layer_memo.get("out"))[0]
             if not over_mask:
                 layer_memo["out"] = h
-            # checked before relu, which would hide -inf; dense_forward checks its own output
-            if not tape and kl is not None and not (np.isfinite(h).all() and np.isfinite(kl)):
-                raise NumericError("forward produced non-finite values")
             if i < 2:
-                if tape:
-                    h = h.relu()
-                elif not reused:
+                if not reused:
                     np.maximum(h, 0.0, out=h)
                 if spec is not None:
-                    h = dropout_forward(spec, h, mask, phase, out=noise[i])
+                    h = dropout_forward(spec, h, mask, phase, out=noise[i])[0]
         except NumericError as exc:
             raise NumericError(f"layer {i}: {exc}") from exc
-    if not tape:
-        return (
-            Tensor(log_softmax_array(h), _op="log_softmax"),
-            Tensor(0.0 if kl_total is None else kl_total, _op="kl"),
-        )
-    return h.log_softmax(), Tensor(0.0) if kl_total is None else kl_total
+    return (
+        Tensor(log_softmax_array(h), _op="log_softmax"),
+        Tensor(0.0 if kl_total is None else kl_total, _op="kl"),
+    )
 
 
 def train_step(
@@ -255,8 +265,9 @@ def train_step(
     Every value equals that of forward(..., TRAIN), elbo_loss and
     Tensor.backward: the same layer functions and backward functions run
     in the same order, and a zero kl_weight adds no KL term. The first
-    layer forms no gradient of x. A non-finite pre-activation, KL or
-    dropout product raises NumericError naming its layer; a non-finite
+    layer forms no gradient of x. The layer functions check their own
+    outputs, so a non-finite pre-activation, KL or dropout product raises
+    NumericError naming its layer; a non-finite total KL,
     log-probability, NLL or loss raises one too.
     """
     kl_total = None
@@ -268,23 +279,20 @@ def train_step(
             if isinstance(layer, DenseVariational):
                 fwd = (variational_forward_flipout if layer.estimator == FLIPOUT
                        else variational_forward_reparam)
-                h, kl, back = fwd(layer, h, noise[i], _backward=True)
-                check_finite(h, "forward")
-                kl_total = check_finite(kl if kl_total is None else kl_total + kl, "kl")
+                h, kl, back = fwd(layer, h, noise[i])
+                kl_total = kl if kl_total is None else kl_total + kl
             else:
-                h, back = dense_forward(layer, h, _backward=True)
-                check_finite(h, "forward")
+                h, back = dense_forward(layer, h)
             if i < 2:
                 h, mask = relu_forward(h)
                 if head.dropout is not None:
-                    h, drop = dropout_forward(head.dropout, h, noise[i], TRAIN, _backward=True)
-                    check_finite(h, "dropout")
+                    h, drop = dropout_forward(head.dropout, h, noise[i], TRAIN)
         except NumericError as exc:
             raise NumericError(f"layer {i}: {exc}") from exc
         saved.append((back, mask, drop))
     log_probs = check_finite(log_softmax_array(h), "log_softmax")
     nll = check_finite(-log_probs[np.arange(x.shape[0]), labels].mean(), "nll")
-    kl = 0.0 if kl_total is None else kl_total
+    kl = 0.0 if kl_total is None else check_finite(kl_total, "kl")
     loss = nll if kl_weight == 0.0 else check_finite(nll + kl * kl_weight, "loss")
 
     gk = None if kl_weight == 0.0 else kl_weight
@@ -329,10 +337,20 @@ def bind_parameters(params: list[Tensor], theta: np.ndarray) -> None:
         p.data = view
 
 
+def _check_theta(theta: np.ndarray, error: type) -> None:
+    """`error` naming the first non-finite value of theta, if any."""
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise error(f"checkpoint.theta[{bad[0]}] is not finite: {float(theta[bad[0]])}")
+
+
 def head_to_dict(head: Head) -> dict:
     """The format_version, the config, and the parameters as one base64
-    string of little-endian float64 values in Head.parameters() order."""
+    string of little-endian float64 values in Head.parameters() order. A
+    non-finite parameter, which `head_from_dict` would reject, raises
+    NumericError."""
     theta = np.concatenate([p.data.ravel() for p in head.parameters()])
+    _check_theta(theta, NumericError)
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": {**asdict(head.config), "hidden_dims": list(head.config.hidden_dims)},
@@ -376,9 +394,7 @@ def head_from_dict(doc) -> Head:
     if len(raw) != 8 * n:
         raise ConfigError(f"checkpoint.theta holds {len(raw)} bytes, expected {n} float64 values")
     theta = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(theta))
-    if bad.size:
-        raise ConfigError(f"checkpoint.theta[{bad[0]}] is not finite: {float(theta[bad[0]])}")
+    _check_theta(theta, ConfigError)
     head = build_head(cfg, init_seed=0)
     bind_parameters(head.parameters(), theta)
     return head

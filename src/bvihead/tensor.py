@@ -101,9 +101,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, data={self.data!r})"
-
     def accumulate_grad(self, g) -> None:
         """Add one gradient contribution: assign the first, add later ones out of place."""
         self.grad = g if self.grad is None else self.grad + g
@@ -170,9 +167,6 @@ class Tensor:
             lambda g, a, b: -g,
         )
 
-    def __rsub__(self, other):
-        return (self * -1.0) + other
-
     def __mul__(self, other):
         return self._binary(
             other, "mul",
@@ -182,9 +176,6 @@ class Tensor:
         )
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
     # ---- matmul -----------------------------------------------------------
 

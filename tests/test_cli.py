@@ -1,14 +1,16 @@
 import collections
 import importlib
 import json
+import re
 import typing
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bvihead.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, load_config, main
+from bvihead.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config, main
 from bvihead.data import SynthSpec
 from bvihead.errors import ConfigError
 from bvihead.model import HeadConfig, build_head, head_to_dict
@@ -570,3 +572,63 @@ def test_train_on_csv_with_underscore_digits_exits_3(tiny_config, tmp_path, caps
     code = run(["train", "--config", str(cfg_path), "--out", str(out), "--variant", "deterministic"])
     assert code == EXIT_IO
     assert "line 2, column 1 ('f0')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formats", [["bfv", "xyz"], []])
+@pytest.mark.parametrize("command", ["gen-data", "compare"])
+def test_bad_formats_exit_2_before_any_data_file(tmp_path, capsys, command, formats):
+    # an unknown format once failed after the first one's files, and none
+    # at all wrote nothing and exited 0
+    cfg = json.loads(json.dumps(TINY))
+    cfg["data"]["formats"] = formats
+    path = tmp_path / "formats.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "ws"
+    assert run([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: data.formats must list one or more of ('bfv', 'csv'), got {formats!r}\n"
+    assert not out.exists()
+
+
+def overflow_config(tmp_path, batch_size):
+    """3 classes at F=4 under SGD at learning rate 1.7e308, whose first
+    step takes some parameter of the deterministic head to -inf."""
+    cfg = {
+        "data": {"k_in": 3, "k_out": 2, "feature_dim": 4, "per_class": 20, "center_seed": 21,
+                 "noise_seed": 22},
+        "head": {"hidden_dims": [16, 16]},
+        "train": {"epochs": 1, "batch_size": batch_size, "optimizer": "sgd", "momentum": 0.0,
+                  "learning_rate": 1.7e308},
+        "inference": {"mc_samples": 5},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "ws"
+    assert run(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    return str(path), out
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_an_overflowed_theta_exits_4_before_its_checkpoint_is_written(tmp_path, capsys, command):
+    # one batch of all 48 rows: the epoch's only step overflows theta after
+    # a finite loss, and no later forward sees it
+    path, out = overflow_config(tmp_path, batch_size=64)
+    capsys.readouterr()
+    variant = ["--variant", "deterministic"] if command == "train" else []
+    assert run([command, "--config", path, "--out", str(out), *variant]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: checkpoint\.theta\[\d+\] is not finite: -?inf\n", err), err
+    assert sorted(p.name for p in out.iterdir()) == ["ood.bfv", "train.bfv", "val.bfv"]
+
+
+def test_a_diverging_train_prints_one_error_line_and_no_warning(tmp_path, capsys):
+    # the second of three steps overflows layer 0's output
+    path, out = overflow_config(tmp_path, batch_size=16)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["train", "--config", path, "--out", str(out), "--variant", "deterministic"])
+    assert code == EXIT_NUMERIC
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at epoch 0, batch 1: ") and err.count("\n") == 1

@@ -393,7 +393,7 @@ def test_fused_node_equals_op_level_composition_bit_for_bit(kind, loss_case):
     # the array form a training step runs: from the node's upstream
     # gradients, the same bytes, and no gradient of the batch
     array_args = (layer, x_arr) if kind == "dense" else (layer, x_arr, noise)
-    res = FUSED[kind](*array_args, _backward=True)
+    res = FUSED[kind](*array_args)
     backward = res[-1]
     grads = [np.empty_like(t.data) for t in leaves]
     assert backward(g, gk, grads, False) is None
@@ -442,7 +442,7 @@ def test_flipout_training_forward_is_one_node_over_its_inputs():
     assert all(a is b for a, b in zip(out._parents, [x] + leaves, strict=True))
     assert len(kl._parents) == 1 and kl._parents[0] is out
     # an array batch records no node: the output comes with its backward
-    out, kl, backward = variational_forward_flipout(layer, x.data, noise, _backward=True)
+    out, kl, backward = variational_forward_flipout(layer, x.data, noise)
     assert type(out) is np.ndarray and callable(backward)
 
 
@@ -463,11 +463,8 @@ def test_flipout_array_form_equals_the_expression_bit_for_bit():
     delta = np.log1p(np.exp(wp.rho.data)) * noise.weight_eps
     b = bp.mu.data + np.log1p(np.exp(bp.rho.data)) * noise.bias_eps
     want = ((x @ wp.mu.data) + (((x * noise.sign_in) @ delta) * noise.sign_out)) + b
-    out, _, _ = variational_forward_flipout(layer, x, noise, _backward=True)
+    out, _, _ = variational_forward_flipout(layer, x, noise)
     np.testing.assert_array_equal(out, want)
-    # Flipout has no inference form: inference runs the reparam forward
-    with pytest.raises(ContractError, match="training"):
-        variational_forward_flipout(layer, x, noise)
 
 
 @pytest.mark.parametrize("estimator", [REPARAM, FLIPOUT])
@@ -482,12 +479,12 @@ def test_inference_form_is_one_sampled_weight_for_either_estimator(estimator):
     want = (x @ w) + (bp.mu.data + np.log1p(np.exp(bp.rho.data)) * noise.bias_eps)
     memo = {}
     for kept in (None, memo, memo):
-        out, _ = variational_forward_reparam(layer, x, noise, kept)
+        out, _, _ = variational_forward_reparam(layer, x, noise, kept)
         np.testing.assert_array_equal(out, want)
-    # the training forms keep their estimator check
+    # the graph form keeps its estimator check
     if estimator == FLIPOUT:
         with pytest.raises(ContractError):
-            variational_forward_reparam(layer, x, noise, _backward=True)
+            variational_forward_reparam(layer, Tensor(x), noise)
 
 
 def test_shared_weight_draw_has_the_flipout_law_per_example():
@@ -504,9 +501,7 @@ def test_shared_weight_draw_has_the_flipout_law_per_example():
         shared[t] = variational_forward_reparam(
             layer, x, draw_layer_noise(layer, 4, rng, MC_INFERENCE), memo
         )[0]
-        flip[t] = variational_forward_flipout(
-            layer, x, draw_layer_noise(layer, 4, rng), _backward=True
-        )[0]
+        flip[t] = variational_forward_flipout(layer, x, draw_layer_noise(layer, 4, rng))[0]
     for stat in (lambda a: a, lambda a: (a - a.mean(axis=0)) ** 2):
         a, b = stat(shared), stat(flip)
         se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / n)
@@ -517,7 +512,8 @@ def test_dense_inference_writes_into_out_and_rejects_non_finite():
     layer = DenseDeterministic(Tensor(np.arange(6.0).reshape(3, 2)), Tensor([0.5, -1.0]))
     x = np.random.default_rng(37).normal(size=(4, 3))
     buf = np.empty((4, 2))
-    assert dense_forward(layer, x, out=buf) is buf
+    out, backward = dense_forward(layer, x, out=buf)
+    assert out is buf and callable(backward)
     np.testing.assert_array_equal(buf, (x @ layer.weight.data) + layer.bias.data)
     x[2, 1] = np.nan
     with pytest.raises(NumericError, match="non-finite"):
@@ -633,7 +629,8 @@ def test_dropout_rate_zero_is_identity_in_all_phases():
 def test_dropout_without_mask_is_identity_at_inference_only():
     spec = DropoutSpec(0.7)
     x = np.random.default_rng(31).normal(size=(2, 5))
-    assert dropout_forward(spec, x, None, MC_INFERENCE) is x
+    out, backward = dropout_forward(spec, x, None, MC_INFERENCE)
+    assert out is x and backward is None
     t = Tensor(x)
     assert dropout_forward(spec, t, None, MC_INFERENCE) is t
     with pytest.raises(ShapeError):
@@ -657,9 +654,42 @@ def test_dropout_inference_equals_the_scaled_mask_bit_for_bit():
     x = rng.normal(size=(6, 5))
     mask = rng.random((6, 5))
     before = x.copy()
-    out = dropout_forward(spec, x, mask, MC_INFERENCE)
+    out, _ = dropout_forward(spec, x, mask, MC_INFERENCE)
     np.testing.assert_array_equal(out, x * ((mask >= 0.3).astype(np.float64) / (1.0 - 0.3)))
     np.testing.assert_array_equal(x, before)
+
+
+# values whose products with 0.0, 1.0 and the scale keep or flip a zero's
+# sign, underflow, or come near the largest double
+DROPOUT_VALUES = np.array([-3.5, -1.0, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 0.7])
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.3, 0.4])
+@pytest.mark.parametrize("phase", [TRAIN, MC_INFERENCE])
+def test_dropout_is_one_formula_byte_for_byte_the_scaled_mask_product(rate, phase):
+    # every value against every kept and dropped unit, forward and backward
+    spec = DropoutSpec(rate)
+    n = DROPOUT_VALUES.size
+    x = np.repeat(DROPOUT_VALUES, 2 * n).reshape(n, 2 * n)
+    g = np.tile(np.repeat(DROPOUT_VALUES, 2), (n, 1))
+    u = np.tile([rate - 0.1, rate + 0.1], (n, n))
+    u[0, :2] = rate  # the threshold itself is kept
+    scaled_mask = (u >= rate) * (1.0 / (1.0 - rate))
+    want, want_dx = x * scaled_mask, g * scaled_mask
+    for mask in (u, u >= rate):
+        for out in (None, "x", "mask"):
+            xs, ms = x.copy(), mask.copy()
+            buf = {None: None, "x": xs, "mask": ms}[out]
+            if out == "mask" and ms.dtype == bool:
+                continue  # a boolean mask cannot hold the output
+            got, backward = dropout_forward(spec, xs, ms, phase, out=buf)
+            assert got.tobytes() == want.tobytes()
+            assert buf is None or got is buf
+            assert backward(g).tobytes() == want_dx.tobytes()
+    xt = Tensor(x)
+    node = dropout_forward(spec, xt, u, phase)
+    node._backward_fn(g)  # a loss over these values would overflow
+    assert node.data.tobytes() == want.tobytes() and xt.grad.tobytes() == want_dx.tobytes()
 
 
 def test_dropout_mask_shape_checked():

@@ -20,6 +20,7 @@ from bvihead.model import (
     head_to_dict,
     load_head,
     save_head,
+    train_step,
     zero_noise_bundle,
 )
 from bvihead.tensor import Tensor
@@ -232,6 +233,27 @@ def test_inference_overflow_names_the_layer(variant, value):
                 forward(head, x, noise, phase)
 
 
+def test_dropout_overflow_names_the_same_layer_in_training_and_mc_passes():
+    # layer 0's pre-activation, 1e300 * 1.5e8, is finite, and the dropout
+    # scale 1.25 takes every kept unit to inf: the training step, its graph
+    # reference and an MC-dropout pass all name layer 0's dropout
+    head = build_head(small_config(MC_DROPOUT), init_seed=21)
+    weight = head.layers[0].weight
+    weight.data = np.zeros(weight.shape)
+    weight.data[0, :] = 1.5e8
+    x = np.full((3, 5), 1e300)
+    want = "^layer 0: dropout produced non-finite values$"
+    grads = [np.empty_like(p.data) for p in head.parameters()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phase in (TRAIN, MC_INFERENCE):
+            noise = draw_noise_bundle(head, 3, np.random.default_rng(22), phase)
+            with pytest.raises(NumericError, match=want):
+                forward(head, Tensor(x), noise, phase)
+        noise = draw_noise_bundle(head, 3, np.random.default_rng(22), TRAIN)
+        with pytest.raises(NumericError, match=want):
+            train_step(head, x, np.zeros(3, dtype=np.int64), noise, 0.0, grads)
+
+
 def test_inference_forward_records_no_graph(monkeypatch):
     created = []
     init = Tensor.__init__
@@ -273,6 +295,20 @@ def test_checkpoint_round_trip_exact(tmp_path):
         assert loaded.config == head.config
         for a, b in zip(head.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_head_to_dict_rejects_the_non_finite_theta_the_reader_rejects(value):
+    head = build_head(small_config(STOCHASTIC_VI), init_seed=11)
+    head.layers[1].bias_post.rho.data[2] = value
+    index = sum(p.data.size for p in head.parameters()[:7]) + 2
+    with pytest.raises(NumericError, match=rf"^checkpoint\.theta\[{index}\] is not finite"):
+        head_to_dict(head)
+    doc = head_to_dict(build_head(small_config(STOCHASTIC_VI), init_seed=11))
+    theta = np.concatenate([p.data.ravel() for p in head.parameters()])
+    doc["theta"] = base64.b64encode(theta.astype("<f8").tobytes()).decode("ascii")
+    with pytest.raises(ConfigError, match=rf"^checkpoint\.theta\[{index}\] is not finite"):
+        head_from_dict(doc)
 
 
 def test_checkpoint_format_version_checked(tmp_path):
