@@ -22,7 +22,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import BviError, ConfigError, NumericError, ParseError
 from .evaluate import MAX_BINS, density_histogram, evaluation_suite, write_bundle
-from .fsio import atomic_write_text
+from .fsio import atomic_write_text, csv_text
 from .model import (
     DETERMINISTIC,
     VARIANTS,
@@ -290,7 +290,7 @@ def cmd_eval(args) -> int:
     ckpt = args.checkpoint or str(out_dir / f"checkpoint_{args.variant}.json")
     head = load_head(ckpt)
     bundle = _eval_one(cfg, head, _eval_data(out_dir), out_dir / f"eval_{args.variant}")
-    print(json.dumps(bundle.summary, indent=1, sort_keys=True))
+    print(bundle.summary_json(), end="")
     return EXIT_OK
 
 
@@ -312,27 +312,11 @@ def _format_cell(value) -> str:
 
 def comparison_tables(rows: dict[str, dict]) -> tuple[str, str]:
     """(markdown, csv) for the three-variant comparison."""
-    md = io.StringIO()
-    md.write("| model | " + " | ".join(TABLE_COLUMNS) + " |\n")
-    md.write("|" + "---|" * (len(TABLE_COLUMNS) + 1) + "\n")
-    csv_buf = io.StringIO()
-    csv_buf.write("model," + ",".join(TABLE_COLUMNS) + "\n")
-    for variant in VARIANTS:
-        summary = rows[variant]
-        md.write(
-            f"| {variant} | "
-            + " | ".join(_format_cell(summary[c]) for c in TABLE_COLUMNS)
-            + " |\n"
-        )
-        csv_buf.write(
-            variant
-            + ","
-            + ",".join(
-                "" if summary[c] is None else repr(summary[c]) for c in TABLE_COLUMNS
-            )
-            + "\n"
-        )
-    return md.getvalue(), csv_buf.getvalue()
+    md = ["| model | " + " | ".join(TABLE_COLUMNS) + " |", "|" + "---|" * (len(TABLE_COLUMNS) + 1)]
+    md += [f"| {variant} | " + " | ".join(_format_cell(rows[variant][c]) for c in TABLE_COLUMNS)
+           + " |" for variant in VARIANTS]
+    table = [[variant] + [rows[variant][c] for c in TABLE_COLUMNS] for variant in VARIANTS]
+    return "\n".join(md) + "\n", csv_text(("model", *TABLE_COLUMNS), table)
 
 
 def cmd_compare(args) -> int:
@@ -369,9 +353,9 @@ def cmd_compare(args) -> int:
         bundle = _eval_one(cfg, head, eval_data, out_dir / f"eval_{variant}")
         results[variant] = bundle.summary
 
-    md, csv_text = comparison_tables(results)
+    md, table = comparison_tables(results)
     atomic_write_text(out_dir / "compare.md", md)
-    atomic_write_text(out_dir / "compare.csv", csv_text)
+    atomic_write_text(out_dir / "compare.csv", table)
     print(md, end="")
     return EXIT_OK
 

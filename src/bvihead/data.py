@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, GenerationError, ParseError
-from .fsio import atomic_write_bytes, atomic_write_text
+from .fsio import atomic_write_bytes, atomic_write_text, csv_text
 
 OOD_LABEL = -1
 BFV_MAGIC = b"BFV1"
@@ -105,10 +105,18 @@ class SynthSpec:
                 f"data.per_class: (k_in + k_out) * per_class * feature_dim is {values}"
                 f" feature values, more than {MAX_FEATURE_VALUES}"
             )
+        if self.n_train == self.per_class:
+            raise ConfigError(f"data.per_class must be >= 3, so that the 80/20 split leaves"
+                              f" a validation row, got {self.per_class}")
         if not self.within_std > 0:
             raise ConfigError(f"within-class std must be positive, got {self.within_std}")
         if not 0 < self.center_scale <= 1e300:  # centers are drawn from +-center_scale
             raise ConfigError(f"data.center_scale must be in (0, 1e300], got {self.center_scale}")
+
+    @property
+    def n_train(self) -> int:
+        """Training rows per class: 80% of per_class, rounded."""
+        return int(round(self.per_class * 0.8))
 
 
 _MAX_CENTER_TRIES = 10**5
@@ -172,7 +180,7 @@ def generate(spec: SynthSpec) -> tuple[LabeledFeatureSet, LabeledFeatureSet, Lab
 
     noise_rng = np.random.default_rng(spec.noise_seed)
     train_x, train_y, val_x, val_y = [], [], [], []
-    n_train = int(round(spec.per_class * 0.8))
+    n_train = spec.n_train
     for k in range(spec.k_in):
         pts = in_centers[k] + spec.within_std * noise_rng.standard_normal(
             (spec.per_class, spec.feature_dim)
@@ -239,12 +247,9 @@ def read_text(path) -> str:
 
 
 def save_csv(data: LabeledFeatureSet, path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"f{i}" for i in range(data.feature_dim)] + ["label", "is_ood"])
-    for row, label, ood in zip(data.features, data.labels, data.is_ood):
-        writer.writerow([repr(float(v)) for v in row] + [int(label), int(ood)])
-    atomic_write_text(path, buf.getvalue())
+    header = [f"f{i}" for i in range(data.feature_dim)] + ["label", "is_ood"]
+    rows = zip(data.features.tolist(), data.labels.tolist(), data.is_ood.astype(np.int64).tolist())
+    atomic_write_text(path, csv_text(header, (row + [label, ood] for row, label, ood in rows)))
 
 
 def _load_csv(path) -> LabeledFeatureSet:
@@ -283,6 +288,11 @@ def _load_csv(path) -> LabeledFeatureSet:
                 raise ParseError(
                     f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
                     f" label {row[f_dim]!r} is outside the int32 range"
+                )
+            if label < OOD_LABEL:
+                raise ParseError(
+                    f"{path}: line {lineno}, column {f_dim + 1} ('label'): label {label}"
+                    f" is negative, and only OOD rows carry one, {OOD_LABEL}"
                 )
             flag = row[f_dim + 1].strip()
             if flag not in ("0", "1"):
@@ -346,6 +356,13 @@ def _load_bfv(path) -> LabeledFeatureSet:
         )
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=12 + feat_bytes)
     labels = labels.astype(np.int64)
+    below = np.flatnonzero(labels < OOD_LABEL)
+    if below.size:
+        r = below[0]
+        raise ParseError(
+            f"{path}: byte {12 + feat_bytes + r * 4}: row {r}: label {labels[r]}"
+            f" is negative, and only OOD rows carry one, {OOD_LABEL}"
+        )
     return LabeledFeatureSet(feats.astype(np.float64), labels, labels == OOD_LABEL)
 
 

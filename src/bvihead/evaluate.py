@@ -17,17 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, UndefinedCurveError
-from .fsio import atomic_write_text
+from .fsio import atomic_write_text, csv_text
 from .uncertainty import PredictiveDistribution, ReportColumns, report
 
 # far beyond any plot; caps a histogram's counts at 8 MB
 MAX_BINS = 10**6
-
-
-def _csv(header: str, *columns) -> str:
-    """The header, then one line of float reprs per row of the columns."""
-    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
-    return header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,8 @@ class Curve:
     auc: float
 
     def to_csv(self) -> str:
-        return _csv("threshold,x,y", self.thresholds, self.xs, self.ys)
+        columns = np.array((self.thresholds, self.xs, self.ys), dtype=np.float64)
+        return csv_text(("threshold", "x", "y"), columns.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,8 @@ class DensityHistogram:
 
     def to_csv(self) -> str:
         edges = self.bin_edges
-        return _csv("bin_lo,bin_hi,density", edges[:-1], edges[1:], self.densities)
+        columns = np.array((edges[:-1], edges[1:], self.densities))
+        return csv_text(("bin_lo", "bin_hi", "density"), columns.T.tolist())
 
 
 def top_k_accuracy(mean_probs: np.ndarray, labels: np.ndarray, k: int) -> float:
@@ -231,16 +227,18 @@ def evaluation_suite(
     bundle = EvalBundle(summary={key: None for key in SUMMARY_KEYS}, reports=columns)
     if not in_dist.any():
         raise DataError("evaluation needs at least one in-distribution example")
+    in_labels = labels[in_dist]
+    outside = (in_labels < 0) | (in_labels >= k)
+    if outside.any():
+        raise DataError(f"in-distribution label {in_labels[outside][0]} is outside [0, {k})")
 
     # (a) accuracies on in-distribution data
-    bundle.summary["top1"] = top_k_accuracy(mean_probs[in_dist], labels[in_dist], 1)
-    bundle.summary["top5"] = top_k_accuracy(
-        mean_probs[in_dist], labels[in_dist], min(5, k)
-    )
+    bundle.summary["top1"] = top_k_accuracy(mean_probs[in_dist], in_labels, 1)
+    bundle.summary["top5"] = top_k_accuracy(mean_probs[in_dist], in_labels, min(5, k))
 
     # (b) micro one-vs-rest curves over (example, class) pairs
-    onehot = np.zeros((int(in_dist.sum()), k), dtype=bool)
-    onehot[np.arange(onehot.shape[0]), labels[in_dist]] = True
+    onehot = np.zeros((in_labels.size, k), dtype=bool)
+    onehot[np.arange(in_labels.size), in_labels] = True
     micro = ScoredBinary(mean_probs[in_dist].reshape(-1), onehot.reshape(-1))
     roc_micro = roc_curve_auc(micro)
     pr_micro = pr_curve_auc(micro)
@@ -250,7 +248,7 @@ def evaluation_suite(
     bundle.summary["pr_auc_micro"] = pr_micro.auc
 
     # (c) correctness detection: does confidence rank correct predictions first
-    correct = predicted[in_dist] == labels[in_dist]
+    correct = predicted[in_dist] == in_labels
     try:
         roc_corr = roc_curve_auc(ScoredBinary(confidence[in_dist], correct))
         pr_corr = pr_curve_auc(ScoredBinary(confidence[in_dist], correct))

@@ -127,12 +127,20 @@ def dense_forward(layer: DenseDeterministic, x, *, out=None):
     return check_finite(out, "forward"), backward
 
 
+class _LayerNode(Tensor):
+    """A layer's training node, whose KL node hands it the KL's gradient:
+    its backward runs even when no data gradient reached it."""
+
+    __slots__ = ()
+    _takes_none = True
+
+
 def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None):
     """The graph form of a layer's training forward: one node over x and
     the layer's leaves whose backward runs the layer's `backward`, and for
     a variational layer one scalar node for its KL, which hands its
     gradient to the layer's node in the same backward pass."""
-    node = Tensor(out, (x, *leaves), _op=op)
+    node = _LayerNode(out, (x, *leaves), _op=op)
     kl_grad: list = []  # the KL node's gradient, for the layer's node
 
     def _bw(g):

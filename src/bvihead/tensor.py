@@ -88,6 +88,9 @@ class Tensor:
     """A value in the computation graph: float64 data plus its gradient."""
 
     __slots__ = ("data", "grad", "_parents", "_backward_fn", "_consumed")
+    # True for a node whose gradient can also reach it other than through
+    # its children's backward, such as a layer node from its KL node
+    _takes_none = False
 
     def __init__(self, data, _parents=(), _backward_fn=None, _op="tensor"):
         arr = np.asarray(data, dtype=np.float64, order="C")
@@ -218,9 +221,10 @@ class Tensor:
 
         The grads of all reachable nodes are reset first, so no manual
         reset between passes is needed. A reachable node that no child
-        handed a gradient, such as a layer node whose only used output is
-        its KL node, has its backward called with None. Raises TapeError
-        when this root has already been walked.
+        handed a gradient hands none on: its backward is skipped, unless
+        the node `_takes_none`, such as a layer node whose only used output
+        is its KL node, which has its backward called with None. Raises
+        TapeError when this root has already been walked.
         """
         if self.data.size != 1:
             raise ContractError(f"backward requires a scalar root, got shape {self.shape}")
@@ -247,7 +251,7 @@ class Tensor:
 
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None:
+            if node._backward_fn is not None and (node.grad is not None or node._takes_none):
                 node._backward_fn(node.grad)
 
 

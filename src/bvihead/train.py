@@ -15,15 +15,14 @@ block stays in cache between them. No autodiff graph is recorded.
 
 from __future__ import annotations
 
-import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .data import LabeledFeatureSet, batches
 from .errors import ConfigError, ContractError, NumericError
-from .fsio import atomic_write_text
+from .fsio import atomic_write_text, csv_text
 from .model import Head, bind_parameters, draw_noise_bundle, parameter_views, train_step
 from .model import forward  # noqa: F401  # perfbench/tracer.py wraps it here
 from .tensor import Tensor, nll
@@ -87,13 +86,8 @@ class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epoch,nll,kl,loss,accuracy,seconds\n")
-        for e in self.epochs:
-            buf.write(
-                f"{e.epoch},{e.nll!r},{e.kl!r},{e.loss!r},{e.accuracy!r},{e.seconds!r}\n"
-            )
-        return buf.getvalue()
+        """One column per `EpochStats` field, one row per epoch."""
+        return csv_text([f.name for f in fields(EpochStats)], map(astuple, self.epochs))
 
     def save(self, path) -> None:
         atomic_write_text(path, self.to_csv())

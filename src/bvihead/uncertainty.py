@@ -15,7 +15,6 @@ a float for one example or an (M,) array for M.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .data import MAX_FEATURE_VALUES
 from .errors import ConfigError, DataError
-from .fsio import atomic_write_text
+from .fsio import atomic_write_text, csv_text
 from .layers import MC_INFERENCE
 from .model import Head, draw_noise_bundle, forward
 from .model import zero_noise_bundle  # noqa: F401  # perfbench/tracer.py wraps it here
@@ -162,15 +161,11 @@ def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistributi
 
 
 def reports_to_csv(columns: ReportColumns, true_labels: np.ndarray, is_ood: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write(
-        "example_id,true_label,predicted,confidence,pred_entropy,exp_entropy,bald,is_ood\n"
-    )
-    rows = zip(np.asarray(true_labels).tolist(), *(c.tolist() for c in columns),
-               np.asarray(is_ood).tolist())
-    for i, (label, predicted, conf, pe, ee, b, ood) in enumerate(rows):
-        buf.write(f"{i},{int(label)},{predicted},{conf!r},{pe!r},{ee!r},{b!r},{int(ood)}\n")
-    return buf.getvalue()
+    labels = np.asarray(true_labels).astype(np.int64).tolist()
+    rows = zip(range(len(labels)), labels, *(c.tolist() for c in columns),
+               np.asarray(is_ood).astype(np.int64).tolist())
+    return csv_text(("example_id", "true_label", "predicted", "confidence", "pred_entropy",
+                     "exp_entropy", "bald", "is_ood"), rows)
 
 
 def save_reports(path, columns, true_labels, is_ood) -> None:

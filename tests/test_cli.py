@@ -632,3 +632,60 @@ def test_a_diverging_train_prints_one_error_line_and_no_warning(tmp_path, capsys
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite loss at epoch 0, batch 1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("per_class", [1, 2])
+@pytest.mark.parametrize("command", ["gen-data", "compare"])
+def test_a_per_class_with_no_validation_row_exits_2_before_any_data_file(
+    tmp_path, capsys, command, per_class
+):
+    # the 80/20 split of 1 or 2 rows leaves no validation row, and
+    # generation once crashed on the empty set with a raw traceback
+    cfg = write_data_config(tmp_path, per_class=per_class)
+    out = tmp_path / "ws"
+    assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: data.per_class must be >= 3, so that the 80/20 split leaves a validation"
+        f" row, got {per_class}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt, where", [("bfv", "byte 64: row 1"), ("csv", "line 3, column 7")])
+def test_eval_of_a_label_below_minus_1_exits_3_naming_its_position(
+    tiny_config, tmp_path, capsys, fmt, where
+):
+    # label -7 once counted as an in-distribution class, which the micro
+    # one-hot wrapped round to class 1 (K=3 here)
+    from bvihead.data import LabeledFeatureSet, save_features
+
+    out = tmp_path / "ws"
+    run(["gen-data", "--config", tiny_config, "--out", str(out)])
+    run(["train", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
+    (out / "val.bfv").unlink()
+    val = LabeledFeatureSet(np.ones((2, 6)), [0, -7], [False, False])
+    save_features(val, out / f"val.{fmt}", fmt)
+    capsys.readouterr()
+    code = run(["eval", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: {out / f'val.{fmt}'}: {where}"
+        + ("" if fmt == "bfv" else " ('label')")
+        + ": label -7 is negative, and only OOD rows carry one, -1\n"
+    )
+    assert not (out / "eval_deterministic").exists()
+
+
+def test_a_failed_write_names_the_target_not_a_temp_file(tiny_config, tmp_path, capsys):
+    # the temp file's random name once stood in the message
+    report = tmp_path / "r.csv"
+    report.write_text("confidence\n0.5\n")
+    target = tmp_path / "missing" / "h.csv"
+    errors = []
+    for _ in range(2):
+        assert run(["hist", "--input", str(report), "--column", "confidence",
+                    "--out", str(target)]) == EXIT_IO
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert errors[1] == errors[0]
+    assert ".tmp" not in errors[0]

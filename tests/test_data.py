@@ -288,9 +288,40 @@ def test_csv_rejects_cells_outside_the_decimal_grammar(tmp_path, row, where):
 def test_csv_accepts_every_decimal_spelling(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text(
-        "f0,f1,label,is_ood\n1.E-3, .5 ,+2,0\n5.,-7e2,-1,1\n-0,0,-0002147483648,0\n",
+        "f0,f1,label,is_ood\n1.E-3, .5 ,+2,0\n5.,-7e2,-0001,1\n-0,0,+0002147483647,0\n",
         encoding="utf-8",
     )
     loaded = load_features(path, "csv")
     np.testing.assert_array_equal(loaded.features, [[1e-3, 0.5], [5.0, -700.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(loaded.labels, [2, -1, -(2**31)])
+    np.testing.assert_array_equal(loaded.labels, [2, -1, 2**31 - 1])
+
+
+@pytest.mark.parametrize("label", [-7, -(2**31)])
+def test_csv_rejects_a_label_below_the_ood_label_naming_line_and_column(tmp_path, label):
+    # is_ood 0 once let such a label load as an in-distribution class
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,label,is_ood\n2.0,0,0\n1.0,{label},0\n")
+    with pytest.raises(ParseError, match=(
+        rf"line 3, column 2 \('label'\): label {label} is negative, and only OOD rows carry"
+        " one, -1$"
+    )):
+        load_features(path, "csv")
+
+
+@pytest.mark.parametrize("label", [-7, -(2**31)])
+def test_bfv_rejects_a_label_below_the_ood_label_naming_byte_and_row(tmp_path, label):
+    path = tmp_path / "bad.bfv"
+    save_features(LabeledFeatureSet(np.ones((3, 2)), [0, -1, label], [False, True, False]),
+                  path, "bfv")
+    with pytest.raises(ParseError, match=(
+        rf"byte 44: row 2: label {label} is negative, and only OOD rows carry one, -1$"
+    )):
+        load_features(path, "bfv")
+
+
+def test_spec_needs_a_validation_row_per_class():
+    for per_class in (1, 2):
+        with pytest.raises(ConfigError, match=f"data.per_class must be >= 3, .* got {per_class}$"):
+            tiny_spec(per_class=per_class)
+    train, val, _ = generate(tiny_spec(per_class=3))
+    assert (train.n, val.n) == (3 * 2, 3 * 1)

@@ -345,3 +345,15 @@ def test_write_bundle_creates_files(tmp_path):
     assert hist_text.startswith("bin_lo,bin_hi,density\n")
     for line in hist_text.strip().split("\n")[1:]:
         assert len([float(v) for v in line.split(",")]) == 3
+
+
+@pytest.mark.parametrize("label", [9, -7])
+@pytest.mark.parametrize("k", [4, 8])
+def test_suite_rejects_an_in_distribution_label_outside_the_classes(k, label):
+    # the micro one-hot once wrapped -7 round to a class, or raised IndexError
+    rng = np.random.default_rng(14)
+    pd = one_pass_pd(rng.dirichlet(np.ones(k), size=4))
+    labels = np.array([0, 1, label, -1])
+    flags = np.array([False, False, False, True])
+    with pytest.raises(DataError, match=rf"^in-distribution label {label} is outside \[0, {k}\)$"):
+        evaluation_suite(pd, labels, flags)

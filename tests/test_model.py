@@ -456,3 +456,23 @@ def test_load_head_wrong_types_raise_config_error(tmp_path, corrupt, where):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=rf"head\.json.*{where}"):
         load_head(path)
+
+
+@pytest.mark.parametrize("estimator", ["flipout", REPARAM])
+def test_kl_alone_backpropagates_to_every_posterior_as_kl_to_prior_does(estimator):
+    # with two or more VI layers, the ReLU between them once had its
+    # backward called with None and raised TypeError
+    from bvihead.layers import kl_to_prior
+
+    head = build_head(HeadConfig(3, (4, 4), 2, STOCHASTIC_VI, estimator=estimator), init_seed=9)
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.normal(size=(5, 3)))
+    _, kl = forward(head, x, draw_noise_bundle(head, 5, rng), TRAIN)
+    kl.backward()
+    assert x.grad is None
+    for layer in head.layers:
+        for post in (layer.weight_post, layer.bias_post):
+            got = post.mu.grad, post.rho.grad
+            kl_to_prior(post, layer.prior).backward()
+            assert got[0].tobytes() == post.mu.grad.tobytes()
+            assert got[1].tobytes() == post.rho.grad.tobytes()
