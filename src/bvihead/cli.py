@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import io
 import json
 import math
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import BviError, ConfigError, NumericError, ParseError
-from .evaluate import MAX_BINS, density_histogram, evaluation_suite, write_bundle
+from .evaluate import MAX_BINS, SUMMARY_KEYS, density_histogram, evaluation_suite, write_bundle
 from .fsio import atomic_write_text, csv_text
 from .model import (
     DETERMINISTIC,
@@ -162,10 +161,6 @@ def train_config_from(cfg: dict, seed_offset: int = 0) -> TrainConfig:
     return _build(TrainConfig, cfg, "train", seed=_get(cfg, "train", "seed") + seed_offset)
 
 
-def _dataset_paths(out_dir: Path, fmt: str) -> dict[str, Path]:
-    return {name: out_dir / f"{name}.{fmt}" for name in ("train", "val", "ood")}
-
-
 def _find_dataset(out_dir: Path, name: str) -> tuple[Path, str]:
     for fmt in data_mod.FORMATS:
         path = out_dir / f"{name}.{fmt}"
@@ -177,24 +172,15 @@ def _find_dataset(out_dir: Path, name: str) -> tuple[Path, str]:
 # ---- commands ------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["data"]["center_seed"] = args.seed
-        cfg["data"]["noise_seed"] = args.seed + 1
-    if getattr(args, "classes", None) is not None:
-        cfg["data"]["k_in"] = args.classes
-        cfg["data"]["k_out"] = args.classes
-    formats = [args.format] if args.format else _get(cfg, "data", "formats")
+def _gen_data(cfg: dict, out_dir: Path, formats: list[str]) -> None:
+    """Generate the train, val and ood sets of cfg into out_dir, once per format."""
     spec = synth_spec_from(cfg)
     sets = dict(zip(("train", "val", "ood"), data_mod.generate(spec)))
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt in formats:
         for name, dset in sets.items():
-            data_mod.save_features(dset, _dataset_paths(out_dir, fmt)[name], fmt)
-    train_set = sets["train"]
-    counts = np.bincount(train_set.labels, minlength=spec.k_in)
+            data_mod.save_features(dset, out_dir / f"{name}.{fmt}", fmt)
+    counts = np.bincount(sets["train"].labels, minlength=spec.k_in)
     print(
         f"generated {sum(s.n for s in sets.values())} rows"
         f" (train {sets['train'].n}, val {sets['val'].n}, ood {sets['ood'].n}),"
@@ -202,6 +188,16 @@ def cmd_gen_data(args) -> int:
     )
     print(f"train rows per class: {counts.tolist()}")
     print(f"formats: {', '.join(formats)} -> {out_dir}")
+
+
+def cmd_gen_data(args) -> int:
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg["data"]["center_seed"] = args.seed
+        cfg["data"]["noise_seed"] = args.seed + 1
+    if args.classes is not None:
+        cfg["data"]["k_in"] = cfg["data"]["k_out"] = args.classes
+    _gen_data(cfg, Path(args.out), [args.format] if args.format else _get(cfg, "data", "formats"))
     return EXIT_OK
 
 
@@ -233,29 +229,33 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_data(out_dir):
-    """(val set, features, labels, is_ood) of the evaluation rows in out_dir:
-    val, then ood when present."""
+def _eval_data(out_dir) -> data_mod.LabeledFeatureSet:
+    """The evaluation rows in out_dir: val, then ood when present. An ood
+    row not labelled OOD_LABEL raises ParseError."""
     val_set = data_mod.load_features(*_find_dataset(out_dir, "val"))
     try:
-        ood_set = data_mod.load_features(*_find_dataset(out_dir, "ood"))
+        ood_path, ood_fmt = _find_dataset(out_dir, "ood")
     except FileNotFoundError:
         print("notice: no OOD file found; OOD metrics will be omitted")
-        return val_set, val_set.features, val_set.labels, val_set.is_ood
-    return (val_set, np.concatenate([val_set.features, ood_set.features]),
-            np.concatenate([val_set.labels, ood_set.labels]),
-            np.concatenate([val_set.is_ood, ood_set.is_ood]))
+        return val_set
+    ood_set = data_mod.load_features(ood_path, ood_fmt)
+    labelled = np.flatnonzero(~ood_set.is_ood)
+    if labelled.size:
+        r = labelled[0]
+        raise ParseError(f"{ood_path}: row {r}: label {ood_set.labels[r]}; an OOD file holds"
+                         f" only rows labelled {data_mod.OOD_LABEL}")
+    return data_mod.LabeledFeatureSet(np.concatenate([val_set.features, ood_set.features]),
+                                      np.concatenate([val_set.labels, ood_set.labels]))
 
 
-def _eval_one(cfg, head, eval_data, eval_dir):
+def _eval_one(cfg, head, eval_set, eval_dir):
     """Evaluate a trained head on `_eval_data`'s rows; writes artifacts."""
-    val_set, features, labels, flags = eval_data
-    if head.config.input_dim != val_set.feature_dim:
+    if head.config.input_dim != eval_set.feature_dim:
         raise ConfigError(
             f"checkpoint expects F={head.config.input_dim} features but the"
-            f" dataset has F={val_set.feature_dim}"
+            f" dataset has F={eval_set.feature_dim}"
         )
-    k_data = val_set.num_classes()
+    k_data = eval_set.num_classes()
     if k_data > head.config.num_classes:
         raise ConfigError(
             f"checkpoint has K={head.config.num_classes} classes but the"
@@ -268,11 +268,11 @@ def _eval_one(cfg, head, eval_data, eval_dir):
             f" using T=1 instead of requested T={t}"
         )
         t = 1
-    pd = mc_predict(head, Tensor(features), t=t, seed=seed)
-    bundle = evaluation_suite(pd, labels, flags, bins=bins)
+    pd = mc_predict(head, Tensor(eval_set.features), t=t, seed=seed)
+    bundle = evaluation_suite(pd, eval_set.labels, bins=bins)
     eval_dir = Path(eval_dir)
     eval_dir.mkdir(parents=True, exist_ok=True)
-    save_reports(eval_dir / "report.csv", bundle.reports, labels, flags)
+    save_reports(eval_dir / "report.csv", bundle.reports, eval_set.labels)
     write_bundle(bundle, eval_dir)
     for notice in bundle.notices:
         print(f"notice: {notice}")
@@ -294,29 +294,17 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-TABLE_COLUMNS = (
-    "top1",
-    "top5",
-    "pr_auc_micro",
-    "pr_auc_correctness",
-    "roc_auc_micro",
-    "roc_auc_correctness",
-    "ood_auroc_entropy",
-    "ood_auroc_bald",
-)
-
-
 def _format_cell(value) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
 def comparison_tables(rows: dict[str, dict]) -> tuple[str, str]:
     """(markdown, csv) for the three-variant comparison."""
-    md = ["| model | " + " | ".join(TABLE_COLUMNS) + " |", "|" + "---|" * (len(TABLE_COLUMNS) + 1)]
-    md += [f"| {variant} | " + " | ".join(_format_cell(rows[variant][c]) for c in TABLE_COLUMNS)
+    md = ["| model | " + " | ".join(SUMMARY_KEYS) + " |", "|" + "---|" * (len(SUMMARY_KEYS) + 1)]
+    md += [f"| {variant} | " + " | ".join(_format_cell(rows[variant][c]) for c in SUMMARY_KEYS)
            + " |" for variant in VARIANTS]
-    table = [[variant] + [rows[variant][c] for c in TABLE_COLUMNS] for variant in VARIANTS]
-    return "\n".join(md) + "\n", csv_text(("model", *TABLE_COLUMNS), table)
+    table = [[variant] + [rows[variant][c] for c in SUMMARY_KEYS] for variant in VARIANTS]
+    return "\n".join(md) + "\n", csv_text(("model", *SUMMARY_KEYS), table)
 
 
 def cmd_compare(args) -> int:
@@ -332,25 +320,20 @@ def cmd_compare(args) -> int:
     _get(cfg, "head", "init_seed")
     train_config_from(cfg)
     out_dir = Path(args.out)
-    if not (out_dir / "train.bfv").exists() and not (out_dir / "train.csv").exists():
-        gen_args = argparse.Namespace(
-            config=args.config,
-            out=args.out,
-            seed=None,
-            format=None,
-            classes=getattr(args, "classes", None),
-        )
-        cmd_gen_data(gen_args)
-    eval_data = _eval_data(out_dir)
+    if not any((out_dir / f"train.{fmt}").exists() for fmt in data_mod.FORMATS):
+        if args.classes is not None:
+            cfg["data"]["k_in"] = cfg["data"]["k_out"] = args.classes
+        _gen_data(cfg, out_dir, _get(cfg, "data", "formats"))
+    eval_set = _eval_data(out_dir)
     # the heads' class count is the training set's; the MC heads' result
     # is the largest, and is bounded before the first head trains
     train_set = data_mod.load_features(*_find_dataset(out_dir, "train"))
-    check_mc_size(len(eval_data[2]), t, train_set.num_classes())
+    check_mc_size(eval_set.n, t, train_set.num_classes())
 
     results = {}
     for idx, variant in enumerate(VARIANTS):
         head = _train_one(cfg, variant, train_set, out_dir, seed_offset=idx)
-        bundle = _eval_one(cfg, head, eval_data, out_dir / f"eval_{variant}")
+        bundle = _eval_one(cfg, head, eval_set, out_dir / f"eval_{variant}")
         results[variant] = bundle.summary
 
     md, table = comparison_tables(results)
@@ -361,27 +344,23 @@ def cmd_compare(args) -> int:
 
 
 def cmd_hist(args) -> int:
-    rows = []
-    lines = io.StringIO(data_mod.read_text(args.input), newline=None)
-    header = lines.readline().strip().split(",")
+    rows = data_mod.csv_rows(args.input)
+    _, header = next(rows)
     if args.column not in header:
         raise ConfigError(f"column {args.column!r} not in {args.input} (has {header})")
     col = header.index(args.column)
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        cells = line.strip().split(",")
-        cell = cells[col] if col < len(cells) else None
-        # a cell is a decimal literal of the CSV grammar; NaN has no bin
-        if cell is None or not data_mod._CSV_FLOAT.fullmatch(cell) or math.isnan(float(cell)):
+    values = []
+    for lineno, row in rows:
+        value = data_mod.decimal(row[col])
+        if value is None or math.isnan(value):  # NaN has no bin
             raise ParseError(
                 f"{args.input}: line {lineno}, column {col + 1} ({args.column!r}):"
-                f" {'missing cell' if cell is None else repr(cell)} is not a number"
+                f" {row[col]!r} is not a number"
             )
-        rows.append(float(cell))
-    hist = density_histogram(rows, args.bins, args.lo, args.hi)
+        values.append(value)
+    hist = density_histogram(values, args.bins, args.lo, args.hi)
     atomic_write_text(args.out, hist.to_csv())
-    print(f"wrote {args.bins}-bin histogram of {len(rows)} values to {args.out}")
+    print(f"wrote {args.bins}-bin histogram of {len(values)} values to {args.out}")
     return EXIT_OK
 
 

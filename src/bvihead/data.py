@@ -42,22 +42,21 @@ class LabeledFeatureSet:
 
     features: np.ndarray
     labels: np.ndarray
-    is_ood: np.ndarray
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.is_ood = np.asarray(self.is_ood, dtype=bool)
-        n = self.features.shape[0]
         if self.features.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.shape != (n,) or self.is_ood.shape != (n,):
+        if self.labels.shape != (self.n,):
             raise DataError(
-                f"inconsistent lengths: {self.features.shape[0]} features,"
-                f" {self.labels.shape[0]} labels, {self.is_ood.shape[0]} flags"
+                f"inconsistent lengths: {self.n} features, labels of shape {self.labels.shape}"
             )
-        if not np.array_equal(self.is_ood, self.labels == OOD_LABEL):
-            raise DataError("is_ood flags must match the -1 label sentinel")
+
+    @property
+    def is_ood(self) -> np.ndarray:
+        """Whether each row is out of distribution: its label is OOD_LABEL."""
+        return self.labels == OOD_LABEL
 
     @property
     def n(self) -> int:
@@ -72,7 +71,7 @@ class LabeledFeatureSet:
         return int(in_dist.max()) + 1 if in_dist.size else 0
 
     def subset(self, idx: np.ndarray) -> "LabeledFeatureSet":
-        return LabeledFeatureSet(self.features[idx], self.labels[idx], self.is_ood[idx])
+        return LabeledFeatureSet(self.features[idx], self.labels[idx])
 
 
 # the most feature values gen-data generates, far beyond the default's
@@ -199,8 +198,7 @@ def generate(spec: SynthSpec) -> tuple[LabeledFeatureSet, LabeledFeatureSet, Lab
         )
 
     def pack(xs, ys):
-        y = np.concatenate(ys)
-        return LabeledFeatureSet(np.concatenate(xs), y, y == OOD_LABEL)
+        return LabeledFeatureSet(np.concatenate(xs), np.concatenate(ys))
 
     ood_y = [np.full(spec.per_class, OOD_LABEL)] * spec.k_out
     sets = (pack(train_x, train_y), pack(val_x, val_y), pack(ood_x, ood_y))
@@ -252,16 +250,16 @@ def save_csv(data: LabeledFeatureSet, path) -> None:
     atomic_write_text(path, csv_text(header, (row + [label, ood] for row, label, ood in rows)))
 
 
-def _load_csv(path) -> LabeledFeatureSet:
+def csv_rows(path):
+    """(line number, cells) of the header, then of each non-blank row, of
+    the CSV file at path. An empty file, a row with another cell count than
+    the header, or a row csv cannot read raises ParseError naming the file."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path}: empty file")
-        if len(header) < 3 or header[-2:] != ["label", "is_ood"]:
-            raise ParseError(f"{path}: line 1: expected header f0..fN,label,is_ood")
-        f_dim = len(header) - 2
-        feats, labels, linenos = [], [], []
+        yield 1, header
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -269,43 +267,60 @@ def _load_csv(path) -> LabeledFeatureSet:
                 raise ParseError(
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            for col, cell in enumerate(row[:f_dim]):
-                if not _CSV_FLOAT.fullmatch(cell):
-                    raise ParseError(
-                        f"{path}: line {lineno}, column {col + 1} ({header[col]!r}):"
-                        f" {cell!r} is not a decimal number"
-                    )
-            feats.append([float(v) for v in row[:f_dim]])
-            if not _CSV_INT.fullmatch(row[f_dim]):
-                raise ParseError(
-                    f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
-                    f" non-integer label {row[f_dim]!r}"
-                )
-            # int32, as in BFV; the length test keeps int() off huge digit strings
-            digits = row[f_dim].strip().lstrip("+-0")
-            label = int(row[f_dim]) if len(digits) <= 10 else None
-            if label is None or not -(2**31) <= label < 2**31:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
-                    f" label {row[f_dim]!r} is outside the int32 range"
-                )
-            if label < OOD_LABEL:
-                raise ParseError(
-                    f"{path}: line {lineno}, column {f_dim + 1} ('label'): label {label}"
-                    f" is negative, and only OOD rows carry one, {OOD_LABEL}"
-                )
-            flag = row[f_dim + 1].strip()
-            if flag not in ("0", "1"):
-                raise ParseError(f"{path}: line {lineno}: is_ood must be 0 or 1, got {flag!r}")
-            if (flag == "1") != (label == OOD_LABEL):
-                raise ParseError(
-                    f"{path}: line {lineno}: is_ood={flag} disagrees with label {label}"
-                    f" (OOD rows, and only they, carry label {OOD_LABEL})"
-                )
-            labels.append(label)
-            linenos.append(lineno)
+            yield lineno, row
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def decimal(cell: str) -> float | None:
+    """The number a CSV cell spells in the decimal grammar, else None."""
+    return float(cell) if _CSV_FLOAT.fullmatch(cell) else None
+
+
+def _load_csv(path) -> LabeledFeatureSet:
+    rows = csv_rows(path)
+    _, header = next(rows)
+    if len(header) < 3 or header[-2:] != ["label", "is_ood"]:
+        raise ParseError(f"{path}: line 1: expected header f0..fN,label,is_ood")
+    f_dim = len(header) - 2
+    feats, labels, linenos = [], [], []
+    for lineno, row in rows:
+        values = [decimal(cell) for cell in row[:f_dim]]
+        if None in values:
+            col = values.index(None)
+            raise ParseError(
+                f"{path}: line {lineno}, column {col + 1} ({header[col]!r}):"
+                f" {row[col]!r} is not a decimal number"
+            )
+        feats.append(values)
+        if not _CSV_INT.fullmatch(row[f_dim]):
+            raise ParseError(
+                f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
+                f" non-integer label {row[f_dim]!r}"
+            )
+        # int32, as in BFV; the length test keeps int() off huge digit strings
+        digits = row[f_dim].strip().lstrip("+-0")
+        label = int(row[f_dim]) if len(digits) <= 10 else None
+        if label is None or not -(2**31) <= label < 2**31:
+            raise ParseError(
+                f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
+                f" label {row[f_dim]!r} is outside the int32 range"
+            )
+        if label < OOD_LABEL:
+            raise ParseError(
+                f"{path}: line {lineno}, column {f_dim + 1} ('label'): label {label}"
+                f" is negative, and only OOD rows carry one, {OOD_LABEL}"
+            )
+        flag = row[f_dim + 1].strip()
+        if flag not in ("0", "1"):
+            raise ParseError(f"{path}: line {lineno}: is_ood must be 0 or 1, got {flag!r}")
+        if (flag == "1") != (label == OOD_LABEL):
+            raise ParseError(
+                f"{path}: line {lineno}: is_ood={flag} disagrees with label {label}"
+                f" (OOD rows, and only they, carry label {OOD_LABEL})"
+            )
+        labels.append(label)
+        linenos.append(lineno)
     if not feats:
         raise ParseError(f"{path}: no data rows")
     feats = np.asarray(feats)
@@ -316,8 +331,7 @@ def _load_csv(path) -> LabeledFeatureSet:
             f"{path}: line {linenos[r]}, column {c + 1} ({header[c]!r}):"
             f" non-finite feature {feats[r, c]!r}"
         )
-    labels = np.asarray(labels)
-    return LabeledFeatureSet(feats, labels, labels == OOD_LABEL)
+    return LabeledFeatureSet(feats, labels)
 
 
 # ---- BFV binary format -------------------------------------------------------
@@ -363,7 +377,7 @@ def _load_bfv(path) -> LabeledFeatureSet:
             f"{path}: byte {12 + feat_bytes + r * 4}: row {r}: label {labels[r]}"
             f" is negative, and only OOD rows carry one, {OOD_LABEL}"
         )
-    return LabeledFeatureSet(feats.astype(np.float64), labels, labels == OOD_LABEL)
+    return LabeledFeatureSet(feats.astype(np.float64), labels)
 
 
 def load_features(path, fmt: str) -> LabeledFeatureSet:

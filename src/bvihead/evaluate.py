@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import OOD_LABEL
 from .errors import ConfigError, DataError, UndefinedCurveError
 from .fsio import atomic_write_text, csv_text
 from .uncertainty import PredictiveDistribution, ReportColumns, report
@@ -165,13 +166,14 @@ def density_histogram(values, bins: int, lo: float, hi: float) -> DensityHistogr
 
 # ---- the full protocol -------------------------------------------------------
 
+# in the order of the comparison table's columns
 SUMMARY_KEYS = (
     "top1",
     "top5",
-    "roc_auc_micro",
     "pr_auc_micro",
-    "roc_auc_correctness",
     "pr_auc_correctness",
+    "roc_auc_micro",
+    "roc_auc_correctness",
     "ood_auroc_entropy",
     "ood_auroc_bald",
 )
@@ -196,25 +198,26 @@ def _try_hist(bundle, name, values, bins, lo, hi):
     bundle.histograms[name] = density_histogram(values, bins, lo, hi)
 
 
-def evaluation_suite(
-    pd: PredictiveDistribution,
-    labels: np.ndarray,
-    ood_flags: np.ndarray,
-    bins: int = 50,
-) -> EvalBundle:
+def _curves(bundle, name, sb, roc_key, pr_key=None):
+    """The ROC curve of sb as curve roc_<name>, its area as summary roc_key;
+    given pr_key, the PR curve as pr_<name> and its area likewise."""
+    roc = bundle.curves[f"roc_{name}"] = roc_curve_auc(sb)
+    bundle.summary[roc_key] = roc.auc
+    if pr_key is not None:
+        pr = bundle.curves[f"pr_{name}"] = pr_curve_auc(sb)
+        bundle.summary[pr_key] = pr.auc
+
+
+def evaluation_suite(pd: PredictiveDistribution, labels: np.ndarray, bins: int = 50) -> EvalBundle:
     """All comparison artifacts for one model on one evaluation set.
 
     `pd` is the M x T x K distribution of in-distribution and OOD examples
-    together; OOD rows are marked by `ood_flags` and excluded from
+    together; OOD rows carry label OOD_LABEL and are excluded from
     accuracy, the micro one-vs-rest curves and the correctness split.
     """
     labels = np.asarray(labels)
-    ood_flags = np.asarray(ood_flags, dtype=bool)
-    if not (len(pd) == labels.size == ood_flags.size):
-        raise DataError(
-            f"length mismatch: {len(pd)} distributions, {labels.size} labels,"
-            f" {ood_flags.size} flags"
-        )
+    if len(pd) != labels.size:
+        raise DataError(f"length mismatch: {len(pd)} distributions, {labels.size} labels")
     if len(pd) == 0:
         raise DataError("nothing to evaluate")
 
@@ -223,7 +226,8 @@ def evaluation_suite(
     columns = report(pd)
     predicted, confidence, pred_entropy, _, bald_scores = columns
 
-    in_dist = ~ood_flags
+    ood = labels == OOD_LABEL
+    in_dist = ~ood
     bundle = EvalBundle(summary={key: None for key in SUMMARY_KEYS}, reports=columns)
     if not in_dist.any():
         raise DataError("evaluation needs at least one in-distribution example")
@@ -240,22 +244,13 @@ def evaluation_suite(
     onehot = np.zeros((in_labels.size, k), dtype=bool)
     onehot[np.arange(in_labels.size), in_labels] = True
     micro = ScoredBinary(mean_probs[in_dist].reshape(-1), onehot.reshape(-1))
-    roc_micro = roc_curve_auc(micro)
-    pr_micro = pr_curve_auc(micro)
-    bundle.curves["roc_micro"] = roc_micro
-    bundle.curves["pr_micro"] = pr_micro
-    bundle.summary["roc_auc_micro"] = roc_micro.auc
-    bundle.summary["pr_auc_micro"] = pr_micro.auc
+    _curves(bundle, "micro", micro, "roc_auc_micro", "pr_auc_micro")
 
     # (c) correctness detection: does confidence rank correct predictions first
     correct = predicted[in_dist] == in_labels
     try:
-        roc_corr = roc_curve_auc(ScoredBinary(confidence[in_dist], correct))
-        pr_corr = pr_curve_auc(ScoredBinary(confidence[in_dist], correct))
-        bundle.curves["roc_correctness"] = roc_corr
-        bundle.curves["pr_correctness"] = pr_corr
-        bundle.summary["roc_auc_correctness"] = roc_corr.auc
-        bundle.summary["pr_auc_correctness"] = pr_corr.auc
+        _curves(bundle, "correctness", ScoredBinary(confidence[in_dist], correct),
+                "roc_auc_correctness", "pr_auc_correctness")
     except UndefinedCurveError as exc:
         bundle.notices.append(f"correctness curves undefined: {exc}")
 
@@ -267,18 +262,14 @@ def evaluation_suite(
         _try_hist(bundle, f"{name}_true", values[in_dist][correct], bins, 0.0, hi)
         _try_hist(bundle, f"{name}_false", values[in_dist][~correct], bins, 0.0, hi)
 
-    if ood_flags.any():
+    if ood.any():
         for name, values, hi in scores:
             _try_hist(bundle, f"{name}_in", values[in_dist], bins, 0.0, hi)
-            _try_hist(bundle, f"{name}_out", values[ood_flags], bins, 0.0, hi)
+            _try_hist(bundle, f"{name}_out", values[ood], bins, 0.0, hi)
 
         # (f) OOD detection: uncertainty as the score, OOD as the positive
-        roc_e = roc_curve_auc(ScoredBinary(pred_entropy, ood_flags))
-        roc_b = roc_curve_auc(ScoredBinary(bald_scores, ood_flags))
-        bundle.curves["roc_ood_entropy"] = roc_e
-        bundle.curves["roc_ood_bald"] = roc_b
-        bundle.summary["ood_auroc_entropy"] = roc_e.auc
-        bundle.summary["ood_auroc_bald"] = roc_b.auc
+        for name, values in (("entropy", pred_entropy), ("bald", bald_scores)):
+            _curves(bundle, f"ood_{name}", ScoredBinary(values, ood), f"ood_auroc_{name}")
     else:
         bundle.notices.append(
             "no OOD examples: skipped in/out histograms and OOD AUROC"

@@ -329,7 +329,8 @@ def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: 
     if mask_noise is None or mask_noise.shape != x.shape:
         got = None if mask_noise is None else mask_noise.shape
         raise ShapeError(f"mask noise shape {got} does not match input {x.shape}")
-    keep = mask_noise if mask_noise.dtype == bool else mask_noise >= spec.rate
+    # uniform noise becomes a float64 0/1 mask once, so neither product casts it
+    keep = mask_noise if mask_noise.dtype == bool else (mask_noise >= spec.rate).astype(np.float64)
     scale = 1.0 / (1.0 - spec.rate)
     # (x * 1.0 or x * 0.0) * scale is bit for bit x * (1.0 or 0.0) * scale,
     # signed zeros included

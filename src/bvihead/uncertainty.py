@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import MAX_FEATURE_VALUES
+from .data import MAX_FEATURE_VALUES, OOD_LABEL
 from .errors import ConfigError, DataError
 from .fsio import atomic_write_text, csv_text
 from .layers import MC_INFERENCE
@@ -160,13 +160,14 @@ def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistributi
     return PredictiveDistribution.from_samples(all_probs)
 
 
-def reports_to_csv(columns: ReportColumns, true_labels: np.ndarray, is_ood: np.ndarray) -> str:
-    labels = np.asarray(true_labels).astype(np.int64).tolist()
-    rows = zip(range(len(labels)), labels, *(c.tolist() for c in columns),
-               np.asarray(is_ood).astype(np.int64).tolist())
+def reports_to_csv(columns: ReportColumns, labels: np.ndarray) -> str:
+    """report.csv: one row per example; is_ood is 1 where the label is OOD_LABEL."""
+    labels = np.asarray(labels).astype(np.int64)
+    rows = zip(range(len(labels)), labels.tolist(), *(c.tolist() for c in columns),
+               (labels == OOD_LABEL).astype(np.int64).tolist())
     return csv_text(("example_id", "true_label", "predicted", "confidence", "pred_entropy",
                      "exp_entropy", "bald", "is_ood"), rows)
 
 
-def save_reports(path, columns, true_labels, is_ood) -> None:
-    atomic_write_text(path, reports_to_csv(columns, true_labels, is_ood))
+def save_reports(path, columns, labels) -> None:
+    atomic_write_text(path, reports_to_csv(columns, labels))

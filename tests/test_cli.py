@@ -13,6 +13,7 @@ import pytest
 from bvihead.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config, main
 from bvihead.data import SynthSpec
 from bvihead.errors import ConfigError
+from bvihead.evaluate import SUMMARY_KEYS
 from bvihead.model import HeadConfig, build_head, head_to_dict
 from bvihead.train import TrainConfig
 from bvihead.cli import head_config_from, synth_spec_from, train_config_from
@@ -386,7 +387,8 @@ def test_compare_emits_three_row_table(tiny_config, tmp_path, capsys):
     assert body_rows[0].startswith("| deterministic |")
     assert body_rows[1].startswith("| mc-dropout |")
     assert body_rows[2].startswith("| stochastic-vi |")
-    assert (out / "compare.csv").exists()
+    assert table.split("\n")[0] == "| model | " + " | ".join(SUMMARY_KEYS) + " |"
+    assert (out / "compare.csv").read_text().split("\n")[0] == ",".join(("model", *SUMMARY_KEYS))
 
 
 def test_compare_bounds_the_mc_result_before_training(tmp_path, capsys):
@@ -558,6 +560,19 @@ def test_hist_non_numeric_cell_exits_3_with_position(tmp_path, capsys):
     assert err.startswith(f"error: {csv}: line 3: not UTF-8 text") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text, where", [("", ": empty file"), ("a,b\n0.1,0.2,0.3\n", ": line 2: expected 2 fields, got 3")]
+)
+def test_hist_of_an_empty_file_or_a_too_wide_row_exits_3(tmp_path, capsys, text, where):
+    # an empty file once exited 2 naming column 'b', and a too-wide row was read
+    csv = tmp_path / "x.csv"
+    csv.write_text(text)
+    out = tmp_path / "h.csv"
+    assert run(["hist", "--input", str(csv), "--column", "b", "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {csv}{where}\n"
+    assert not out.exists()
+
+
 def test_train_on_csv_with_underscore_digits_exits_3(tiny_config, tmp_path, capsys):
     cfg = json.loads(open(tiny_config).read())
     cfg["data"]["formats"] = ["csv"]
@@ -663,7 +678,7 @@ def test_eval_of_a_label_below_minus_1_exits_3_naming_its_position(
     run(["gen-data", "--config", tiny_config, "--out", str(out)])
     run(["train", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
     (out / "val.bfv").unlink()
-    val = LabeledFeatureSet(np.ones((2, 6)), [0, -7], [False, False])
+    val = LabeledFeatureSet(np.ones((2, 6)), [0, -7])
     save_features(val, out / f"val.{fmt}", fmt)
     capsys.readouterr()
     code = run(["eval", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
@@ -672,6 +687,28 @@ def test_eval_of_a_label_below_minus_1_exits_3_naming_its_position(
         f"error: {out / f'val.{fmt}'}: {where}"
         + ("" if fmt == "bfv" else " ('label')")
         + ": label -7 is negative, and only OOD rows carry one, -1\n"
+    )
+    assert not (out / "eval_deterministic").exists()
+
+
+@pytest.mark.parametrize("fmt", ["bfv", "csv"])
+def test_eval_of_an_ood_file_with_labelled_rows_exits_3_before_any_pass(
+    tiny_config, tmp_path, capsys, fmt
+):
+    # such rows once joined the validation rows: eval exited 0 with the
+    # notice "no OOD examples"
+    from bvihead.data import LabeledFeatureSet, save_features
+
+    out = tmp_path / "ws"
+    run(["gen-data", "--config", tiny_config, "--out", str(out)])
+    run(["train", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
+    (out / "ood.bfv").unlink()
+    save_features(LabeledFeatureSet(np.ones((4, 6)), [2] * 4), out / f"ood.{fmt}", fmt)
+    capsys.readouterr()
+    code = run(["eval", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: {out / f'ood.{fmt}'}: row 0: label 2; an OOD file holds only rows labelled -1\n"
     )
     assert not (out / "eval_deterministic").exists()
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ def test_bfv_round_trip_lossless_after_load(tmp_path):
 
 def test_bfv_preserves_float32_exactly(tmp_path):
     feats = np.array([[0.5, -1.25], [3.75, 2.0]])
-    data = LabeledFeatureSet(feats, [0, 1], [False, False])
+    data = LabeledFeatureSet(feats, [0, 1])
     path = tmp_path / "x.bfv"
     save_features(data, path, "bfv")
     loaded = load_features(path, "bfv")
@@ -212,10 +214,20 @@ def test_unknown_format_rejected(tmp_path):
 
 
 def test_labeled_set_invariant_checks():
-    with pytest.raises(DataError):
-        LabeledFeatureSet(np.zeros((2, 3)), [0], [False])
-    with pytest.raises(DataError):
-        LabeledFeatureSet(np.zeros((2, 3)), [0, -1], [False, False])
+    with pytest.raises(DataError, match=r"^inconsistent lengths: 2 features, labels of shape \(1,\)$"):
+        LabeledFeatureSet(np.zeros((2, 3)), [0])
+    with pytest.raises(DataError, match="features must be 2-D"):
+        LabeledFeatureSet(np.zeros(3), [0, 1, 2])
+
+
+def test_is_ood_is_the_minus_1_label():
+    data = LabeledFeatureSet(np.zeros((4, 2)), [0, -1, 3, -1])
+    assert [f.name for f in dataclasses.fields(data)] == ["features", "labels"]
+    np.testing.assert_array_equal(data.is_ood, data.labels == -1)
+    np.testing.assert_array_equal(data.subset([1, 2]).is_ood, [True, False])
+    assert data.num_classes() == 4
+    with pytest.raises(AttributeError):
+        data.is_ood = np.zeros(4, dtype=bool)
 
 
 def test_spec_validation():
@@ -311,7 +323,7 @@ def test_csv_rejects_a_label_below_the_ood_label_naming_line_and_column(tmp_path
 @pytest.mark.parametrize("label", [-7, -(2**31)])
 def test_bfv_rejects_a_label_below_the_ood_label_naming_byte_and_row(tmp_path, label):
     path = tmp_path / "bad.bfv"
-    save_features(LabeledFeatureSet(np.ones((3, 2)), [0, -1, label], [False, True, False]),
+    save_features(LabeledFeatureSet(np.ones((3, 2)), [0, -1, label]),
                   path, "bfv")
     with pytest.raises(ParseError, match=(
         rf"byte 44: row 2: label {label} is negative, and only OOD rows carry one, -1$"

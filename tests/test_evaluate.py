@@ -218,10 +218,9 @@ def test_histogram_type_validates_area():
 
 
 def suite_fixture(rng, n_in=30, n_ood=20, k=4, spread=2.0):
-    """M x T x K per-pass probabilities, labels and OOD flags."""
+    """M x T x K per-pass probabilities and labels, -1 for the OOD rows."""
     samples = []
     labels = []
-    flags = []
     for _ in range(n_in):
         label = int(rng.integers(0, k))
         logits = rng.normal(size=k)
@@ -230,20 +229,18 @@ def suite_fixture(rng, n_in=30, n_ood=20, k=4, spread=2.0):
         rows /= rows.sum(axis=1, keepdims=True)
         samples.append(rows)
         labels.append(label)
-        flags.append(False)
     for _ in range(n_ood):
         rows = np.exp(rng.normal(size=(8, k)))
         rows /= rows.sum(axis=1, keepdims=True)
         samples.append(rows)
         labels.append(-1)
-        flags.append(True)
-    return np.stack(samples), np.array(labels), np.array(flags)
+    return np.stack(samples), np.array(labels)
 
 
 def test_suite_emits_all_summary_keys_with_ood():
     rng = np.random.default_rng(7)
-    samples, labels, flags = suite_fixture(rng)
-    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels, flags)
+    samples, labels = suite_fixture(rng)
+    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels)
     assert set(bundle.summary) == set(SUMMARY_KEYS)
     for key in ("top1", "top5", "roc_auc_micro", "pr_auc_micro",
                 "ood_auroc_entropy", "ood_auroc_bald"):
@@ -252,8 +249,8 @@ def test_suite_emits_all_summary_keys_with_ood():
 
 def test_suite_without_ood_skips_with_notice():
     rng = np.random.default_rng(8)
-    samples, labels, flags = suite_fixture(rng, n_ood=0)
-    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels, flags)
+    samples, labels = suite_fixture(rng, n_ood=0)
+    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels)
     assert bundle.summary["ood_auroc_entropy"] is None
     assert any("no OOD" in n for n in bundle.notices)
     assert "confidence_in" not in bundle.histograms
@@ -263,8 +260,7 @@ def test_suite_all_correct_reports_undefined_correctness():
     k = 3
     pd = one_pass_pd([np.eye(k)[i % k] * 0.94 + 0.02 for i in range(6)])
     labels = np.array([i % k for i in range(6)])
-    flags = np.zeros(6, dtype=bool)
-    bundle = evaluation_suite(pd, labels, flags)
+    bundle = evaluation_suite(pd, labels)
     assert bundle.summary["roc_auc_correctness"] is None
     assert any("correctness" in n for n in bundle.notices)
 
@@ -279,15 +275,15 @@ def test_suite_perfect_one_hot_micro_auc_is_one():
         row[i % k] = 1.0 - eps * (k - 1)
         rows.append(row)
         labels.append(i % k)
-    bundle = evaluation_suite(one_pass_pd(rows), np.array(labels), np.zeros(10, dtype=bool))
+    bundle = evaluation_suite(one_pass_pd(rows), np.array(labels))
     assert bundle.summary["roc_auc_micro"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_suite_deterministic_head_bald_mass_in_first_bin():
     rng = np.random.default_rng(9)
-    samples, labels, flags = suite_fixture(rng, n_in=20, n_ood=0)
+    samples, labels = suite_fixture(rng, n_in=20, n_ood=0)
     identical = PredictiveDistribution.from_samples(np.repeat(samples[:, :1], 5, axis=1))
-    bundle = evaluation_suite(identical, labels, flags)
+    bundle = evaluation_suite(identical, labels)
     hist = bundle.histograms["bald_true"]
     width = float(np.diff(hist.bin_edges)[0])
     assert hist.densities[0] * width == pytest.approx(1.0, abs=1e-12)
@@ -295,9 +291,9 @@ def test_suite_deterministic_head_bald_mass_in_first_bin():
 
 def test_suite_length_mismatch():
     rng = np.random.default_rng(10)
-    samples, labels, flags = suite_fixture(rng, n_in=4, n_ood=0)
+    samples, labels = suite_fixture(rng, n_in=4, n_ood=0)
     with pytest.raises(DataError):
-        evaluation_suite(PredictiveDistribution.from_samples(samples), labels[:-1], flags)
+        evaluation_suite(PredictiveDistribution.from_samples(samples), labels[:-1])
 
 
 def one_example_oracle(sample_probs):
@@ -318,11 +314,11 @@ def one_example_oracle(sample_probs):
 
 def test_suite_reports_match_one_example_oracle():
     rng = np.random.default_rng(13)
-    samples, labels, flags = suite_fixture(rng)
+    samples, labels = suite_fixture(rng)
     samples[0] = samples[0, 0]
     samples[1, 0, :2] = [1.0 - samples[1, 0, 2:].sum(), 0.0]  # a zero probability
     pd = PredictiveDistribution.from_samples(samples)
-    bundle = evaluation_suite(pd, labels, flags)
+    bundle = evaluation_suite(pd, labels)
     expected = [one_example_oracle(rows) for rows in samples]
     assert list(zip(*(c.tolist() for c in bundle.reports))) == expected
     assert list(zip(*(c.tolist() for c in report(pd)))) == expected
@@ -331,8 +327,8 @@ def test_suite_reports_match_one_example_oracle():
 
 def test_write_bundle_creates_files(tmp_path):
     rng = np.random.default_rng(11)
-    samples, labels, flags = suite_fixture(rng)
-    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels, flags)
+    samples, labels = suite_fixture(rng)
+    bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels)
     written = write_bundle(bundle, tmp_path)
     assert "summary.json" in written
     for name in written:
@@ -354,6 +350,5 @@ def test_suite_rejects_an_in_distribution_label_outside_the_classes(k, label):
     rng = np.random.default_rng(14)
     pd = one_pass_pd(rng.dirichlet(np.ones(k), size=4))
     labels = np.array([0, 1, label, -1])
-    flags = np.array([False, False, False, True])
     with pytest.raises(DataError, match=rf"^in-distribution label {label} is outside \[0, {k}\)$"):
-        evaluation_suite(pd, labels, flags)
+        evaluation_suite(pd, labels)

@@ -41,7 +41,7 @@ def blobs_2class(n_per_class=100, seed=0):
     b = rng.normal(size=(n_per_class, 2)) + np.array([-4.0, -4.0])
     x = np.concatenate([a, b])
     y = np.array([0] * n_per_class + [1] * n_per_class)
-    return LabeledFeatureSet(x, y, np.zeros(2 * n_per_class, dtype=bool))
+    return LabeledFeatureSet(x, y)
 
 
 def small_head(variant, input_dim=2, k=2, seed=5):
@@ -419,14 +419,14 @@ def test_adam_ranges_rejected(field, value):
 
 
 def test_empty_dataset_rejected():
-    empty = LabeledFeatureSet(np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
+    empty = LabeledFeatureSet(np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(ConfigError, match="empty"):
         train(small_head(DETERMINISTIC), empty, TrainConfig(epochs=1))
 
 
 def test_label_out_of_head_range_rejected():
     data = blobs_2class()
-    bad = LabeledFeatureSet(data.features, data.labels + 5, data.is_ood)
+    bad = LabeledFeatureSet(data.features, data.labels + 5)
     with pytest.raises(ConfigError, match="labels"):
         train(small_head(DETERMINISTIC), bad, TrainConfig(epochs=1))
 

@@ -418,7 +418,7 @@ def test_reports_csv_header_and_rows():
     rng = np.random.default_rng(12)
     batch = np.stack([random_pd(rng, t=5, k=4).sample_probs for _ in range(3)])
     columns = report(PredictiveDistribution.from_samples(batch))
-    csv_text = reports_to_csv(columns, np.array([0, 1, -1]), np.array([0, 0, 1], dtype=bool))
+    csv_text = reports_to_csv(columns, np.array([0, 1, -1]))
     lines = csv_text.strip().split("\n")
     assert (
         lines[0]
