@@ -252,7 +252,8 @@ def save_csv(data: LabeledFeatureSet, path) -> None:
 
 def csv_rows(path):
     """(line number, cells) of the header, then of each non-blank row, of
-    the CSV file at path. An empty file, a row with another cell count than
+    the CSV file at path, numbered by the line a row starts on: a quoted
+    cell may span lines. An empty file, a row with another cell count than
     the header, or a row csv cannot read raises ParseError naming the file."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
@@ -260,7 +261,9 @@ def csv_rows(path):
         if header is None:
             raise ParseError(f"{path}: empty file")
         yield 1, header
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != len(header):

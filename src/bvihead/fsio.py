@@ -49,6 +49,8 @@ def csv_text(header, rows) -> str:
     values (`tolist()`): a numpy scalar's repr is not its number.
     """
     lines = [",".join(header)]
-    lines += (",".join(c if isinstance(c, str) else "" if c is None else repr(c) for c in row)
-              for row in rows)
+    # str.join makes a list of a generator first, so the lists are built
+    # directly
+    lines += [",".join([c if isinstance(c, str) else "" if c is None else repr(c) for c in row])
+              for row in rows]
     return "\n".join(lines) + "\n"

@@ -14,10 +14,19 @@ the input and the layer's leaves (and a variational layer one more scalar
 node for its KL), whose backward calls that backward: the gradient
 reference of the tests. Inference runs a variational layer of either
 estimator through the reparam forward.
+
+An array form that writes SPLIT_VALUES values or more, as an MC pass over
+a thousand rows does, runs in two row halves (`in_row_halves`), the upper
+one on a worker thread when the process may run on two CPUs. Each such
+step computes a row from that row alone, and a product is one BLAS call
+per half on one CPU as on two, so no output depends on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,75 @@ ESTIMATORS = (REPARAM, FLIPOUT)
 TRAIN = "train"
 MC_INFERENCE = "mc-inference"
 PHASES = (TRAIN, MC_INFERENCE)
+
+# A row-wise step that writes this many values or more, 1,024 rows of
+# H = 256, runs in two row halves. Handing a half to the worker thread
+# costs about 50-60 us, as much as a ReLU or a mask read-off saves over
+# 1,024 x 256 values; a 1,024 x 256 x 256 product takes 2.6 ms whole.
+# Training batches of 64 rows, and MC passes of narrow heads, stay whole.
+SPLIT_VALUES = 1024 * 256
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _worker():
+    from concurrent.futures import ThreadPoolExecutor  # 6-10 ms, so on first use only
+
+    return ThreadPoolExecutor(1, thread_name_prefix="bvihead-rows")
+
+
+def in_row_halves(body, m: int, n: int) -> None:
+    """Run body(lo, hi) over the rows [0, m) of a row-wise step that
+    writes an m x n array.
+
+    Below SPLIT_VALUES values body runs once, for [0, m). From there up it
+    runs for [0, m // 2) on this thread and for [m // 2, m) on one worker
+    thread, in this thread's context, so its np.errstate holds there too.
+    In a process that may run on one CPU only, both halves run here in
+    turn. Both halves end before it returns, and an error of the lower
+    half is raised first. body must touch only rows [lo, hi) of its arrays
+    and call no function that perfbench/tracer.py wraps.
+    """
+    if m * n < SPLIT_VALUES:
+        body(0, m)
+        return
+    h = m // 2
+    if _cpus() == 1:
+        body(0, h)
+        body(h, m)
+        return
+    upper = _worker().submit(contextvars.copy_context().run, body, h, m)
+    try:
+        body(0, h)
+    finally:
+        upper.exception()  # waits for the upper half
+    upper.result()
+
+
+def _affine(x, w, b, out):
+    """x @ w + b, written into `out` when given; NumericError naming
+    "forward" if a value is not finite. In row halves, one BLAS call each.
+
+    OpenBLAS picks its kernels by the operands' sizes. For the default
+    head's products, 256 columns wide, it gives each row the bits of a
+    one-call product; on SkylakeX a 300-column product over 900 to 2,000
+    rows differs from it in a few rows' last bits.
+    """
+    out = np.empty((x.shape[0], w.shape[1])) if out is None else out
+
+    def rows(lo, hi):
+        o = np.matmul(x[lo:hi], w, out=out[lo:hi])
+        o += b
+        check_finite(o, "forward")
+
+    in_row_halves(rows, *out.shape)
+    return out
 
 
 @dataclass
@@ -116,15 +194,14 @@ def dense_forward(layer: DenseDeterministic, x, *, out=None):
         out, backward = dense_forward(layer, x.data)
         return _training_node(x, layer.leaves(), out, backward, "dense")
     w = layer.weight.data
-    out = np.matmul(x, w, out=out)
-    out += layer.bias.data
+    out = _affine(x, w, layer.bias.data, out)
 
     def backward(g, gk, grads, need_dx):
         np.matmul(x.T, g, out=grads[0])
         g.sum(axis=0, out=grads[1])
         return g @ w.T if need_dx else None
 
-    return check_finite(out, "forward"), backward
+    return out, backward
 
 
 class _LayerNode(Tensor):
@@ -238,8 +315,7 @@ def variational_forward_reparam(
     post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
     w = w_std * noise.weight_eps
     w += layer.weight_post.mu.data
-    out = np.matmul(x, w, out=out)
-    out += layer.bias_post.mu.data + b_std * noise.bias_eps
+    out = _affine(x, w, layer.bias_post.mu.data + b_std * noise.bias_eps, out)
 
     def data_grads(g, grads, need_dx):
         d_w = np.matmul(x.T, g, out=grads[0])
@@ -247,7 +323,7 @@ def variational_forward_reparam(
         dx = g @ w.T if need_dx else None
         return dx, [d_w, d_w * noise.weight_eps, d_b, d_b * noise.bias_eps]
 
-    return check_finite(out, "forward"), kl, _variational_backward(layer, post, data_grads)
+    return out, kl, _variational_backward(layer, post, data_grads)
 
 
 def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
@@ -332,17 +408,23 @@ def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: 
     # uniform noise becomes a float64 0/1 mask once, so neither product casts it
     keep = mask_noise if mask_noise.dtype == bool else (mask_noise >= spec.rate).astype(np.float64)
     scale = 1.0 / (1.0 - spec.rate)
-    # (x * 1.0 or x * 0.0) * scale is bit for bit x * (1.0 or 0.0) * scale,
-    # signed zeros included
-    out = np.multiply(x, keep, out=out)
-    out *= scale
+    out = np.empty(x.shape) if out is None else out
+
+    def rows(lo, hi):
+        # (x * 1.0 or x * 0.0) * scale is bit for bit x * (1.0 or 0.0) * scale,
+        # signed zeros included
+        o = np.multiply(x[lo:hi], keep[lo:hi], out=out[lo:hi])
+        o *= scale
+        check_finite(o, "dropout")
+
+    in_row_halves(rows, *out.shape)
 
     def backward(g):
         dx = g * keep
         dx *= scale
         return dx
 
-    return check_finite(out, "dropout"), backward
+    return out, backward
 
 
 def _check_input(layer: DenseVariational, x) -> None:
@@ -370,3 +452,27 @@ def draw_layer_noise(
         sign_out = signs[m * d_in :].reshape(m, d_out)
         return NoiseDraw(weight_eps, bias_eps, sign_in, sign_out)
     return NoiseDraw(weight_eps, bias_eps)
+
+
+def uniform_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """rng.random((m, n)) bit for bit, leaving rng where that call leaves it.
+
+    A PCG64 double takes exactly one 64-bit output, so `in_row_halves`'
+    upper half draws from a copy of rng advanced past the lower half's
+    outputs; rng then takes the copy's end state and keeps its own
+    buffered 32-bit half, which `advance` clears. Any other bit generator
+    draws the whole array at once.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64 or m * n < SPLIT_VALUES:
+        return rng.random((m, n))
+    out, start, upper = np.empty((m, n)), bg.state, np.random.PCG64()
+    upper.state = start
+
+    def rows(lo, hi):
+        gen = rng if lo == 0 else np.random.Generator(upper.advance(lo * n))
+        gen.random(out=out[lo:hi])
+
+    in_row_halves(rows, m, n)
+    bg.state = {**upper.state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
+    return out

@@ -39,6 +39,8 @@ from .layers import (
     dense_forward,
     draw_layer_noise,
     dropout_forward,
+    in_row_halves,
+    uniform_rows,
     variational_forward_flipout,
     variational_forward_reparam,
 )
@@ -154,7 +156,7 @@ def draw_noise_bundle(head: Head, m: int, rng: np.random.Generator, phase: str =
         if isinstance(layer, DenseVariational):
             bundle.append(draw_layer_noise(layer, m, rng, phase))
         elif i < 2 and masks:
-            bundle.append(rng.random((m, layer.weight.shape[1])))
+            bundle.append(uniform_rows(rng, m, layer.weight.shape[1]))
         else:
             bundle.append(None)
     return bundle
@@ -182,6 +184,8 @@ def forward(
     layer's ReLU'd output, and the array each other layer writes its
     output into. A masked dropout layer writes over its mask noise
     instead, once read off as booleans, so that bundle serves one forward.
+    The mask read-off and the ReLU run in row halves, as the layer
+    functions do (`layers.in_row_halves`).
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -226,7 +230,8 @@ def forward(
         # a mask of another shape goes to dropout_forward, which rejects it
         over_mask = (spec is not None and i < 2 and noise[i] is not None
                      and noise[i].shape == shape)
-        mask = noise[i] >= spec.rate if over_mask else noise[i]
+        mask = (_by_rows(np.greater_equal, noise[i], spec.rate, np.empty(shape, bool))
+                if over_mask else noise[i])
         try:
             if isinstance(layer, DenseVariational):
                 h, kl = variational_forward_reparam(
@@ -243,7 +248,7 @@ def forward(
                 layer_memo["out"] = h
             if i < 2:
                 if not reused:
-                    np.maximum(h, 0.0, out=h)
+                    _by_rows(np.maximum, h, 0.0, h)
                 if spec is not None:
                     h = dropout_forward(spec, h, mask, phase, out=noise[i])[0]
         except NumericError as exc:
@@ -252,6 +257,12 @@ def forward(
         Tensor(log_softmax_array(h), _op="log_softmax"),
         Tensor(0.0 if kl_total is None else kl_total, _op="kl"),
     )
+
+
+def _by_rows(ufunc, a: np.ndarray, scalar: float, out: np.ndarray) -> np.ndarray:
+    """ufunc(a, scalar, out=out), in row halves."""
+    in_row_halves(lambda lo, hi: ufunc(a[lo:hi], scalar, out=out[lo:hi]), *out.shape)
+    return out
 
 
 def train_step(

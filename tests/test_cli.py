@@ -548,6 +548,11 @@ def test_hist_non_numeric_cell_exits_3_with_position(tmp_path, capsys):
     code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])
     assert code == EXIT_IO
     assert "line 3" in capsys.readouterr().err
+    # a quoted cell spanning two lines: the bad row starts on line 4
+    csv.write_text('a,b\n"1\n",0.5\n2,oops\n')
+    code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])
+    assert code == EXIT_IO
+    assert "line 4, column 2 ('b'): 'oops' is not a number" in capsys.readouterr().err
     # float() alone would bin 0_5 as 5.0 and 1_0 as 10.0
     csv.write_text("a,b\n1,0_5\n2,1_0\n")
     code = run(["hist", "--input", str(csv), "--column", "b", "--out", str(tmp_path / "h.csv")])

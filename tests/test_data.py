@@ -182,6 +182,21 @@ def test_csv_row_length_mismatch_names_line(tmp_path):
         load_features(path, "csv")
 
 
+@pytest.mark.parametrize(
+    "rows, where",
+    [
+        ('"1.0\n",0,0\n2.0,x,0\n', r"line 4, column 2 \('label'\): non-integer label 'x'"),
+        ('"1.0\n\n",0,0\n\n2.0,0\n', r"line 6: expected 3 fields, got 2"),
+    ],
+)
+def test_csv_rows_are_numbered_by_the_line_they_start_on(tmp_path, rows, where):
+    # the decimal grammar allows the line break a quoted cell spans
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,label,is_ood\n" + rows)
+    with pytest.raises(ParseError, match=where):
+        load_features(path, "csv")
+
+
 def test_csv_non_integer_label(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,label,is_ood\n1.0,zero,0\n")

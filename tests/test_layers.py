@@ -1,9 +1,12 @@
 import itertools
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from bvihead import layers
 from bvihead.dist import DiagonalGaussian
 from bvihead.errors import ConfigError, ContractError, NumericError, ShapeError
 from bvihead.layers import (
@@ -18,6 +21,8 @@ from bvihead.layers import (
     dense_forward,
     draw_layer_noise,
     dropout_forward,
+    in_row_halves,
+    uniform_rows,
     variational_forward_flipout,
     variational_forward_reparam,
 )
@@ -715,3 +720,131 @@ def test_dropout_gradient_flows_through_mask():
         return dropout_forward(spec, ts[0], mask_noise, TRAIN).sum()
 
     assert_gradients_match(loss, [x], rel=1e-6)
+
+
+# ---- row halves --------------------------------------------------------------
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The worker thread runs the upper half, as on a two-CPU host."""
+    monkeypatch.setattr(layers, "_cpus", lambda: 2)
+
+
+def no_worker(*args, **kwargs):
+    raise AssertionError("work was handed to the worker thread")
+
+
+# a step 256 values wide splits from ROWS rows up
+ROWS = layers.SPLIT_VALUES // 256
+
+
+def test_in_row_halves_splits_from_split_values_up_with_the_upper_half_on_the_worker(two_cpus):
+    calls = []
+    in_row_halves(lambda lo, hi: calls.append((lo, hi, threading.current_thread())), ROWS - 1, 256)
+    assert calls == [(0, ROWS - 1, threading.main_thread())]
+    calls.clear()
+    in_row_halves(lambda lo, hi: calls.append((lo, hi, threading.current_thread())), ROWS + 1, 256)
+    h = (ROWS + 1) // 2
+    assert sorted(c[:2] for c in calls) == [(0, h), (h, ROWS + 1)]
+    thread = {lo: t for lo, _, t in calls}
+    assert thread[0] is threading.main_thread() and thread[h] is not thread[0]
+
+
+def test_in_row_halves_on_one_cpu_runs_both_halves_in_turn(monkeypatch):
+    monkeypatch.setattr(layers, "_cpus", lambda: 1)
+    monkeypatch.setattr(layers, "_worker", no_worker)
+    calls, m = [], 2 * ROWS + 1
+    in_row_halves(lambda lo, hi: calls.append((lo, hi)), m, 256)
+    assert calls == [(0, m // 2), (m // 2, m)]
+
+
+def test_in_row_halves_raises_the_lower_half_error_first_after_both_end(two_cpus):
+    m = 2 * ROWS + 1
+    ended = []
+
+    def body(lo, hi, failing):
+        ended.append(lo)
+        if lo in failing:
+            raise NumericError(f"half at {lo}")
+
+    with pytest.raises(NumericError, match="half at 0$"):
+        in_row_halves(lambda lo, hi: body(lo, hi, (0, m // 2)), m, 256)
+    assert sorted(ended) == [0, m // 2]
+    with pytest.raises(NumericError, match=f"half at {m // 2}$"):
+        in_row_halves(lambda lo, hi: body(lo, hi, (m // 2,)), m, 256)
+
+
+def test_in_row_halves_runs_the_worker_half_under_the_callers_errstate(two_cpus):
+    seen = {}
+    with np.errstate(over="ignore", invalid="raise"):
+        in_row_halves(lambda lo, hi: seen.setdefault(lo, np.geterr()), 2 * ROWS, 256)
+    assert seen[0] == seen[ROWS]
+    assert seen[0]["over"] == "ignore" and seen[0]["invalid"] == "raise"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("lead", [0, 1])
+@pytest.mark.parametrize("m", [5, ROWS - 1, ROWS, 2401, 6001])
+def test_uniform_rows_is_rng_random_in_values_and_state(monkeypatch, cpus, lead, m):
+    monkeypatch.setattr(layers, "_cpus", lambda: cpus)
+    ours, ref = np.random.default_rng(61), np.random.default_rng(61)
+    for rng in (ours, ref):
+        rng.integers(0, 2, size=lead)  # an odd lead leaves a spare 32-bit half
+    assert ours.bit_generator.state["has_uint32"] == lead
+    np.testing.assert_array_equal(uniform_rows(ours, m, 256), ref.random((m, 256)))
+    assert ours.bit_generator.state == ref.bit_generator.state
+    assert_same_next_draws(ours, ref)
+
+
+def test_uniform_rows_on_another_bit_generator_draws_at_once(two_cpus, monkeypatch):
+    monkeypatch.setattr(layers, "_worker", no_worker)
+    ours, ref = (np.random.Generator(np.random.MT19937(62)) for _ in range(2))
+    np.testing.assert_array_equal(uniform_rows(ours, 2401, 256), ref.random((2401, 256)))
+    assert_same_next_draws(ours, ref)
+
+
+def last_row_overflow(d):
+    """2 * ROWS + 1 rows of ones but the last, of 1e308, which a product
+    with weights of 10 or a dropout scale of 2 takes past the float64
+    range."""
+    x = np.ones((2 * ROWS + 1, d))
+    x[-1] = 1e308
+    return x
+
+
+@pytest.mark.parametrize("split", [True, False])
+@pytest.mark.parametrize("kind", ["dense", "reparam", "dropout"])
+def test_an_overflow_in_the_last_row_raises_what_the_whole_step_raises(
+    two_cpus, monkeypatch, kind, split
+):
+    if not split:
+        monkeypatch.setattr(layers, "_worker", no_worker)
+        monkeypatch.setattr(layers, "SPLIT_VALUES", 10**12)
+    w = np.full((6, 256), 10.0)
+    if kind == "dense":
+        x = last_row_overflow(6)
+
+        def step():
+            dense_forward(DenseDeterministic(Tensor(w), Tensor(np.zeros(256))), x)
+        op = "forward"
+    elif kind == "reparam":
+        x = last_row_overflow(6)
+        layer = make_variational(6, 256, REPARAM, seed=63, rho=-30.0)
+        layer.weight_post.mu.data = w
+        noise = draw_layer_noise(layer, len(x), np.random.default_rng(64), MC_INFERENCE)
+
+        def step():
+            variational_forward_reparam(layer, x, noise)
+        op = "forward"
+    else:
+        x = last_row_overflow(256)
+
+        def step():
+            dropout_forward(DropoutSpec(0.5), x, np.ones(x.shape, bool), MC_INFERENCE)
+        op = "dropout"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the worker half keeps the caller's errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match=f"^{op} produced non-finite values$"):
+                step()

@@ -49,6 +49,7 @@ def small_head(variant, input_dim=2, k=2, seed=5):
     return build_head(cfg, init_seed=seed)
 
 
+
 # ---- elbo loss ---------------------------------------------------------------
 
 
@@ -562,3 +563,18 @@ def test_layer_one_overflow_names_epoch_batch_and_layer(variant):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"epoch 0, batch 0: layer 1: "):
             train(head, data, TrainConfig(epochs=1, batch_size=8))
+
+
+@pytest.mark.parametrize("batch_size", [64, 8])
+@pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
+def test_training_never_hands_work_to_the_row_worker(monkeypatch, variant, batch_size):
+    # 1,200 rows of H = 256 would split; batches of 64 or 8 rows stay whole
+    def no_worker():
+        raise AssertionError("training handed work to the worker thread")
+
+    monkeypatch.setattr(layers, "_cpus", lambda: 2)
+    monkeypatch.setattr(layers, "_worker", no_worker)
+    data = blobs_2class(n_per_class=600, seed=3)
+    assert data.n * 256 > layers.SPLIT_VALUES
+    head = build_head(HeadConfig(2, (256, 256), 2, variant), init_seed=5)
+    train(head, data, TrainConfig(epochs=1, batch_size=batch_size))

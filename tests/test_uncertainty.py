@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bvihead.uncertainty as uncertainty_mod
+from bvihead import layers
 from bvihead.errors import ConfigError, DataError, NumericError
 from bvihead.layers import MC_INFERENCE
 from bvihead.model import (
@@ -394,6 +395,61 @@ def test_mc_predict_peak_memory_is_at_most_four_hidden_arrays(variant):
         tracemalloc.stop()
     hidden_array = m * 256 * 8
     assert peak <= 4 * hidden_array, f"{peak / hidden_array:.2f} hidden arrays"
+
+
+HEADS = [(DETERMINISTIC, "flipout"), (MC_DROPOUT, "flipout"),
+         (STOCHASTIC_VI, "flipout"), (STOCHASTIC_VI, "reparam")]
+
+
+def mc_bytes(variant, estimator, dims, k, m, seed=14):
+    head = build_head(HeadConfig(12, dims, k, variant, estimator=estimator), init_seed=seed)
+    x = Tensor(np.random.default_rng(seed).normal(size=(m, 12)))
+    return mc_predict(head, x, t=3, seed=seed).sample_probs.tobytes()
+
+
+@pytest.mark.parametrize("variant, estimator", HEADS)
+def test_mc_predict_in_row_halves_writes_the_bytes_of_whole_steps(monkeypatch, variant, estimator):
+    # at the default head's widths, where OpenBLAS computes each row of a
+    # product with the same bits in any block of rows
+    monkeypatch.setattr(layers, "_cpus", lambda: 2)
+    halves = mc_bytes(variant, estimator, (256, 256), 8, m=2049)
+    monkeypatch.setattr(layers, "SPLIT_VALUES", 10**12)
+    assert mc_bytes(variant, estimator, (256, 256), 8, m=2049) == halves
+
+
+@pytest.mark.parametrize("variant, estimator", HEADS)
+@pytest.mark.parametrize("dims, k, m", [((256, 256), 8, 6001), ((300, 300), 10, 1025)])
+def test_mc_predict_bytes_do_not_depend_on_the_cpu_count(monkeypatch, variant, estimator, dims, k, m):
+    # at any width, one CPU runs the same two row halves in turn; on
+    # SkylakeX a 300-column product over 1,025 rows gives a few rows other
+    # last bits in halves than in one call
+    monkeypatch.setattr(layers, "_cpus", lambda: 2)
+    two = mc_bytes(variant, estimator, dims, k, m)
+    monkeypatch.setattr(layers, "_cpus", lambda: 1)
+    monkeypatch.setattr(layers, "_worker", None)
+    assert mc_bytes(variant, estimator, dims, k, m) == two
+
+
+@pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
+@pytest.mark.parametrize("index", [0, 1])
+def test_mc_predict_names_an_overflow_in_the_last_row_as_whole_steps_do(
+    monkeypatch, variant, index
+):
+    # layer `index` takes the last row's activations of 1e200 or more past
+    # the float64 range; the upper row half on the worker finds it
+    head = build_head(HeadConfig(5, (256, 256), 3, variant), init_seed=12)
+    set_weight_means(head, [1.0] * index + [1e150])
+    x = np.ones((2049, 5))
+    x[-1] = 1e200
+    monkeypatch.setattr(layers, "_cpus", lambda: 2)
+    errors = []
+    for split_values in (layers.SPLIT_VALUES, 10**12):
+        monkeypatch.setattr(layers, "SPLIT_VALUES", split_values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as exc:
+                mc_predict(head, Tensor(x), t=2, seed=3)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == f"layer {index}: forward produced non-finite values"
 
 
 def test_mc_predict_bounds_the_result_before_any_pass(monkeypatch):
