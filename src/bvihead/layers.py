@@ -17,16 +17,16 @@ estimator through the reparam forward.
 
 An array form that writes SPLIT_VALUES values or more, as an MC pass over
 a thousand rows does, runs in two row halves (`in_row_halves`), the upper
-one on a worker thread when the process may run on two CPUs. Each such
-step computes a row from that row alone, and a product is one BLAS call
-per half on one CPU as on two, so no output depends on the CPU count.
+one on a worker thread. Each such step computes a row from that row
+alone, and a product splits only at widths where its halves were seen to
+give the bits of one call (SPLIT_WIDTH), so no output depends on the split.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
-import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +52,14 @@ PHASES = (TRAIN, MC_INFERENCE)
 # Training batches of 64 rows, and MC passes of narrow heads, stay whole.
 SPLIT_VALUES = 1024 * 256
 
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+# A product splits only when it is a multiple of this many columns wide.
+# OpenBLAS picks its kernels and blocks by the operands' sizes. On
+# SkylakeX (OpenBLAS 0.3.31, one thread) two half-calls of a product 2,
+# 3, 10 or 300 columns wide sum some values in another order than one
+# call, so their last bits differ: the last 4 columns of a dozen rows at
+# 300, most values at 2 or 3. Every multiple of 8 from 8 to 512 gave the
+# bits of one call at 12 to 300 inputs, over the row counts where it splits.
+SPLIT_WIDTH = 8
 
 
 @functools.cache
@@ -74,35 +76,39 @@ def in_row_halves(body, m: int, n: int) -> None:
     Below SPLIT_VALUES values body runs once, for [0, m). From there up it
     runs for [0, m // 2) on this thread and for [m // 2, m) on one worker
     thread, in this thread's context, so its np.errstate holds there too.
-    In a process that may run on one CPU only, both halves run here in
-    turn. Both halves end before it returns, and an error of the lower
-    half is raised first. body must touch only rows [lo, hi) of its arrays
-    and call no function that perfbench/tracer.py wraps.
+    If the worker has not started the upper half when the lower one ends,
+    as on a busy or a single CPU, this thread runs it instead. No half
+    runs after it returns, and an error of the lower half is raised
+    first. body must touch only rows [lo, hi) of its arrays and call no
+    function that perfbench/tracer.py wraps.
     """
     if m * n < SPLIT_VALUES:
         body(0, m)
         return
     h = m // 2
-    if _cpus() == 1:
-        body(0, h)
-        body(h, m)
-        return
-    upper = _worker().submit(contextvars.copy_context().run, body, h, m)
+    claim = threading.Lock()  # held by whichever thread runs the upper half
+
+    def upper():
+        if claim.acquire(blocking=False):
+            body(h, m)
+
+    future = _worker().submit(contextvars.copy_context().run, upper)
     try:
         body(0, h)
-    finally:
-        upper.exception()  # waits for the upper half
-    upper.result()
+    except BaseException:
+        if not claim.acquire(blocking=False):
+            future.exception()  # waits for the worker's upper half
+        raise
+    if claim.acquire(blocking=False):
+        body(h, m)
+    else:
+        future.result()
 
 
 def _affine(x, w, b, out):
     """x @ w + b, written into `out` when given; NumericError naming
-    "forward" if a value is not finite. In row halves, one BLAS call each.
-
-    OpenBLAS picks its kernels by the operands' sizes. For the default
-    head's products, 256 columns wide, it gives each row the bits of a
-    one-call product; on SkylakeX a 300-column product over 900 to 2,000
-    rows differs from it in a few rows' last bits.
+    "forward" if a value is not finite. In row halves, one BLAS call each,
+    when w is a multiple of SPLIT_WIDTH columns wide.
     """
     out = np.empty((x.shape[0], w.shape[1])) if out is None else out
 
@@ -111,7 +117,10 @@ def _affine(x, w, b, out):
         o += b
         check_finite(o, "forward")
 
-    in_row_halves(rows, *out.shape)
+    if w.shape[1] % SPLIT_WIDTH:
+        rows(0, len(out))
+    else:
+        in_row_halves(rows, *out.shape)
     return out
 
 

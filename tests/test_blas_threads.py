@@ -6,9 +6,8 @@ by 256 x 256) are large enough that OpenBLAS splits them across two
 threads; products of 64 x 96 by 96 x 96 still run on one.
 
 Runs ``eval`` of a head whose steps split (``layers.SPLIT_VALUES``) in a fresh
-interpreter pinned to one CPU, which runs both row halves of each step
-itself, and in one that may use every CPU, which hands the upper halves
-to the worker thread.
+interpreter pinned to one CPU, where the calling thread and the row
+worker take turns on it, and in one that may use every CPU.
 """
 
 import json

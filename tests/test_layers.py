@@ -725,12 +725,6 @@ def test_dropout_gradient_flows_through_mask():
 # ---- row halves --------------------------------------------------------------
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The worker thread runs the upper half, as on a two-CPU host."""
-    monkeypatch.setattr(layers, "_cpus", lambda: 2)
-
-
 def no_worker(*args, **kwargs):
     raise AssertionError("work was handed to the worker thread")
 
@@ -739,27 +733,49 @@ def no_worker(*args, **kwargs):
 ROWS = layers.SPLIT_VALUES // 256
 
 
-def test_in_row_halves_splits_from_split_values_up_with_the_upper_half_on_the_worker(two_cpus):
+def lower_waits_for_upper(body):
+    """body(lo, hi), whose lower half starts only once the upper one has,
+    so that the worker runs the upper half."""
+    upper_started = threading.Event()
+
+    def halves(lo, hi):
+        if lo:
+            upper_started.set()
+        else:
+            assert upper_started.wait(10)
+        body(lo, hi)
+
+    return halves
+
+
+def test_in_row_halves_splits_from_split_values_up_with_the_upper_half_on_the_worker():
     calls = []
     in_row_halves(lambda lo, hi: calls.append((lo, hi, threading.current_thread())), ROWS - 1, 256)
     assert calls == [(0, ROWS - 1, threading.main_thread())]
     calls.clear()
-    in_row_halves(lambda lo, hi: calls.append((lo, hi, threading.current_thread())), ROWS + 1, 256)
+    in_row_halves(lower_waits_for_upper(
+        lambda lo, hi: calls.append((lo, hi, threading.current_thread()))), ROWS + 1, 256)
     h = (ROWS + 1) // 2
     assert sorted(c[:2] for c in calls) == [(0, h), (h, ROWS + 1)]
     thread = {lo: t for lo, _, t in calls}
     assert thread[0] is threading.main_thread() and thread[h] is not thread[0]
 
 
-def test_in_row_halves_on_one_cpu_runs_both_halves_in_turn(monkeypatch):
-    monkeypatch.setattr(layers, "_cpus", lambda: 1)
-    monkeypatch.setattr(layers, "_worker", no_worker)
-    calls, m = [], 2 * ROWS + 1
-    in_row_halves(lambda lo, hi: calls.append((lo, hi)), m, 256)
-    assert calls == [(0, m // 2), (m // 2, m)]
+def test_in_row_halves_runs_the_upper_half_itself_if_the_worker_has_not_started_it():
+    release = threading.Event()
+    busy = layers._worker().submit(release.wait, 10)
+    calls = []
+    try:
+        in_row_halves(lambda lo, hi: calls.append((lo, hi, threading.current_thread())),
+                      2 * ROWS, 256)
+    finally:
+        release.set()
+    busy.result()
+    layers._worker().submit(lambda: None).result()  # the queued upper half is a no-op
+    assert calls == [(0, ROWS, threading.main_thread()), (ROWS, 2 * ROWS, threading.main_thread())]
 
 
-def test_in_row_halves_raises_the_lower_half_error_first_after_both_end(two_cpus):
+def test_in_row_halves_raises_the_lower_half_error_first_after_both_end():
     m = 2 * ROWS + 1
     ended = []
 
@@ -769,25 +785,46 @@ def test_in_row_halves_raises_the_lower_half_error_first_after_both_end(two_cpus
             raise NumericError(f"half at {lo}")
 
     with pytest.raises(NumericError, match="half at 0$"):
-        in_row_halves(lambda lo, hi: body(lo, hi, (0, m // 2)), m, 256)
+        in_row_halves(lower_waits_for_upper(lambda lo, hi: body(lo, hi, (0, m // 2))), m, 256)
     assert sorted(ended) == [0, m // 2]
     with pytest.raises(NumericError, match=f"half at {m // 2}$"):
         in_row_halves(lambda lo, hi: body(lo, hi, (m // 2,)), m, 256)
 
 
-def test_in_row_halves_runs_the_worker_half_under_the_callers_errstate(two_cpus):
+def test_in_row_halves_runs_the_worker_half_under_the_callers_errstate():
     seen = {}
     with np.errstate(over="ignore", invalid="raise"):
-        in_row_halves(lambda lo, hi: seen.setdefault(lo, np.geterr()), 2 * ROWS, 256)
-    assert seen[0] == seen[ROWS]
-    assert seen[0]["over"] == "ignore" and seen[0]["invalid"] == "raise"
+        in_row_halves(lower_waits_for_upper(
+            lambda lo, hi: seen.setdefault(lo, (np.geterr(), threading.current_thread()))),
+            2 * ROWS, 256)
+    assert seen[ROWS][1] is not threading.main_thread()
+    assert seen[0][0] == seen[ROWS][0]
+    assert seen[0][0]["over"] == "ignore" and seen[0][0]["invalid"] == "raise"
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("m, k, n", [(ROWS, 256, 256), (2049, 64, 256), (2049, 12, 264),
+                                     (6001, 300, 64), (2 * ROWS + 3, 256, 128)])
+def test_a_product_split_width_wide_has_the_bits_of_one_call_in_row_halves(m, k, n):
+    # what SPLIT_WIDTH rests on, at widths and row counts where products split
+    assert n % layers.SPLIT_WIDTH == 0 and m * n >= layers.SPLIT_VALUES
+    rng = np.random.default_rng(65)
+    x, w = rng.normal(size=(m, k)), rng.normal(size=(k, n))
+    halves = np.vstack([x[: m // 2] @ w, x[m // 2 :] @ w])
+    assert halves.tobytes() == (x @ w).tobytes()
+
+
+def test_a_product_of_another_width_runs_whole(monkeypatch):
+    monkeypatch.setattr(layers, "_worker", no_worker)
+    rng = np.random.default_rng(66)
+    m = 2 * ROWS + 1
+    x, w, b = rng.normal(size=(m, 300)), rng.normal(size=(300, 300)), rng.normal(size=300)
+    out, _ = dense_forward(DenseDeterministic(Tensor(w), Tensor(b)), x)
+    assert out.tobytes() == (x @ w + b).tobytes()
+
+
 @pytest.mark.parametrize("lead", [0, 1])
 @pytest.mark.parametrize("m", [5, ROWS - 1, ROWS, 2401, 6001])
-def test_uniform_rows_is_rng_random_in_values_and_state(monkeypatch, cpus, lead, m):
-    monkeypatch.setattr(layers, "_cpus", lambda: cpus)
+def test_uniform_rows_is_rng_random_in_values_and_state(lead, m):
     ours, ref = np.random.default_rng(61), np.random.default_rng(61)
     for rng in (ours, ref):
         rng.integers(0, 2, size=lead)  # an odd lead leaves a spare 32-bit half
@@ -797,7 +834,7 @@ def test_uniform_rows_is_rng_random_in_values_and_state(monkeypatch, cpus, lead,
     assert_same_next_draws(ours, ref)
 
 
-def test_uniform_rows_on_another_bit_generator_draws_at_once(two_cpus, monkeypatch):
+def test_uniform_rows_on_another_bit_generator_draws_at_once(monkeypatch):
     monkeypatch.setattr(layers, "_worker", no_worker)
     ours, ref = (np.random.Generator(np.random.MT19937(62)) for _ in range(2))
     np.testing.assert_array_equal(uniform_rows(ours, 2401, 256), ref.random((2401, 256)))
@@ -816,7 +853,7 @@ def last_row_overflow(d):
 @pytest.mark.parametrize("split", [True, False])
 @pytest.mark.parametrize("kind", ["dense", "reparam", "dropout"])
 def test_an_overflow_in_the_last_row_raises_what_the_whole_step_raises(
-    two_cpus, monkeypatch, kind, split
+    monkeypatch, kind, split
 ):
     if not split:
         monkeypatch.setattr(layers, "_worker", no_worker)

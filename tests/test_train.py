@@ -49,7 +49,6 @@ def small_head(variant, input_dim=2, k=2, seed=5):
     return build_head(cfg, init_seed=seed)
 
 
-
 # ---- elbo loss ---------------------------------------------------------------
 
 
@@ -572,7 +571,6 @@ def test_training_never_hands_work_to_the_row_worker(monkeypatch, variant, batch
     def no_worker():
         raise AssertionError("training handed work to the worker thread")
 
-    monkeypatch.setattr(layers, "_cpus", lambda: 2)
     monkeypatch.setattr(layers, "_worker", no_worker)
     data = blobs_2class(n_per_class=600, seed=3)
     assert data.n * 256 > layers.SPLIT_VALUES

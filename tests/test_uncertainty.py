@@ -408,26 +408,18 @@ def mc_bytes(variant, estimator, dims, k, m, seed=14):
 
 
 @pytest.mark.parametrize("variant, estimator", HEADS)
-def test_mc_predict_in_row_halves_writes_the_bytes_of_whole_steps(monkeypatch, variant, estimator):
-    # at the default head's widths, where OpenBLAS computes each row of a
-    # product with the same bits in any block of rows
-    monkeypatch.setattr(layers, "_cpus", lambda: 2)
-    halves = mc_bytes(variant, estimator, (256, 256), 8, m=2049)
+@pytest.mark.parametrize("dims, k, m", [((256, 256), 8, 2049), ((300, 300), 10, 1025)])
+@pytest.mark.parametrize("split_values", [layers.SPLIT_VALUES, 2])
+def test_mc_predict_in_row_halves_writes_the_bytes_of_whole_steps(
+    monkeypatch, variant, estimator, dims, k, m, split_values
+):
+    # a 300-column product over 1,025 rows, and the 10-column output
+    # layer's when every step splits, would give some values other last
+    # bits in halves than in one call on SkylakeX; they stay whole
+    monkeypatch.setattr(layers, "SPLIT_VALUES", split_values)
+    halves = mc_bytes(variant, estimator, dims, k, m)
     monkeypatch.setattr(layers, "SPLIT_VALUES", 10**12)
-    assert mc_bytes(variant, estimator, (256, 256), 8, m=2049) == halves
-
-
-@pytest.mark.parametrize("variant, estimator", HEADS)
-@pytest.mark.parametrize("dims, k, m", [((256, 256), 8, 6001), ((300, 300), 10, 1025)])
-def test_mc_predict_bytes_do_not_depend_on_the_cpu_count(monkeypatch, variant, estimator, dims, k, m):
-    # at any width, one CPU runs the same two row halves in turn; on
-    # SkylakeX a 300-column product over 1,025 rows gives a few rows other
-    # last bits in halves than in one call
-    monkeypatch.setattr(layers, "_cpus", lambda: 2)
-    two = mc_bytes(variant, estimator, dims, k, m)
-    monkeypatch.setattr(layers, "_cpus", lambda: 1)
-    monkeypatch.setattr(layers, "_worker", None)
-    assert mc_bytes(variant, estimator, dims, k, m) == two
+    assert mc_bytes(variant, estimator, dims, k, m) == halves
 
 
 @pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
@@ -441,7 +433,6 @@ def test_mc_predict_names_an_overflow_in_the_last_row_as_whole_steps_do(
     set_weight_means(head, [1.0] * index + [1e150])
     x = np.ones((2049, 5))
     x[-1] = 1e200
-    monkeypatch.setattr(layers, "_cpus", lambda: 2)
     errors = []
     for split_values in (layers.SPLIT_VALUES, 10**12):
         monkeypatch.setattr(layers, "SPLIT_VALUES", split_values)
