@@ -8,7 +8,7 @@ and area-normalized histograms.
 """
 
 from .data import LabeledFeatureSet, SynthSpec, batches, generate, load_features, save_features
-from .dist import DiagonalGaussian, PriorSpec, kl_to_prior, sample, softplus_std
+from .dist import DiagonalGaussian, PriorSpec, kl_to_prior, sample
 from .evaluate import (
     DensityHistogram,
     EvalBundle,

@@ -289,6 +289,8 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     ckpt = args.checkpoint or str(out_dir / f"checkpoint_{args.variant}.json")
     head = load_head(ckpt)
+    if head.config.variant != args.variant:
+        raise ConfigError(f"{ckpt} holds a {head.config.variant} head, not --variant {args.variant}")
     bundle = _eval_one(cfg, head, _eval_data(out_dir), out_dir / f"eval_{args.variant}")
     print(bundle.summary_json(), end="")
     return EXIT_OK
@@ -328,6 +330,9 @@ def cmd_compare(args) -> int:
     # the heads' class count is the training set's; the MC heads' result
     # is the largest, and is bounded before the first head trains
     train_set = data_mod.load_features(*_find_dataset(out_dir, "train"))
+    if args.classes is not None and train_set.num_classes() != args.classes:
+        raise ConfigError(f"--classes {args.classes}, but the training set in {out_dir}"
+                          f" has {train_set.num_classes()} classes")
     check_mc_size(eval_set.n, t, train_set.num_classes())
 
     results = {}

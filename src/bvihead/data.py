@@ -383,18 +383,19 @@ def _load_bfv(path) -> LabeledFeatureSet:
     return LabeledFeatureSet(feats.astype(np.float64), labels)
 
 
+# each format's (save, load)
+_CODECS = {"bfv": (save_bfv, _load_bfv), "csv": (save_csv, _load_csv)}
+
+
+def _codec(fmt: str):
+    if fmt not in _CODECS:
+        raise ConfigError(f"unknown format {fmt!r}; expected 'csv' or 'bfv'")
+    return _CODECS[fmt]
+
+
 def load_features(path, fmt: str) -> LabeledFeatureSet:
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "bfv":
-        return _load_bfv(path)
-    raise ConfigError(f"unknown format {fmt!r}; expected 'csv' or 'bfv'")
+    return _codec(fmt)[1](path)
 
 
 def save_features(data: LabeledFeatureSet, path, fmt: str) -> None:
-    if fmt == "csv":
-        save_csv(data, path)
-    elif fmt == "bfv":
-        save_bfv(data, path)
-    else:
-        raise ConfigError(f"unknown format {fmt!r}; expected 'csv' or 'bfv'")
+    _codec(fmt)[0](data, path)

@@ -49,11 +49,6 @@ class DiagonalGaussian:
         return self.mu.shape
 
 
-def softplus_std(rho: Tensor) -> Tensor:
-    """Positive scale ln(1 + exp(rho)), saturating to rho above 30."""
-    return rho.softplus()
-
-
 def sample(g: DiagonalGaussian, eps, std: Tensor | None = None) -> Tensor:
     """Reparameterized draw w = mu + std * eps, std = softplus(rho) by default.
 
@@ -62,7 +57,7 @@ def sample(g: DiagonalGaussian, eps, std: Tensor | None = None) -> Tensor:
     """
     if eps.shape != g.shape:
         raise ShapeError(f"eps shape {eps.shape} != posterior shape {g.shape}")
-    s = softplus_std(g.rho) if std is None else std
+    s = g.rho.softplus() if std is None else std
     return g.mu + s * eps
 
 
@@ -92,7 +87,7 @@ def kl_to_prior(
     s_q = softplus(rho) to reuse; without it the KL computes its own, and
     gradients reach rho either way.
     """
-    s_q = softplus_std(g.rho) if std is None else std
+    s_q = g.rho.softplus() if std is None else std
     if s_q.shape != g.shape:
         raise ShapeError(f"std shape {s_q.shape} != posterior shape {g.shape}")
     mu = g.mu

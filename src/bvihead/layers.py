@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,20 +85,15 @@ def in_row_halves(body, m: int, n: int) -> None:
         body(0, m)
         return
     h = m // 2
-    claim = threading.Lock()  # held by whichever thread runs the upper half
-
-    def upper():
-        if claim.acquire(blocking=False):
-            body(h, m)
-
-    future = _worker().submit(contextvars.copy_context().run, upper)
+    # cancel() succeeds only while the worker has not started the call
+    future = _worker().submit(contextvars.copy_context().run, body, h, m)
     try:
         body(0, h)
     except BaseException:
-        if not claim.acquire(blocking=False):
+        if not future.cancel():
             future.exception()  # waits for the worker's upper half
         raise
-    if claim.acquire(blocking=False):
+    if future.cancel():
         body(h, m)
     else:
         future.result()

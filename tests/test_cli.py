@@ -1,7 +1,10 @@
 import collections
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
 import warnings
 from dataclasses import MISSING, fields
@@ -47,6 +50,17 @@ def tiny_config(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+def test_importing_the_cli_leaves_the_row_worker_unloaded():
+    # perfbench times this import; the row worker loads concurrent.futures on first use
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = "import sys, bvihead.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_config_defaults_without_file():
@@ -375,6 +389,32 @@ def test_eval_feature_dim_mismatch_exits_2(tiny_config, tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "F=6" in err and "F=7" in err
+
+
+def test_eval_of_a_checkpoint_of_another_variant_exits_2_before_writing(tiny_config, tmp_path,
+                                                                        capsys):
+    out = tmp_path / "ws"
+    run(["gen-data", "--config", tiny_config, "--out", str(out)])
+    run(["train", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
+    before = sorted(p.name for p in out.iterdir())
+    code = run(["eval", "--config", tiny_config, "--out", str(out),
+                "--checkpoint", str(out / "checkpoint_deterministic.json")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "deterministic" in err and "stochastic-vi" in err
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
+def test_compare_classes_must_match_an_existing_training_set(tiny_config, tmp_path, capsys):
+    out = tmp_path / "ws"
+    run(["gen-data", "--config", tiny_config, "--out", str(out)])
+    before = sorted(p.name for p in out.iterdir())
+    code = run(["compare", "--config", tiny_config, "--out", str(out), "--classes", "5"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--classes 5" in err and "3 classes" in err
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert run(["compare", "--config", tiny_config, "--out", str(out), "--classes", "3"]) == EXIT_OK
 
 
 def test_compare_emits_three_row_table(tiny_config, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bvihead.dist import DiagonalGaussian, PriorSpec, kl_to_prior, sample, softplus_std
+from bvihead.dist import DiagonalGaussian, PriorSpec, kl_to_prior, sample
 from bvihead.errors import ConfigError, ShapeError
 from bvihead.tensor import Tensor
 
@@ -31,16 +31,16 @@ def mc_kl_estimate(mu, rho, prior, n_samples, seed):
     return per_sample.mean()
 
 
-def test_softplus_std_analytic_points():
-    out = softplus_std(Tensor([0.0, -20.0, 100.0]))
+def test_softplus_analytic_points():
+    out = Tensor([0.0, -20.0, 100.0]).softplus()
     assert out.data[0] == pytest.approx(math.log(2.0), rel=1e-12)
     assert out.data[1] == pytest.approx(2.0611536181902037e-9, rel=1e-9)
     assert out.data[1] > 0
     assert out.data[2] == pytest.approx(100.0, abs=1e-12)
 
 
-def test_softplus_std_positive_for_very_negative_rho():
-    out = softplus_std(Tensor(np.linspace(-40, -5, 20)))
+def test_softplus_positive_for_very_negative_rho():
+    out = Tensor(np.linspace(-40, -5, 20)).softplus()
     assert (out.data > 0).all()
 
 
@@ -183,7 +183,7 @@ def test_fused_kl_gradient_matches_finite_differences_with_shared_std():
     def shared_std(ts):
         # one softplus feeds both the draw and the KL, as in the layers
         g = DiagonalGaussian(ts[0], ts[1])
-        std = softplus_std(g.rho)
+        std = g.rho.softplus()
         w = sample(g, eps, std)
         return (w * w).sum() + kl_to_prior(g, prior, std) * 0.7
 
@@ -196,7 +196,7 @@ def test_fused_kl_is_one_node_with_closed_form_gradients():
     rho = np.array([-1.0, 0.0, 1.5])
     prior = PriorSpec(0.2, 1.7)
     g = _gaussian(mu, rho)
-    std = softplus_std(g.rho)
+    std = g.rho.softplus()
     kl = kl_to_prior(g, prior, std)
     assert kl._parents == (g.mu, std)
     kl.backward()

@@ -276,7 +276,7 @@ def test_flipout_gradient_through_posterior():
 
 def test_flipout_node_equals_op_by_op_graph_bit_for_bit():
     # oracle: the same affine map built from one graph node per operation
-    from bvihead.dist import kl_to_prior, sample, softplus_std
+    from bvihead.dist import kl_to_prior, sample
 
     layer = make_variational(4, 3, FLIPOUT, seed=30, rho=-0.7)
     wp, bp = layer.weight_post, layer.bias_post
@@ -292,7 +292,7 @@ def test_flipout_node_equals_op_by_op_graph_bit_for_bit():
         if fused:
             out, kl = variational_forward_flipout(layer, x, noise)
         else:
-            w_std, b_std = softplus_std(wp.rho), softplus_std(bp.rho)
+            w_std, b_std = wp.rho.softplus(), bp.rho.softplus()
             b = sample(bp, noise.bias_eps, b_std)
             kl = kl_to_prior(wp, layer.prior, w_std) + kl_to_prior(bp, layer.prior, b_std)
             delta = w_std * noise.weight_eps
@@ -329,12 +329,12 @@ def fused_case_layer(kind, rng, rho_case):
 
 def op_level_forward(layer, x, noise=None):
     """The same training forward composed from one graph node per operation."""
-    from bvihead.dist import kl_to_prior, sample, softplus_std
+    from bvihead.dist import kl_to_prior, sample
 
     if isinstance(layer, DenseDeterministic):
         return (x @ layer.weight) + layer.bias, Tensor(0.0)
     wp, bp = layer.weight_post, layer.bias_post
-    w_std, b_std = softplus_std(wp.rho), softplus_std(bp.rho)
+    w_std, b_std = wp.rho.softplus(), bp.rho.softplus()
     b = sample(bp, noise.bias_eps, b_std)
     kl = kl_to_prior(wp, layer.prior, w_std) + kl_to_prior(bp, layer.prior, b_std)
     if layer.estimator == REPARAM:

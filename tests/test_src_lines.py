@@ -27,3 +27,14 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path, capsys):
     assert tool.count(path) == (7, 2)
     assert tool.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "7 total lines, 2 code lines in 1 files\n"
+
+
+def test_by_file_prints_each_files_total_and_code_lines_before_the_sum(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text('"""Doc."""\ny = 2\nz = 3\n', encoding="utf-8")
+    assert load_tool().main(["--by-file", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        f"     2      1  {tmp_path / 'a.py'}\n"
+        f"     3      2  {tmp_path / 'b.py'}\n"
+        "5 total lines, 3 code lines in 2 files\n"
+    )

@@ -43,7 +43,6 @@ DEFAULT_INFERENCE_SEED = 1234
 def run_cli(src: Path, argv: list[str], cwd: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
-    env.pop("BVI_THREADS", None)
     subprocess.run([sys.executable, "-m", "bvihead.cli", *argv], cwd=cwd, env=env,
                    check=True, stdout=subprocess.DEVNULL)
 

@@ -1,9 +1,10 @@
 """Line counts of the package source: total lines and code lines.
 
-    python3 tools/src_lines.py [PATH ...]
+    python3 tools/src_lines.py [--by-file] [PATH ...]
 
 Run from the repository root; PATH defaults to ``src/bvihead``, and a
-directory counts every ``.py`` file under it. A code line holds a token
+directory counts every ``.py`` file under it. ``--by-file`` first prints
+each file's total and code lines. A code line holds a token
 other than a comment, outside docstrings: blank lines, comment-only lines
 and the lines of a module, class or function docstring are not code. A
 line that a multi-line expression or string spans counts as code.
@@ -46,8 +47,9 @@ def count(path: Path) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
+    by_file = "--by-file" in argv
     files = []
-    for arg in argv or ["src/bvihead"]:
+    for arg in [a for a in argv if a != "--by-file"] or ["src/bvihead"]:
         p = Path(arg)
         files += sorted(p.rglob("*.py")) if p.is_dir() else [p]
     total = code = 0
@@ -55,6 +57,8 @@ def main(argv: list[str]) -> int:
         t, c = count(f)
         total += t
         code += c
+        if by_file:
+            print(f"{t:6d} {c:6d}  {f}")
     print(f"{total} total lines, {code} code lines in {len(files)} files")
     return 0
 
