@@ -166,7 +166,8 @@ def _find_dataset(out_dir: Path, name: str) -> tuple[Path, str]:
         path = out_dir / f"{name}.{fmt}"
         if path.exists():
             return path, fmt
-    raise FileNotFoundError(f"no {name}.bfv or {name}.csv under {out_dir}")
+    names = " or ".join(f"{name}.{fmt}" for fmt in data_mod.FORMATS)
+    raise FileNotFoundError(f"no {names} under {out_dir}")
 
 
 # ---- commands ------------------------------------------------------------
@@ -315,16 +316,18 @@ def cmd_compare(args) -> int:
         cfg["train"]["seed"] = args.seed
     if args.mc_samples is not None:
         cfg["inference"]["mc_samples"] = args.mc_samples
+    out_dir = Path(args.out)
+    generate = not any((out_dir / f"train.{fmt}").exists() for fmt in data_mod.FORMATS)
+    if generate and args.classes is not None:
+        cfg["data"]["k_in"] = cfg["data"]["k_out"] = args.classes
     # every key the stages read, before the first file is written; the
-    # head's input and class counts come from the data when it loads
+    # head's input count comes from the data when it loads, and so does its
+    # class count, unless the data is generated here
     t = _eval_keys(cfg)[0]
-    head_config_from(cfg, DETERMINISTIC, 1, 2)
+    head_config_from(cfg, DETERMINISTIC, 1, synth_spec_from(cfg).k_in if generate else 2)
     _get(cfg, "head", "init_seed")
     train_config_from(cfg)
-    out_dir = Path(args.out)
-    if not any((out_dir / f"train.{fmt}").exists() for fmt in data_mod.FORMATS):
-        if args.classes is not None:
-            cfg["data"]["k_in"] = cfg["data"]["k_out"] = args.classes
+    if generate:
         _gen_data(cfg, out_dir, _get(cfg, "data", "formats"))
     eval_set = _eval_data(out_dir)
     # the heads' class count is the training set's; the MC heads' result

@@ -23,7 +23,6 @@ from .fsio import atomic_write_bytes, atomic_write_text, csv_text
 
 OOD_LABEL = -1
 BFV_MAGIC = b"BFV1"
-FORMATS = ("bfv", "csv")  # the on-disk formats, in the order commands look for them
 # BFV stores float32, and a larger feature would overflow any head anyway
 FEATURE_MAX = float(np.finfo(np.float32).max)
 
@@ -383,13 +382,14 @@ def _load_bfv(path) -> LabeledFeatureSet:
     return LabeledFeatureSet(feats.astype(np.float64), labels)
 
 
-# each format's (save, load)
+# each on-disk format's (save, load), in the order commands look for them
 _CODECS = {"bfv": (save_bfv, _load_bfv), "csv": (save_csv, _load_csv)}
+FORMATS = tuple(_CODECS)
 
 
 def _codec(fmt: str):
     if fmt not in _CODECS:
-        raise ConfigError(f"unknown format {fmt!r}; expected 'csv' or 'bfv'")
+        raise ConfigError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     return _CODECS[fmt]
 
 

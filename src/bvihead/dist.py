@@ -4,8 +4,8 @@ Each parameter tensor of a variational layer owns a DiagonalGaussian whose
 scale is kept positive through a softplus of the raw `rho` values. The KL
 divergence to an independent Gaussian prior has a closed form, so it is
 computed analytically (``kl_array`` on plain arrays, ``kl_to_prior`` as a
-graph node over the same formula); the Monte Carlo estimator exists only
-in the tests as an oracle.
+graph node over the same formula, ``kl_grads`` the gradient of both); the
+Monte Carlo estimator exists only in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -82,10 +82,9 @@ def kl_to_prior(
 ) -> Tensor:
     """Closed-form KL[q || p] summed over elements, as one graph node.
 
-    The value is ``kl_array``; the node adds the gradients (m_q - m_p)/s_p^2
-    in mu and s_q/s_p^2 - 1/s_q in s_q. `std` is an already-computed
-    s_q = softplus(rho) to reuse; without it the KL computes its own, and
-    gradients reach rho either way.
+    The value is ``kl_array`` and the gradients ``kl_grads``. `std` is an
+    already-computed s_q = softplus(rho) to reuse; without it the KL
+    computes its own, and gradients reach rho either way.
     """
     s_q = g.rho.softplus() if std is None else std
     if s_q.shape != g.shape:
@@ -93,11 +92,22 @@ def kl_to_prior(
     mu = g.mu
     s = s_q.data
     out = Tensor(kl_array(mu.data, s, prior), (mu, s_q), _op="kl")
-    inv_var = 1.0 / prior.std**2
 
     def _bw(grad):
-        mu.accumulate_grad(grad * inv_var * (mu.data - prior.mean))
-        s_q.accumulate_grad(grad * (s * inv_var - 1.0 / s))
+        for t, d in zip((mu, s_q), kl_grads(mu.data, s, prior, grad)):
+            t.accumulate_grad(d)
 
     out._backward_fn = _bw
     return out
+
+
+def kl_grads(mu: np.ndarray, std: np.ndarray, prior: PriorSpec, gk) -> tuple:
+    """The gradients of gk * kl_array(mu, std, prior) in mu and in std,
+    gk (m_q - m_p)/s_p^2 and gk (s_q/s_p^2 - 1/s_q), as two new arrays."""
+    inv_var = 1.0 / prior.std**2
+    d_mu = mu - prior.mean
+    d_mu *= gk * inv_var
+    d_std = std * inv_var
+    d_std -= 1.0 / std
+    d_std *= gk
+    return d_mu, d_std

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiagonalGaussian, PriorSpec, kl_array
+from .dist import DiagonalGaussian, PriorSpec, kl_array, kl_grads
 from .dist import kl_to_prior, sample  # noqa: F401  # perfbench/tracer.py wraps them here
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor, check_finite, sigmoid_array, softplus_and_exp
@@ -43,6 +43,12 @@ ESTIMATORS = (REPARAM, FLIPOUT)
 TRAIN = "train"
 MC_INFERENCE = "mc-inference"
 PHASES = (TRAIN, MC_INFERENCE)
+
+
+def check_phase(phase: str) -> None:
+    if phase not in PHASES:
+        raise ConfigError(f"unknown phase {phase!r}")
+
 
 # A row-wise step that writes this many values or more, 1,024 rows of
 # H = 256, runs in two row halves. Handing a half to the worker thread
@@ -179,6 +185,12 @@ class NoiseDraw:
     sign_out: np.ndarray | None = None
 
 
+def _check_input(x, shape: tuple, what: str) -> None:
+    """ShapeError unless x is a batch of rows as wide as `shape`'s inputs."""
+    if len(x.shape) != 2 or x.shape[1] != shape[0]:
+        raise ShapeError(f"input {x.shape} does not match {what} {shape}")
+
+
 def dense_forward(layer: DenseDeterministic, x, *, out=None):
     """x W + b with the bias broadcast across rows.
 
@@ -189,10 +201,7 @@ def dense_forward(layer: DenseDeterministic, x, *, out=None):
     so it ignores gk); the node's backward calls it. A non-finite output
     raises NumericError.
     """
-    if len(x.shape) != 2 or x.shape[1] != layer.weight.shape[0]:
-        raise ShapeError(
-            f"input {x.shape} does not match weight {layer.weight.shape}"
-        )
+    _check_input(x, layer.weight.shape, "weight")
     if isinstance(x, Tensor):
         out, backward = dense_forward(layer, x.data)
         return _training_node(x, layer.leaves(), out, backward, "dense")
@@ -266,27 +275,18 @@ def _variational_backward(layer: DenseVariational, post, data_grads):
     `data_grads(g, grads, need_dx)` returns dx and the data terms
     [dW_mu, dstd_W, db_mu, dstd_b], the two mu terms written into grads;
     g is None when only the KL reached the loss. gk, the KL's gradient, is
-    None when the KL did not reach it. The KL's terms are formed as a
-    separate KL node would form them and added to the data terms, then
+    None when the KL did not reach it. The KL's terms, `dist.kl_grads` as
+    a separate KL node forms them, are added to the data terms, then
     drho = dstd * sigmoid(rho) once per posterior.
     """
-    wp, bp, prior = layer.weight_post, layer.bias_post, layer.prior
+    wp, bp = layer.weight_post, layer.bias_post
     w_std, b_std, _, exps = post
-    inv_var = 1.0 / prior.std**2
 
     def backward(g, gk, grads, need_dx):
         dx, terms = (None, [None] * 4) if g is None else data_grads(g, grads, need_dx)
         if gk is not None:
-            # every array below is this call's own, so the sums and products
-            # are formed in place, each in the order the separate nodes use
-            gk_mu = gk * inv_var
             for i, (mu, std) in enumerate(((wp.mu.data, w_std), (bp.mu.data, b_std))):
-                d_mu = mu - prior.mean
-                d_mu *= gk_mu
-                d_std = std * inv_var
-                d_std -= 1.0 / std
-                d_std *= gk
-                for j, t in ((2 * i, d_mu), (2 * i + 1, d_std)):
+                for j, t in enumerate(kl_grads(mu, std, layer.prior, gk), 2 * i):
                     terms[j] = t if terms[j] is None else np.add(terms[j], t, out=terms[j])
         for j, rho, e in ((0, wp.rho.data, exps[0]), (2, bp.rho.data, exps[1])):
             if terms[j] is not grads[j]:  # only the KL reached the layer
@@ -314,7 +314,7 @@ def variational_forward_reparam(
             raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
         out, kl, backward = variational_forward_reparam(layer, x.data, noise)
         return _training_node(x, layer.leaves(), out, backward, "reparam", kl)
-    _check_input(layer, x)
+    _check_input(x, layer.weight_post.shape, "weight posterior")
     post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
     w = w_std * noise.weight_eps
     w += layer.weight_post.mu.data
@@ -347,7 +347,7 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
     if isinstance(x, Tensor):
         out, kl, backward = variational_forward_flipout(layer, x.data, noise)
         return _training_node(x, layer.leaves(), out, backward, "flipout", kl)
-    _check_input(layer, x)
+    _check_input(x, layer.weight_post.shape, "weight posterior")
     m = x.shape[0]
     d_in, d_out = layer.weight_post.shape
     if noise.sign_in is None or noise.sign_out is None:
@@ -396,8 +396,7 @@ def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: 
     mask `mask_noise >= rate` of the kept units. A non-finite output raises
     NumericError.
     """
-    if phase not in PHASES:
-        raise ConfigError(f"unknown phase {phase!r}")
+    check_phase(phase)
     if spec.rate == 0.0 or (mask_noise is None and phase != TRAIN):
         return x if isinstance(x, Tensor) else (x, None)
     if isinstance(x, Tensor):
@@ -430,13 +429,6 @@ def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: 
     return out, backward
 
 
-def _check_input(layer: DenseVariational, x) -> None:
-    if len(x.shape) != 2 or x.shape[1] != layer.weight_post.shape[0]:
-        raise ShapeError(
-            f"input {x.shape} does not match weight posterior {layer.weight_post.shape}"
-        )
-
-
 def draw_layer_noise(
     layer: DenseVariational, m: int, rng: np.random.Generator, phase: str = TRAIN
 ) -> NoiseDraw:
@@ -444,8 +436,10 @@ def draw_layer_noise(
 
     weight_eps, then bias_eps, then, for a Flipout layer in TRAIN only,
     sign_in and sign_out from one bounded 32-bit draw: the same stream as
-    `rng.integers(0, 2, shape) * 2 - 1` for each in turn.
+    `rng.integers(0, 2, shape) * 2 - 1` for each in turn. An unknown phase
+    raises ConfigError.
     """
+    check_phase(phase)
     d_in, d_out = layer.weight_post.shape
     weight_eps = rng.standard_normal((d_in, d_out))
     bias_eps = rng.standard_normal(d_out)

@@ -31,11 +31,11 @@ from .fsio import atomic_write_text
 from .layers import (
     ESTIMATORS,
     FLIPOUT,
-    PHASES,
     TRAIN,
     DenseDeterministic,
     DenseVariational,
     DropoutSpec,
+    check_phase,
     dense_forward,
     draw_layer_noise,
     dropout_forward,
@@ -84,8 +84,7 @@ class HeadConfig:
             raise ConfigError(f"all layer dims must be positive, got {dims}")
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
+        DropoutSpec(self.dropout_rate)  # checks the rate
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -148,7 +147,9 @@ def draw_noise_bundle(head: Head, m: int, rng: np.random.Generator, phase: str =
     """One entry per layer, the only code that decides which noise a forward
     sees: NoiseDraw for variational layers (with Flipout signs in TRAIN
     only), mask noise for the two hidden activations at a dropout rate > 0
-    in TRAIN, and at inference for MC dropout only, None (no noise) else."""
+    in TRAIN, and at inference for MC dropout only, None (no noise) else.
+    An unknown phase raises ConfigError."""
+    check_phase(phase)
     masks = (head.dropout is not None and head.dropout.rate > 0
              and (phase == TRAIN or head.config.variant == MC_DROPOUT))
     bundle = []
@@ -195,8 +196,7 @@ def forward(
         raise ConfigError(
             f"noise bundle has {len(noise)} entries for {len(head.layers)} layers"
         )
-    if phase not in PHASES:
-        raise ConfigError(f"unknown phase {phase!r}")
+    check_phase(phase)
     for i, layer in enumerate(head.layers):
         if isinstance(layer, DenseVariational) and noise[i] is None:
             raise ConfigError(f"layer {i}: variational layer needs a noise draw")

@@ -52,15 +52,29 @@ def run(argv):
     return main(argv)
 
 
-def test_importing_the_cli_leaves_the_row_worker_unloaded():
-    # perfbench times this import; the row worker loads concurrent.futures on first use
+def fresh_interpreter(probe: str) -> str:
+    """What `probe` prints in a new Python process that imports from src/."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = "import sys, bvihead.cli; print('concurrent.futures' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_importing_the_cli_leaves_the_row_worker_unloaded():
+    # perfbench times this import; the row worker loads concurrent.futures on first use
+    probe = "import sys, bvihead.cli; print('concurrent.futures' in sys.modules)"
+    assert fresh_interpreter(probe) == "False\n"
+
+
+def test_the_package_is_its_modules():
+    # `import bvihead` loads no submodule, and no package name hides one
+    probe = ("import sys, types, bvihead\n"
+             "print([m for m in sys.modules if m.startswith('bvihead.')])\n"
+             "import bvihead.train\n"
+             "print(isinstance(bvihead.train, types.ModuleType))")
+    assert fresh_interpreter(probe) == "[]\nTrue\n"
 
 
 def test_config_defaults_without_file():
@@ -415,6 +429,21 @@ def test_compare_classes_must_match_an_existing_training_set(tiny_config, tmp_pa
     assert "--classes 5" in err and "3 classes" in err
     assert sorted(p.name for p in out.iterdir()) == before
     assert run(["compare", "--config", tiny_config, "--out", str(out), "--classes", "3"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("how", ["--classes", "config"])
+def test_compare_rejects_one_class_before_it_generates_data(tiny_config, tmp_path, capsys, how):
+    out = tmp_path / "ws"
+    out.mkdir()
+    if how == "--classes":
+        argv = ["--config", tiny_config, "--classes", "1"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "data": {**TINY["data"], "k_in": 1}}))
+        argv = ["--config", str(path)]
+    assert run(["compare", *argv, "--out", str(out)]) == EXIT_CONFIG
+    assert "need at least 2 classes, got 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_compare_emits_three_row_table(tiny_config, tmp_path, capsys):

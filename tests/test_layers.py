@@ -1,6 +1,7 @@
 import itertools
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -614,6 +615,15 @@ def test_noise_draw_without_signs_takes_only_the_normal_draws(estimator, phase):
     assert_same_next_draws(ours, ref)
 
 
+@pytest.mark.parametrize("estimator", [REPARAM, FLIPOUT])
+def test_noise_draw_rejects_an_unknown_phase_before_drawing(estimator):
+    rng = np.random.default_rng(53)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="unknown phase 'trian'"):
+        draw_layer_noise(make_variational(5, 3, estimator), 4, rng, "trian")
+    assert rng.bit_generator.state == state
+
+
 def test_zero_flipout_noise_has_float64_signs():
     noise = zero_layer_noise(make_variational(3, 2, FLIPOUT), 4)
     assert noise.sign_in.dtype == noise.sign_out.dtype == np.float64
@@ -789,6 +799,20 @@ def test_in_row_halves_raises_the_lower_half_error_first_after_both_end():
     assert sorted(ended) == [0, m // 2]
     with pytest.raises(NumericError, match=f"half at {m // 2}$"):
         in_row_halves(lambda lo, hi: body(lo, hi, (m // 2,)), m, 256)
+
+
+def test_in_row_halves_waits_for_a_running_upper_half_before_it_raises():
+    ended = []
+
+    def body(lo, hi):
+        if not lo:
+            raise NumericError("lower half")
+        time.sleep(0.05)
+        ended.append(lo)
+
+    with pytest.raises(NumericError, match="lower half"):
+        in_row_halves(lower_waits_for_upper(body), 2 * ROWS, 256)
+    assert ended == [ROWS]
 
 
 def test_in_row_halves_runs_the_worker_half_under_the_callers_errstate():

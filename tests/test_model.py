@@ -280,6 +280,16 @@ def test_forward_rejects_unknown_phase():
         forward(head, Tensor(np.zeros((2, 5))), zero_noise_bundle(head, 2), "bogus")
 
 
+@pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
+def test_noise_bundle_rejects_an_unknown_phase_before_drawing(variant):
+    head = build_head(small_config(variant), init_seed=26)
+    rng = np.random.default_rng(27)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="unknown phase 'trian'"):
+        draw_noise_bundle(head, 5, rng, "trian")
+    assert rng.bit_generator.state == state
+
+
 def test_forward_shape_mismatch():
     head = build_head(small_config(DETERMINISTIC), init_seed=12)
     with pytest.raises(ShapeError):
