@@ -97,6 +97,8 @@ class SynthSpec:
         counts = (self.k_in, self.k_out, self.feature_dim, self.per_class)
         if any(int(c) <= 0 for c in counts):
             raise ConfigError(f"all counts must be positive, got {counts}")
+        if self.k_in < 2:  # no head trains on one class
+            raise ConfigError(f"data.k_in: need at least 2 classes, got {self.k_in}")
         values = (self.k_in + self.k_out) * self.per_class * self.feature_dim
         if values > MAX_FEATURE_VALUES:  # checked before generate allocates them
             raise ConfigError(
@@ -308,11 +310,6 @@ def _load_csv(path) -> LabeledFeatureSet:
                 f"{path}: line {lineno}, column {f_dim + 1} ('label'):"
                 f" label {row[f_dim]!r} is outside the int32 range"
             )
-        if label < OOD_LABEL:
-            raise ParseError(
-                f"{path}: line {lineno}, column {f_dim + 1} ('label'): label {label}"
-                f" is negative, and only OOD rows carry one, {OOD_LABEL}"
-            )
         flag = row[f_dim + 1].strip()
         if flag not in ("0", "1"):
             raise ParseError(f"{path}: line {lineno}: is_ood must be 0 or 1, got {flag!r}")
@@ -323,17 +320,30 @@ def _load_csv(path) -> LabeledFeatureSet:
             )
         labels.append(label)
         linenos.append(lineno)
-    if not feats:
+    return _checked(path, feats, labels,
+                    lambda r, c: f"line {linenos[r]}, column {c + 1} ({header[c]!r})",
+                    lambda r: f"line {linenos[r]}, column {f_dim + 1} ('label')")
+
+
+def _checked(path, feats, labels, feature_at, label_at) -> LabeledFeatureSet:
+    """The rows a loader parsed, after the content checks of both formats.
+    A file with no rows, then the first feature that is NaN or infinite,
+    then the first label below OOD_LABEL raises ParseError naming the file
+    and the position that feature_at(row, column) or label_at(row) spells."""
+    if not len(labels):
         raise ParseError(f"{path}: no data rows")
-    feats = np.asarray(feats)
-    bad = np.argwhere(~np.isfinite(feats))
+    data = LabeledFeatureSet(feats, labels)
+    bad = np.argwhere(~np.isfinite(data.features))
     if bad.size:
         r, c = bad[0]
-        raise ParseError(
-            f"{path}: line {linenos[r]}, column {c + 1} ({header[c]!r}):"
-            f" non-finite feature {feats[r, c]!r}"
-        )
-    return LabeledFeatureSet(feats, labels)
+        raise ParseError(f"{path}: {feature_at(r, c)}: non-finite feature"
+                         f" {float(data.features[r, c])!r}")
+    below = np.flatnonzero(data.labels < OOD_LABEL)
+    if below.size:
+        r = below[0]
+        raise ParseError(f"{path}: {label_at(r)}: label {data.labels[r]}"
+                         f" is negative, and only OOD rows carry one, {OOD_LABEL}")
+    return data
 
 
 # ---- BFV binary format -------------------------------------------------------
@@ -363,23 +373,10 @@ def _load_bfv(path) -> LabeledFeatureSet:
             f"{path}: byte {len(raw)}: expected {expected} bytes for N={n}, F={f}"
         )
     feats = np.frombuffer(raw, dtype="<f4", count=n * f, offset=12).reshape(n, f)
-    bad = np.argwhere(~np.isfinite(feats))
-    if bad.size:
-        r, c = bad[0]
-        raise ParseError(
-            f"{path}: byte {12 + (r * f + c) * 4}: row {r}, feature {c}:"
-            f" non-finite value {float(feats[r, c])!r}"
-        )
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=12 + feat_bytes)
-    labels = labels.astype(np.int64)
-    below = np.flatnonzero(labels < OOD_LABEL)
-    if below.size:
-        r = below[0]
-        raise ParseError(
-            f"{path}: byte {12 + feat_bytes + r * 4}: row {r}: label {labels[r]}"
-            f" is negative, and only OOD rows carry one, {OOD_LABEL}"
-        )
-    return LabeledFeatureSet(feats.astype(np.float64), labels)
+    return _checked(path, feats, labels,
+                    lambda r, c: f"byte {12 + (r * f + c) * 4}: row {r}, feature {c}",
+                    lambda r: f"byte {12 + feat_bytes + r * 4}: row {r}")
 
 
 # each on-disk format's (save, load), in the order commands look for them

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -277,24 +278,14 @@ def evaluation_suite(pd: PredictiveDistribution, labels: np.ndarray, bins: int =
     return bundle
 
 
-def write_bundle(bundle: EvalBundle, out_dir) -> list[str]:
+def write_bundle(bundle: EvalBundle, out_dir) -> None:
     """Write summary JSON plus one CSV per curve and histogram."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     atomic_write_text(out / "summary.json", bundle.summary_json())
-    written.append("summary.json")
     for name, curve in bundle.curves.items():
-        fname = f"curve_{name}.csv"
-        atomic_write_text(out / fname, curve.to_csv())
-        written.append(fname)
+        atomic_write_text(out / f"curve_{name}.csv", curve.to_csv())
     for name, hist in bundle.histograms.items():
-        fname = f"hist_{name}.csv"
-        atomic_write_text(out / fname, hist.to_csv())
-        written.append(fname)
+        atomic_write_text(out / f"hist_{name}.csv", hist.to_csv())
     if bundle.notices:
         atomic_write_text(out / "notices.txt", "\n".join(bundle.notices) + "\n")
-        written.append("notices.txt")
-    return written

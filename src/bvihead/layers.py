@@ -66,6 +66,10 @@ SPLIT_VALUES = 1024 * 256
 # bits of one call at 12 to 300 inputs, over the row counts where it splits.
 SPLIT_WIDTH = 8
 
+# the KL prior of every variational layer, N(0, 1) as in Blundell et al.
+# 2015: a checkpoint (config and theta) records no prior, so no head has another
+PRIOR = PriorSpec()
+
 
 @functools.cache
 def _worker():
@@ -144,7 +148,6 @@ class DenseVariational:
     weight_post: DiagonalGaussian  # over (in, out)
     bias_post: DiagonalGaussian    # over (out,)
     estimator: str = FLIPOUT
-    prior: PriorSpec = PriorSpec()
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
@@ -262,7 +265,7 @@ def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | No
     memo = {} if memo is None else memo
     if "post" not in memo:
         (w_std, w_exp), (b_std, b_exp) = softplus_and_exp(wp.rho.data), softplus_and_exp(bp.rho.data)
-        kl = kl_array(wp.mu.data, w_std, layer.prior) + kl_array(bp.mu.data, b_std, layer.prior)
+        kl = kl_array(wp.mu.data, w_std, PRIOR) + kl_array(bp.mu.data, b_std, PRIOR)
         memo["post"] = (w_std, b_std, check_finite(kl, "kl"), (w_exp, b_exp))
     return memo["post"]
 
@@ -286,7 +289,7 @@ def _variational_backward(layer: DenseVariational, post, data_grads):
         dx, terms = (None, [None] * 4) if g is None else data_grads(g, grads, need_dx)
         if gk is not None:
             for i, (mu, std) in enumerate(((wp.mu.data, w_std), (bp.mu.data, b_std))):
-                for j, t in enumerate(kl_grads(mu, std, layer.prior, gk), 2 * i):
+                for j, t in enumerate(kl_grads(mu, std, PRIOR, gk), 2 * i):
                     terms[j] = t if terms[j] is None else np.add(terms[j], t, out=terms[j])
         for j, rho, e in ((0, wp.rho.data, exps[0]), (2, bp.rho.data, exps[1])):
             if terms[j] is not grads[j]:  # only the KL reached the layer

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dist import DiagonalGaussian, PriorSpec
+from .dist import DiagonalGaussian
 from .errors import ConfigError, NumericError, ShapeError
 from .fsio import atomic_write_text
 from .layers import (
@@ -94,9 +94,16 @@ class HeadConfig:
 
 @dataclass
 class Head:
+    """A config and its three layers. The dropout a forward applies comes
+    from the config: none for stochastic-vi, else its dropout_rate."""
+
     config: HeadConfig
-    layers: list = field(default_factory=list)
-    dropout: DropoutSpec | None = None
+    layers: list
+    dropout: DropoutSpec | None = field(init=False)
+
+    def __post_init__(self):
+        rate = self.config.dropout_rate
+        self.dropout = None if self.config.variant == STOCHASTIC_VI else DropoutSpec(rate)
 
     def parameters(self) -> list[Tensor]:
         """All leaf parameter tensors, layer by layer in each one's order."""
@@ -129,15 +136,13 @@ def build_head(cfg: HeadConfig, init_seed: int) -> Head:
                         Tensor(np.zeros(d_out)), Tensor(np.full(d_out, -3.0))
                     ),
                     estimator=cfg.estimator,
-                    prior=PriorSpec(),
                 )
             )
         else:
             layers.append(
                 DenseDeterministic(Tensor(w), Tensor(np.zeros(d_out)))
             )
-    dropout = DropoutSpec(cfg.dropout_rate) if cfg.variant != STOCHASTIC_VI else None
-    return Head(config=cfg, layers=layers, dropout=dropout)
+    return Head(config=cfg, layers=layers)
 
 
 # ---- noise bundles --------------------------------------------------------
@@ -183,8 +188,9 @@ def forward(
     by inference forwards of the same x, keeps per layer what does not
     change between them: each posterior's std and KL, a dense first
     layer's ReLU'd output, and the array each other layer writes its
-    output into. A masked dropout layer writes over its mask noise
-    instead, once read off as booleans, so that bundle serves one forward.
+    output into. With a `_memo`, a masked dropout layer writes over its
+    mask noise instead, once read off as booleans, so that bundle serves
+    one forward; without one, the forward leaves its bundle unchanged.
     The mask read-off and the ReLU run in row halves, as the layer
     functions do (`layers.in_row_halves`).
     """
@@ -227,9 +233,11 @@ def forward(
         reused, mask = False, None  # the last layer's mask is freed first
         layer_memo = memo.setdefault(i, {})  # its "out" is the layer's output array
         shape = (x.shape[0], head.config.layer_dims[i][1])
-        # a mask of another shape goes to dropout_forward, which rejects it
-        over_mask = (spec is not None and i < 2 and noise[i] is not None
-                     and noise[i].shape == shape)
+        # only mc_predict's passes, which give a memo and draw each bundle
+        # afresh, write over their masks; a mask of another shape goes to
+        # dropout_forward, which rejects it
+        over_mask = (_memo is not None and spec is not None and i < 2
+                     and noise[i] is not None and noise[i].shape == shape)
         mask = (_by_rows(np.greater_equal, noise[i], spec.rate, np.empty(shape, bool))
                 if over_mask else noise[i])
         try:
@@ -250,7 +258,7 @@ def forward(
                 if not reused:
                     _by_rows(np.maximum, h, 0.0, h)
                 if spec is not None:
-                    h = dropout_forward(spec, h, mask, phase, out=noise[i])[0]
+                    h = dropout_forward(spec, h, mask, phase, out=noise[i] if over_mask else None)[0]
         except NumericError as exc:
             raise NumericError(f"layer {i}: {exc}") from exc
     return (

@@ -46,8 +46,7 @@ def softplus_and_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exp(min(x, 30)) it is computed from, for sigmoid_array to reuse."""
     e = np.exp(np.minimum(x, 30.0))
     sp = np.log1p(e)
-    if x.size and x.max() > 30.0:  # no select over every x when none needs it
-        np.copyto(sp, x, where=x > 30.0)
+    np.copyto(sp, x, where=x > 30.0)
     return sp, e
 
 

@@ -123,11 +123,8 @@ BLOCK = 32_768
 
 def _blocks(arrays: tuple, scratch: tuple) -> list[tuple]:
     """The arrays, equal-sized flat vectors, cut into BLOCK-value blocks,
-    each joined by as many leading values of every scratch buffer; the
-    whole arrays, unsliced, as the one block when they fit in one."""
+    each joined by as many leading values of every scratch buffer."""
     n = arrays[0].size
-    if n <= BLOCK:
-        return [arrays + scratch]
     return [
         tuple(x[lo:lo + BLOCK] for x in arrays) + tuple(s[:min(BLOCK, n - lo)] for s in scratch)
         for lo in range(0, n, BLOCK)

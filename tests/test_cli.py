@@ -446,6 +446,21 @@ def test_compare_rejects_one_class_before_it_generates_data(tiny_config, tmp_pat
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("how", ["--classes", "config"])
+def test_gen_data_rejects_one_class_before_it_writes_data(tiny_config, tmp_path, capsys, how):
+    # such train, val and ood files once came out, and no head trained on them
+    out = tmp_path / "ws"
+    if how == "--classes":
+        argv = ["--config", tiny_config, "--classes", "1"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "data": {**TINY["data"], "k_in": 1}}))
+        argv = ["--config", str(path)]
+    assert run(["gen-data", *argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: data.k_in: need at least 2 classes, got 1\n"
+    assert not out.exists()
+
+
 def test_compare_emits_three_row_table(tiny_config, tmp_path, capsys):
     out = tmp_path / "cmp"
     code = run(["compare", "--config", tiny_config, "--out", str(out)])

@@ -346,6 +346,25 @@ def test_bfv_rejects_a_label_below_the_ood_label_naming_byte_and_row(tmp_path, l
         load_features(path, "bfv")
 
 
+@pytest.mark.parametrize("features, labels, csv_at, bfv_at, text", [
+    (np.ones((0, 2)), [], None, None, "no data rows"),
+    ([[1.0, 2.0], [3.0, np.inf]], [0, 1], "line 3, column 2 ('f1')", "byte 24: row 1, feature 1",
+     "non-finite feature inf"),
+    ([[1.0, 2.0], [3.0, 4.0]], [0, -7], "line 3, column 3 ('label')", "byte 32: row 1",
+     "label -7 is negative, and only OOD rows carry one, -1"),
+], ids=["no-rows", "inf-feature", "label-minus-7"])
+def test_csv_and_bfv_fail_one_content_check_with_one_text(
+    tmp_path, features, labels, csv_at, bfv_at, text
+):
+    # the two loaders once worded these apart, and an empty BFV loaded
+    for fmt, at in (("csv", csv_at), ("bfv", bfv_at)):
+        path = tmp_path / f"bad.{fmt}"
+        save_features(LabeledFeatureSet(features, labels), path, fmt)
+        with pytest.raises(ParseError) as info:
+            load_features(path, fmt)
+        assert str(info.value) == (f"{path}: {text}" if at is None else f"{path}: {at}: {text}")
+
+
 def test_spec_needs_a_validation_row_per_class():
     for per_class in (1, 2):
         with pytest.raises(ConfigError, match=f"data.per_class must be >= 3, .* got {per_class}$"):

@@ -329,10 +329,12 @@ def test_write_bundle_creates_files(tmp_path):
     rng = np.random.default_rng(11)
     samples, labels = suite_fixture(rng)
     bundle = evaluation_suite(PredictiveDistribution.from_samples(samples), labels)
-    written = write_bundle(bundle, tmp_path)
-    assert "summary.json" in written
-    for name in written:
-        assert (tmp_path / name).exists()
+    write_bundle(bundle, tmp_path)
+    curves = {f"curve_{kind}_{of}.csv" for kind in ("roc", "pr") for of in ("micro", "correctness")}
+    curves |= {f"curve_roc_ood_{score}.csv" for score in ("entropy", "bald")}
+    hists = {f"hist_{score}_{split}.csv" for score in ("confidence", "entropy", "bald")
+             for split in ("true", "false", "in", "out")}
+    assert {p.name for p in tmp_path.iterdir()} == {"summary.json", *curves, *hists}
     curve_text = (tmp_path / "curve_roc_micro.csv").read_text()
     assert curve_text.startswith("threshold,x,y\n")
     for line in curve_text.strip().split("\n")[1:]:

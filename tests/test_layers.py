@@ -295,7 +295,7 @@ def test_flipout_node_equals_op_by_op_graph_bit_for_bit():
         else:
             w_std, b_std = wp.rho.softplus(), bp.rho.softplus()
             b = sample(bp, noise.bias_eps, b_std)
-            kl = kl_to_prior(wp, layer.prior, w_std) + kl_to_prior(bp, layer.prior, b_std)
+            kl = kl_to_prior(wp, layers.PRIOR, w_std) + kl_to_prior(bp, layers.PRIOR, b_std)
             delta = w_std * noise.weight_eps
             out = ((x @ wp.mu) + (((x * noise.sign_in) @ delta) * noise.sign_out)) + b
         ((out * upstream).sum() + kl).backward()
@@ -337,7 +337,7 @@ def op_level_forward(layer, x, noise=None):
     wp, bp = layer.weight_post, layer.bias_post
     w_std, b_std = wp.rho.softplus(), bp.rho.softplus()
     b = sample(bp, noise.bias_eps, b_std)
-    kl = kl_to_prior(wp, layer.prior, w_std) + kl_to_prior(bp, layer.prior, b_std)
+    kl = kl_to_prior(wp, layers.PRIOR, w_std) + kl_to_prior(bp, layers.PRIOR, b_std)
     if layer.estimator == REPARAM:
         return (x @ sample(wp, noise.weight_eps, w_std)) + b, kl
     delta = w_std * noise.weight_eps

@@ -307,6 +307,39 @@ def test_checkpoint_round_trip_exact(tmp_path):
             np.testing.assert_array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
+def test_a_head_assembled_from_config_and_layers_survives_its_checkpoint(tmp_path, variant):
+    # the dropout a head applies comes from its config, which the checkpoint
+    # records; an assembled MC-dropout head once applied none until reloaded
+    from bvihead.uncertainty import mc_predict
+
+    cfg = small_config(variant)
+    head = Head(config=cfg, layers=build_head(cfg, init_seed=17).layers)
+    save_head(head, tmp_path / "head.json")
+    loaded = load_head(tmp_path / "head.json")
+    assert loaded.dropout == head.dropout
+    x = Tensor(np.random.default_rng(18).normal(size=(6, 5)))
+    want, got = (mc_predict(h, x, 4, seed=19).sample_probs for h in (head, loaded))
+    assert want.tobytes() == got.tobytes()
+    with pytest.raises(TypeError):
+        Head(config=cfg, layers=head.layers, dropout=None)
+
+
+def test_a_lone_mc_pass_leaves_its_bundle_unchanged():
+    # only mc_predict, which passes its memo and draws each bundle afresh,
+    # lets a pass write over its masks; a lone pass once did too
+    head = build_head(small_config(MC_DROPOUT), init_seed=20)
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(6, 5)))
+    bundle = draw_noise_bundle(head, 6, rng, MC_INFERENCE)
+    before = [None if a is None else a.copy() for a in bundle]
+    first, second = (forward(head, x, bundle, MC_INFERENCE)[0].data for _ in range(2))
+    assert first.tobytes() == second.tobytes()
+    assert [None if a is None else a.tobytes() for a in bundle] == [
+        None if a is None else a.tobytes() for a in before
+    ]
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_head_to_dict_rejects_the_non_finite_theta_the_reader_rejects(value):
     head = build_head(small_config(STOCHASTIC_VI), init_seed=11)
@@ -472,7 +505,7 @@ def test_load_head_wrong_types_raise_config_error(tmp_path, corrupt, where):
 def test_kl_alone_backpropagates_to_every_posterior_as_kl_to_prior_does(estimator):
     # with two or more VI layers, the ReLU between them once had its
     # backward called with None and raised TypeError
-    from bvihead.layers import kl_to_prior
+    from bvihead.layers import PRIOR, kl_to_prior
 
     head = build_head(HeadConfig(3, (4, 4), 2, STOCHASTIC_VI, estimator=estimator), init_seed=9)
     rng = np.random.default_rng(10)
@@ -483,6 +516,6 @@ def test_kl_alone_backpropagates_to_every_posterior_as_kl_to_prior_does(estimato
     for layer in head.layers:
         for post in (layer.weight_post, layer.bias_post):
             got = post.mu.grad, post.rho.grad
-            kl_to_prior(post, layer.prior).backward()
+            kl_to_prior(post, PRIOR).backward()
             assert got[0].tobytes() == post.mu.grad.tobytes()
             assert got[1].tobytes() == post.rho.grad.tobytes()
