@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import math
 import sys
 from dataclasses import MISSING, asdict, fields
@@ -21,7 +20,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import BviError, ConfigError, NumericError, ParseError
 from .evaluate import MAX_BINS, SUMMARY_KEYS, density_histogram, evaluation_suite, write_bundle
-from .fsio import atomic_write_text, csv_text
+from .fsio import atomic_write_text, csv_text, json_object, json_value, read_json
 from .model import (
     DETERMINISTIC,
     VARIANTS,
@@ -69,61 +68,27 @@ def load_config(path: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
         return cfg
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path}: config root must be a JSON object")
+    user = json_object(read_json(path, "config"), cfg, f"{path}: config")
     for section, values in user.items():
-        if section not in cfg:
-            raise ConfigError(
-                f"{path}: unknown config section {section!r};"
-                f" expected one of {sorted(cfg)}"
-            )
-        if not isinstance(values, dict):
-            raise ConfigError(f"{path}: section {section!r} must be an object")
-        for key, value in values.items():
-            if key not in cfg[section]:
-                raise ConfigError(
-                    f"{path}: unknown key {section}.{key};"
-                    f" expected one of {sorted(cfg[section])}"
-                )
-            cfg[section][key] = value
+        cfg[section].update(json_object(values, cfg[section], f"{path}: config.{section}"))
     return cfg
 
 
 def _get(cfg: dict, section: str, key: str):
-    """cfg[section][key], checked against the type of its default.
+    """cfg[section][key], of its default's JSON type (`fsio.json_value`).
 
-    An int takes a JSON integer (never a bool), a float a finite JSON
-    number, a bool only true or false, a str a string, and a list a list of
-    its default's item type (hidden_dims exactly two, each at most
-    MAX_HIDDEN_DIM; formats at least one, each a dataset format); a seed
-    is >= 0. Anything else raises ConfigError naming section.key.
+    hidden_dims holds exactly two integers, each at most MAX_HIDDEN_DIM;
+    formats holds one or more dataset formats; a seed is >= 0. Anything
+    else raises ConfigError naming section.key.
     """
-    default, value = DEFAULT_CONFIG[section][key], cfg[section][key]
-    kind, where = type(default), f"{section}.{key}"
-    if kind is list:  # hidden_dims: two ints; formats: any number of strs
-        item = type(default[0])
-        if type(value) is not list or any(type(v) is not item for v in value) or (
-            key == "hidden_dims" and len(value) != 2
-        ):
-            expected = "two integers" if item is int else "strings"
-            raise ConfigError(f"{where} must be a list of {expected}, got {value!r}")
-        if key == "hidden_dims" and max(value) > MAX_HIDDEN_DIM:  # before build_head allocates
-            raise ConfigError(f"{where} must each be at most {MAX_HIDDEN_DIM}, got {value!r}")
-        if key == "formats" and not (value and set(value) <= set(data_mod.FORMATS)):
-            raise ConfigError(
-                f"{where} must list one or more of {data_mod.FORMATS}, got {value!r}"
-            )
-        return value
-    if kind is float and type(value) is int:  # beyond the float range is inf
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        expected = {bool: "true or false", float: "a finite number"}.get(kind, kind.__name__)
-        raise ConfigError(f"{where} must be {expected}, got {value!r}")
+    where = f"{section}.{key}"
+    value = json_value(cfg[section][key], DEFAULT_CONFIG[section][key], where)
+    # before build_head allocates
+    if key == "hidden_dims" and (len(value) != 2 or max(value) > MAX_HIDDEN_DIM):
+        raise ConfigError(f"{where} must be two integers, each at most {MAX_HIDDEN_DIM},"
+                          f" got {value!r}")
+    if key == "formats" and not (value and set(value) <= set(data_mod.FORMATS)):
+        raise ConfigError(f"{where} must list one or more of {data_mod.FORMATS}, got {value!r}")
     if key.endswith("seed") and value < 0:
         raise ConfigError(f"{where} must be >= 0, got {value}")
     return value

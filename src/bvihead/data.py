@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, GenerationError, ParseError
-from .fsio import atomic_write_bytes, atomic_write_text, csv_text
+from .fsio import atomic_write_bytes, atomic_write_text, csv_text, read_text
 
 OOD_LABEL = -1
 BFV_MAGIC = b"BFV1"
@@ -110,6 +110,8 @@ class SynthSpec:
                               f" a validation row, got {self.per_class}")
         if not self.within_std > 0:
             raise ConfigError(f"within-class std must be positive, got {self.within_std}")
+        if not self.ood_displacement >= 0:
+            raise ConfigError(f"data.ood_displacement must be >= 0, got {self.ood_displacement}")
         if not 0 < self.center_scale <= 1e300:  # centers are drawn from +-center_scale
             raise ConfigError(f"data.center_scale must be in (0, 1e300], got {self.center_scale}")
 
@@ -235,16 +237,6 @@ def batches(
 # ---- CSV format ----------------------------------------------------------------
 
 
-def read_text(path) -> str:
-    """The file decoded as UTF-8; other bytes raise ParseError naming the file and line."""
-    raw = Path(path).read_bytes()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}: line {line}: not UTF-8 text ({exc})") from None
-
-
 def save_csv(data: LabeledFeatureSet, path) -> None:
     header = [f"f{i}" for i in range(data.feature_dim)] + ["label", "is_ood"]
     rows = zip(data.features.tolist(), data.labels.tolist(), data.is_ood.astype(np.int64).tolist())
@@ -366,6 +358,8 @@ def _load_bfv(path) -> LabeledFeatureSet:
     if raw[:4] != BFV_MAGIC:
         raise ParseError(f"{path}: byte 0: bad magic {raw[:4]!r}, expected {BFV_MAGIC!r}")
     n, f = struct.unpack("<II", raw[4:12])
+    if f == 0:  # as a CSV without an f0 column fails its header check
+        raise ParseError(f"{path}: byte 8: F = 0, but a row needs at least one feature")
     feat_bytes = n * f * 4
     expected = 12 + feat_bytes + n * 4
     if len(raw) != expected:

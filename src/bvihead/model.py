@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .dist import DiagonalGaussian
 from .errors import ConfigError, NumericError, ShapeError
-from .fsio import atomic_write_text
+from .fsio import atomic_write_text, json_object, json_value, read_json
 from .layers import (
     ESTIMATORS,
     FLIPOUT,
@@ -331,15 +331,6 @@ def train_step(
 
 # ---- checkpoint serialization ----------------------------------------------
 
-# the JSON form of each HeadConfig field's annotation; an int is never a bool
-_JSON_TYPES = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
-    "str": lambda v: type(v) is str,
-    "tuple[int, int]": lambda v: type(v) is list and all(type(d) is int for d in v),
-}
-
-
 def parameter_views(params: list[Tensor], flat: np.ndarray) -> list[np.ndarray]:
     """Each parameter's reshaped view, in order, of the flat vector `flat`,
     which holds exactly as many values as they do."""
@@ -363,6 +354,14 @@ def _check_theta(theta: np.ndarray, error: type) -> None:
         raise error(f"checkpoint.theta[{bad[0]}] is not finite: {float(theta[bad[0]])}")
 
 
+def _config_json(cfg: HeadConfig) -> dict:
+    return {**asdict(cfg), "hidden_dims": list(cfg.hidden_dims)}
+
+
+# each key of a checkpoint's config, with a value of its JSON type
+_CONFIG_LIKE = _config_json(HeadConfig(1, (1, 1), 2, DETERMINISTIC))
+
+
 def head_to_dict(head: Head) -> dict:
     """The format_version, the config, and the parameters as one base64
     string of little-endian float64 values in Head.parameters() order. A
@@ -372,37 +371,20 @@ def head_to_dict(head: Head) -> dict:
     _check_theta(theta, NumericError)
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": {**asdict(head.config), "hidden_dims": list(head.config.hidden_dims)},
+        "config": _config_json(head.config),
         "theta": base64.b64encode(theta.astype("<f8").tobytes()).decode("ascii"),
     }
 
 
-def _check_keys(obj, keys: list[str], where: str) -> None:
-    """ConfigError unless obj is a JSON object with exactly these keys."""
-    if type(obj) is not dict:
-        raise ConfigError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    unknown = sorted(obj.keys() - set(keys))
-    if unknown:
-        raise ConfigError(f"{where} has unknown key {unknown[0]!r}")
-    missing = [key for key in keys if key not in obj]
-    if missing:
-        raise ConfigError(f"{where} lacks key {missing[0]!r}")
-
-
 def head_from_dict(doc) -> Head:
     """The head a checkpoint document describes; ConfigError if malformed."""
-    if type(doc) is not dict:
-        raise ConfigError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
-    version = doc.get("format_version")
+    # a document that is no object fails the object check below
+    version = doc.get("format_version") if type(doc) is dict else CHECKPOINT_FORMAT_VERSION
     if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format_version {version!r}; retrain the head")
-    _check_keys(doc, ["format_version", "config", "theta"], "checkpoint")
-    c = doc["config"]
-    _check_keys(c, [f.name for f in fields(HeadConfig)], "config")
-    for f in fields(HeadConfig):
-        if not _JSON_TYPES[f.type](c[f.name]):
-            raise ConfigError(f"config.{f.name} must be {f.type}, got {type(c[f.name]).__name__}")
-    cfg = HeadConfig(**c)
+    json_object(doc, ["format_version", "config", "theta"], "checkpoint", complete=True)
+    c = json_object(doc["config"], _CONFIG_LIKE, "config", complete=True)
+    cfg = HeadConfig(**{k: json_value(c[k], v, f"config.{k}") for k, v in _CONFIG_LIKE.items()})
     try:
         raw = base64.b64decode(doc["theta"], validate=True)
     except (TypeError, ValueError) as exc:  # not a str, bad characters or padding
@@ -425,12 +407,7 @@ def save_head(head: Head, path) -> None:
 
 def load_head(path) -> Head:
     """Read a checkpoint; a malformed one raises ConfigError naming the file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
-        raise ConfigError(f"{path}: checkpoint is not valid JSON: {exc}") from None
+    doc = read_json(path, "checkpoint")
     try:
         return head_from_dict(doc)
     except ConfigError as exc:

@@ -9,8 +9,9 @@ For the length of a run the head's parameters are views into one flat
 float64 vector. Each step (`model.train_step`) runs forward and
 closed-form backward on plain arrays and writes every parameter's
 gradient into its view of a second one; the optimizers update the first
-in place with a few vector operations, run block by block so that each
-block stays in cache between them. No autodiff graph is recorded.
+in place with a few vector operations, which Adam runs block by block so
+that each block stays in cache between them. No autodiff graph is
+recorded.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def kl_weight_for(cfg: TrainConfig, n_examples: int, n_batches: int) -> float:
 
 # ---- optimizers ------------------------------------------------------------
 
-# Values per block of an optimizer step. Each array's block, 256 KB, stays in
+# Values per block of an Adam step. Each array's block, 256 KB, stays in
 # a core's L2 cache through the step's in-place ufunc calls, where a whole
 # vector of a default VI head (1.35 MB per array) is streamed from memory on
 # every call; 8,192-value blocks measured slower.
@@ -132,23 +133,20 @@ def _blocks(arrays: tuple, scratch: tuple) -> list[tuple]:
 
 
 class Sgd:
-    """Momentum SGD on a flat parameter vector, updated in place block by block."""
+    """Momentum SGD on a flat parameter vector, updated in place."""
 
     def __init__(self, learning_rate: float, momentum: float = 0.0):
         self.lr = learning_rate
         self.momentum = momentum
         self.velocity: np.ndarray | None = None
-        self._scratch: tuple[np.ndarray] | None = None
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         if self.velocity is None:
             self.velocity = np.zeros_like(theta)
-            self._scratch = (np.empty(min(theta.size, BLOCK)),)
         _check_flat(theta, grad, self.velocity)
-        for th, g, v, buf in _blocks((theta, grad, self.velocity), self._scratch):
-            v *= self.momentum
-            v -= np.multiply(self.lr, g, out=buf)
-            th += v
+        self.velocity *= self.momentum
+        self.velocity -= self.lr * grad
+        theta += self.velocity
 
 
 class Adam:

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import typing
@@ -17,7 +18,7 @@ from bvihead.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config
 from bvihead.data import SynthSpec
 from bvihead.errors import ConfigError
 from bvihead.evaluate import SUMMARY_KEYS
-from bvihead.model import HeadConfig, build_head, head_to_dict
+from bvihead.model import HeadConfig, build_head, head_to_dict, load_head
 from bvihead.train import TrainConfig
 from bvihead.cli import head_config_from, synth_spec_from, train_config_from
 
@@ -178,7 +179,10 @@ def test_config_shuffle_must_be_bool(value):
 
 @pytest.mark.parametrize("value", [None, [16], [16, 16, 16], [16, 16.0], [16, True], "16,16"])
 def test_config_hidden_dims_must_be_two_integers(value):
-    with pytest.raises(ConfigError, match=r"head\.hidden_dims must be a list of two integers"):
+    # another JSON type fails the type rule, another length the count
+    counted = value in ([16], [16, 16, 16])
+    text = "two integers, each at most 4096" if counted else "a list of integers"
+    with pytest.raises(ConfigError, match=rf"head\.hidden_dims must be {text}, got"):
         head_config_from(config_with("head", "hidden_dims", value), "deterministic", 6, 3)
 
 
@@ -227,7 +231,7 @@ def test_config_file_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     cfg_path.write_bytes('{"data": {"formats": ["bfv"]}, "\u00e9": 1}'.encode("latin-1"))
     assert run(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg_path}: invalid JSON:") and "utf-8" in err
+    assert err.startswith(f"error: {cfg_path}: line 1: not UTF-8 text") and "utf-8" in err
 
 
 def test_gen_data_writes_expected_rows(tiny_config, tmp_path, capsys):
@@ -459,6 +463,72 @@ def test_gen_data_rejects_one_class_before_it_writes_data(tiny_config, tmp_path,
     assert run(["gen-data", *argv, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: data.k_in: need at least 2 classes, got 1\n"
     assert not out.exists()
+
+
+def test_gen_data_rejects_a_negative_ood_displacement_before_it_writes_data(
+    tmp_path, capsys
+):
+    # -5 was once accepted and placed the OOD centers at no minimum distance
+    out = tmp_path / "ws"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "data": {**TINY["data"], "ood_displacement": -5}}))
+    assert run(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: data.ood_displacement must be >= 0, got -5.0\n"
+    assert not out.exists()
+
+
+def test_training_on_a_bfv_without_features_exits_3_naming_the_file(tmp_path, capsys):
+    # such a file once loaded as a 2 x 0 set, and train exited 2 with a
+    # config error about layer dims that named no file
+    out = tmp_path / "ws"
+    out.mkdir()
+    bfv = out / "train.bfv"
+    bfv.write_bytes(b"BFV1" + struct.pack("<II", 2, 0) + struct.pack("<2i", 0, 1))
+    assert run(["train", "--out", str(out), "--variant", "deterministic"]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"error: {bfv}: byte 8: F = 0")
+
+
+@pytest.mark.parametrize("which", ["config", "checkpoint"])
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_config_and_checkpoint_in_another_encoding_exit_2_naming_the_file(
+    tiny_config, tmp_path, capsys, which, encoding
+):
+    # one reader for both: a checkpoint with a byte-order mark, or in
+    # UTF-16, once loaded, where a config file of the same bytes exited 2
+    out = tmp_path / "ws"
+    run(["gen-data", "--config", tiny_config, "--out", str(out)])
+    run(["train", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
+    if which == "config":
+        path = tmp_path / "other.json"
+        argv = ["train", "--config", str(path), "--out", str(out), "--variant", "deterministic"]
+        text = json.dumps(TINY)
+    else:
+        path = out / "checkpoint_deterministic.json"
+        argv = ["eval", "--config", tiny_config, "--out", str(out), "--variant", "deterministic",
+                "--checkpoint", str(path)]
+        text = path.read_text()
+    path.write_bytes(text.encode(encoding))
+    capsys.readouterr()
+    assert run(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not (out / "eval_deterministic").exists()
+
+
+def test_a_mistyped_head_field_fails_alike_in_config_and_checkpoint(tmp_path):
+    # both readers apply one type rule, so only the location differs
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**TINY, "head": {**TINY["head"], "dropout_rate": True}}))
+    with pytest.raises(ConfigError) as from_config:
+        head_config_from(load_config(str(cfg_path)), "deterministic", 6, 3)
+    doc = head_to_dict(build_head(HeadConfig(6, (4, 4), 3, "deterministic"), init_seed=1))
+    doc["config"]["dropout_rate"] = True
+    path = tmp_path / "head.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as from_checkpoint:
+        load_head(path)
+    rule = "dropout_rate must be a finite number, got True"
+    assert str(from_config.value) == f"head.{rule}"
+    assert str(from_checkpoint.value) == f"{path}: config.{rule}"
 
 
 def test_compare_emits_three_row_table(tiny_config, tmp_path, capsys):

@@ -1,5 +1,7 @@
+import ast
 import errno
 import os
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +64,21 @@ def test_csv_text_spells_each_cell_by_its_type():
         "s,i,f,n,g,z,b\na,1,0.1,,inf,-0.0,True\n,-7,1e-300,2.5,,3,False\n"
     )
     assert csv_text(["only"], []) == "only\n"
+
+
+def test_only_fsio_opens_files_or_parses_json():
+    # one reader for every file: the decode, the object check and the type
+    # rule live in fsio, so no other module may read around them
+    package = Path(__file__).resolve().parents[1] / "src" / "bvihead"
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "open") or (
+                isinstance(f, ast.Attribute) and f.attr in ("load", "loads")
+                and isinstance(f.value, ast.Name) and f.value.id == "json"
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls and all(c.startswith("fsio.py:") for c in calls), calls

@@ -397,7 +397,7 @@ def test_load_head_non_json_raises_config_error(tmp_path):
     with pytest.raises(ConfigError, match=r"head\.json.*not valid JSON"):
         load_head(path)
     path.write_bytes(b"\xff\xfe\x00binary")
-    with pytest.raises(ConfigError, match=r"head\.json.*not valid JSON"):
+    with pytest.raises(ConfigError, match=r"head\.json: line 1: not UTF-8 text"):
         load_head(path)
 
 
