@@ -20,7 +20,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import BviError, ConfigError, NumericError, ParseError
 from .evaluate import MAX_BINS, SUMMARY_KEYS, density_histogram, evaluation_suite, write_bundle
-from .fsio import atomic_write_text, csv_text, json_object, json_value, read_json
+from .fsio import atomic_write_text, csv_text, json_dataclass, json_object, json_value, read_json
 from .model import (
     DETERMINISTIC,
     VARIANTS,
@@ -60,70 +60,64 @@ MAX_HIDDEN_DIM = 4096
 # far beyond the tens of passes an MC estimate needs; T passes over M rows
 # of K classes hold M * T * K float64 probabilities
 MAX_MC_SAMPLES = 10**4
+# the most of each count the config holds outside the dataclasses
+_MOST = {"mc_samples": MAX_MC_SAMPLES, "bins": MAX_BINS}
 
 
-def load_config(path: str | None) -> dict:
-    """Defaults, overlaid with the JSON file if given. Unknown keys reject;
-    values are checked when they are read (`_get`)."""
+def load_config(path: str | None, flags: dict | None = None) -> dict:
+    """The config a command runs with, checked whole before it reads any of it.
+
+    The defaults are overlaid with the JSON file if given, then with
+    `flags`, the command's {(section, key): value} overrides, where None
+    means the flag was not given. Unknown keys reject. Then every key of
+    every section is checked, whether or not the command uses it: the JSON
+    type of its default (`fsio.json_value`), the bounds SynthSpec,
+    HeadConfig and TrainConfig own, and the bounds of the keys no
+    dataclass owns: `data.formats`, the seeds, `MAX_HIDDEN_DIM`,
+    `inference.mc_samples` and `eval.bins`. Any failure raises
+    ConfigError naming section.key. Commands read plain values from what
+    this returns, and no other function writes into it.
+    """
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path is None:
-        return cfg
-    user = json_object(read_json(path, "config"), cfg, f"{path}: config")
+    user = {} if path is None else json_object(read_json(path, "config"), cfg, f"{path}: config")
     for section, values in user.items():
         cfg[section].update(json_object(values, cfg[section], f"{path}: config.{section}"))
+    for (section, key), value in (flags or {}).items():
+        if value is not None:
+            cfg[section][key] = value
+    for section, values in cfg.items():
+        for key, value in values.items():
+            where = f"{section}.{key}"
+            values[key] = value = json_value(value, DEFAULT_CONFIG[section][key], where)
+            if key.endswith("seed") and value < 0:
+                raise ConfigError(f"{where} must be >= 0, got {value}")
+            if key in _MOST and not 1 <= value <= _MOST[key]:
+                raise ConfigError(f"{where} must be in [1, {_MOST[key]}], got {value}")
+            if key == "hidden_dims" and max(value, default=0) > MAX_HIDDEN_DIM:
+                raise ConfigError(f"{where} must each be at most {MAX_HIDDEN_DIM}, got {value!r}")
+            if key == "formats" and not (value and set(value) <= set(data_mod.FORMATS)):
+                raise ConfigError(f"{where} must list one or more of {data_mod.FORMATS},"
+                                  f" got {value!r}")
+    synth_spec_from(cfg)
+    head_config_from(cfg, DETERMINISTIC, 1, 2)  # the data gives a head its two counts
+    train_config_from(cfg)
     return cfg
 
 
-def _get(cfg: dict, section: str, key: str):
-    """cfg[section][key], of its default's JSON type (`fsio.json_value`).
-
-    hidden_dims holds exactly two integers, each at most MAX_HIDDEN_DIM;
-    formats holds one or more dataset formats; a seed is >= 0. Anything
-    else raises ConfigError naming section.key.
-    """
-    where = f"{section}.{key}"
-    value = json_value(cfg[section][key], DEFAULT_CONFIG[section][key], where)
-    # before build_head allocates
-    if key == "hidden_dims" and (len(value) != 2 or max(value) > MAX_HIDDEN_DIM):
-        raise ConfigError(f"{where} must be two integers, each at most {MAX_HIDDEN_DIM},"
-                          f" got {value!r}")
-    if key == "formats" and not (value and set(value) <= set(data_mod.FORMATS)):
-        raise ConfigError(f"{where} must list one or more of {data_mod.FORMATS}, got {value!r}")
-    if key.endswith("seed") and value < 0:
-        raise ConfigError(f"{where} must be >= 0, got {value}")
-    return value
-
-
-def _count(cfg: dict, section: str, key: str, most: int) -> int:
-    """cfg[section][key], an integer checked to lie in [1, most]."""
-    n = _get(cfg, section, key)
-    if not 1 <= n <= most:
-        raise ConfigError(f"{section}.{key} must be in [1, {most}], got {n}")
-    return n
-
-
-def _eval_keys(cfg: dict) -> tuple[int, int, int]:
-    """(mc_samples, inference seed, bins), each checked before any pass runs."""
-    return (_count(cfg, "inference", "mc_samples", MAX_MC_SAMPLES),
-            _get(cfg, "inference", "seed"), _count(cfg, "eval", "bins", MAX_BINS))
-
-
-def _build(cls, cfg: dict, section: str, **given):
-    """cls from the fields not `given`, each read from cfg[section] by _get."""
-    read = {f.name: _get(cfg, section, f.name) for f in fields(cls) if f.name not in given}
-    return cls(**read, **given)
-
-
 def synth_spec_from(cfg: dict) -> data_mod.SynthSpec:
-    return _build(data_mod.SynthSpec, cfg, "data")
+    return json_dataclass(data_mod.SynthSpec, cfg["data"], "data.")
 
 
-def head_config_from(cfg: dict, variant: str, feature_dim: int, k: int) -> HeadConfig:
-    return _build(HeadConfig, cfg, "head", input_dim=feature_dim, num_classes=k, variant=variant)
+def head_config_from(cfg: dict, variant: str, feature_dim: int, k: int, where="head.") -> HeadConfig:
+    """The head of cfg's head section for feature_dim features and k classes;
+    `where` names what a bound failure came from."""
+    return json_dataclass(HeadConfig, cfg["head"], where, input_dim=feature_dim, num_classes=k,
+                          variant=variant)
 
 
 def train_config_from(cfg: dict, seed_offset: int = 0) -> TrainConfig:
-    return _build(TrainConfig, cfg, "train", seed=_get(cfg, "train", "seed") + seed_offset)
+    return json_dataclass(TrainConfig, cfg["train"], "train.",
+                          seed=cfg["train"]["seed"] + seed_offset)
 
 
 def _find_dataset(out_dir: Path, name: str) -> tuple[Path, str]:
@@ -156,23 +150,26 @@ def _gen_data(cfg: dict, out_dir: Path, formats: list[str]) -> None:
     print(f"formats: {', '.join(formats)} -> {out_dir}")
 
 
+def _classes(args) -> dict:
+    """The overrides of `--classes N`: N in- and N out-of-distribution classes."""
+    return {("data", "k_in"): args.classes, ("data", "k_out"): args.classes}
+
+
 def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["data"]["center_seed"] = args.seed
-        cfg["data"]["noise_seed"] = args.seed + 1
-    if args.classes is not None:
-        cfg["data"]["k_in"] = cfg["data"]["k_out"] = args.classes
-    _gen_data(cfg, Path(args.out), [args.format] if args.format else _get(cfg, "data", "formats"))
+    seed = args.seed
+    cfg = load_config(args.config, {("data", "center_seed"): seed, **_classes(args),
+                                    ("data", "noise_seed"): None if seed is None else seed + 1})
+    _gen_data(cfg, Path(args.out), [args.format] if args.format else cfg["data"]["formats"])
     return EXIT_OK
 
 
 def _train_one(cfg, variant, train_set, out_dir, seed_offset=0):
     """Train one variant on train_set and write its checkpoint and report
     into out_dir; returns the head."""
-    k = train_set.num_classes()
-    head_cfg = head_config_from(cfg, variant, train_set.feature_dim, k)
-    head = build_head(head_cfg, init_seed=_get(cfg, "head", "init_seed") + seed_offset)
+    # the config was checked as it loaded; the counts come from the training file
+    head_cfg = head_config_from(cfg, variant, train_set.feature_dim, train_set.num_classes(),
+                                f"{_find_dataset(out_dir, 'train')[0]}: ")
+    head = build_head(head_cfg, init_seed=cfg["head"]["init_seed"] + seed_offset)
     train_cfg = train_config_from(cfg, seed_offset)
     head, report = train(head, train_set, train_cfg)
     save_head(head, out_dir / f"checkpoint_{variant}.json")
@@ -186,9 +183,7 @@ def _train_one(cfg, variant, train_set, out_dir, seed_offset=0):
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
+    cfg = load_config(args.config, {("train", "seed"): args.seed})
     out_dir = Path(args.out)
     train_set = data_mod.load_features(*_find_dataset(out_dir, "train"))
     _train_one(cfg, args.variant, train_set, out_dir)
@@ -227,15 +222,15 @@ def _eval_one(cfg, head, eval_set, eval_dir):
             f"checkpoint has K={head.config.num_classes} classes but the"
             f" dataset needs K={k_data}"
         )
-    t, seed, bins = _eval_keys(cfg)
+    t = cfg["inference"]["mc_samples"]
     if head.config.variant == DETERMINISTIC and t > 1:
         print(
             f"warning: deterministic variant ignores stochastic passes;"
             f" using T=1 instead of requested T={t}"
         )
         t = 1
-    pd = mc_predict(head, Tensor(eval_set.features), t=t, seed=seed)
-    bundle = evaluation_suite(pd, eval_set.labels, bins=bins)
+    pd = mc_predict(head, Tensor(eval_set.features), t=t, seed=cfg["inference"]["seed"])
+    bundle = evaluation_suite(pd, eval_set.labels, bins=cfg["eval"]["bins"])
     eval_dir = Path(eval_dir)
     eval_dir.mkdir(parents=True, exist_ok=True)
     save_reports(eval_dir / "report.csv", bundle.reports, eval_set.labels)
@@ -246,12 +241,8 @@ def _eval_one(cfg, head, eval_set, eval_dir):
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["inference"]["seed"] = args.seed
-    if args.mc_samples is not None:
-        cfg["inference"]["mc_samples"] = args.mc_samples
-    _eval_keys(cfg)  # before the checkpoint and the data load
+    cfg = load_config(args.config, {("inference", "seed"): args.seed,
+                                    ("inference", "mc_samples"): args.mc_samples})
     out_dir = Path(args.out)
     ckpt = args.checkpoint or str(out_dir / f"checkpoint_{args.variant}.json")
     head = load_head(ckpt)
@@ -276,24 +267,11 @@ def comparison_tables(rows: dict[str, dict]) -> tuple[str, str]:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-    if args.mc_samples is not None:
-        cfg["inference"]["mc_samples"] = args.mc_samples
+    cfg = load_config(args.config, {("train", "seed"): args.seed, **_classes(args),
+                                    ("inference", "mc_samples"): args.mc_samples})
     out_dir = Path(args.out)
-    generate = not any((out_dir / f"train.{fmt}").exists() for fmt in data_mod.FORMATS)
-    if generate and args.classes is not None:
-        cfg["data"]["k_in"] = cfg["data"]["k_out"] = args.classes
-    # every key the stages read, before the first file is written; the
-    # head's input count comes from the data when it loads, and so does its
-    # class count, unless the data is generated here
-    t = _eval_keys(cfg)[0]
-    head_config_from(cfg, DETERMINISTIC, 1, synth_spec_from(cfg).k_in if generate else 2)
-    _get(cfg, "head", "init_seed")
-    train_config_from(cfg)
-    if generate:
-        _gen_data(cfg, out_dir, _get(cfg, "data", "formats"))
+    if not any((out_dir / f"train.{fmt}").exists() for fmt in data_mod.FORMATS):
+        _gen_data(cfg, out_dir, cfg["data"]["formats"])
     eval_set = _eval_data(out_dir)
     # the heads' class count is the training set's; the MC heads' result
     # is the largest, and is bounded before the first head trains
@@ -301,7 +279,7 @@ def cmd_compare(args) -> int:
     if args.classes is not None and train_set.num_classes() != args.classes:
         raise ConfigError(f"--classes {args.classes}, but the training set in {out_dir}"
                           f" has {train_set.num_classes()} classes")
-    check_mc_size(eval_set.n, t, train_set.num_classes())
+    check_mc_size(eval_set.n, cfg["inference"]["mc_samples"], train_set.num_classes())
 
     results = {}
     for idx, variant in enumerate(VARIANTS):

@@ -94,26 +94,27 @@ class SynthSpec:
     ood_displacement: float = 12.0
 
     def __post_init__(self):
-        counts = (self.k_in, self.k_out, self.feature_dim, self.per_class)
-        if any(int(c) <= 0 for c in counts):
-            raise ConfigError(f"all counts must be positive, got {counts}")
+        # each message starts with its field's name; the config reader adds the section
+        for name in ("k_in", "k_out", "feature_dim", "per_class"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.k_in < 2:  # no head trains on one class
-            raise ConfigError(f"data.k_in: need at least 2 classes, got {self.k_in}")
+            raise ConfigError(f"k_in: need at least 2 classes, got {self.k_in}")
         values = (self.k_in + self.k_out) * self.per_class * self.feature_dim
         if values > MAX_FEATURE_VALUES:  # checked before generate allocates them
             raise ConfigError(
-                f"data.per_class: (k_in + k_out) * per_class * feature_dim is {values}"
+                f"per_class: (k_in + k_out) * per_class * feature_dim is {values}"
                 f" feature values, more than {MAX_FEATURE_VALUES}"
             )
         if self.n_train == self.per_class:
-            raise ConfigError(f"data.per_class must be >= 3, so that the 80/20 split leaves"
+            raise ConfigError(f"per_class must be >= 3, so that the 80/20 split leaves"
                               f" a validation row, got {self.per_class}")
         if not self.within_std > 0:
-            raise ConfigError(f"within-class std must be positive, got {self.within_std}")
+            raise ConfigError(f"within_std must be positive, got {self.within_std}")
         if not self.ood_displacement >= 0:
-            raise ConfigError(f"data.ood_displacement must be >= 0, got {self.ood_displacement}")
+            raise ConfigError(f"ood_displacement must be >= 0, got {self.ood_displacement}")
         if not 0 < self.center_scale <= 1e300:  # centers are drawn from +-center_scale
-            raise ConfigError(f"data.center_scale must be in (0, 1e300], got {self.center_scale}")
+            raise ConfigError(f"center_scale must be in (0, 1e300], got {self.center_scale}")
 
     @property
     def n_train(self) -> int:
@@ -221,9 +222,7 @@ def generate(spec: SynthSpec) -> tuple[LabeledFeatureSet, LabeledFeatureSet, Lab
 def batches(
     data: LabeledFeatureSet, batch_size: int, seed: int, shuffle: bool
 ) -> list[LabeledFeatureSet]:
-    """Partition into batches; the last one may be short."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    """Partition into batches of batch_size >= 1 rows; the last one may be short."""
     order = (
         np.random.default_rng(seed).permutation(data.n)
         if shuffle

@@ -3,7 +3,9 @@
 Read side: ``read_text`` decodes a file as strict UTF-8, and ``read_json``
 parses a config or a checkpoint from it; ``json_object`` and
 ``json_value`` are the one object check and the one type rule that both
-apply to what it returns. No other module opens a file or parses JSON.
+apply to what it returns, and ``json_dataclass`` builds a dataclass of the
+values, naming where a value that fails its bounds came from. No other
+module opens a file or parses JSON.
 
 Write side: a temp file in the target directory, then a rename. Files get
 mode 0o666 masked by the process umask, as ``open`` would give them, not
@@ -18,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
@@ -79,6 +82,18 @@ def json_value(value, like, where: str):
         expected = {bool: "true or false", float: "a finite number"}.get(kind, kind.__name__)
         raise ConfigError(f"{where} must be {expected}, got {value!r}")
     return value
+
+
+def json_dataclass(cls, values: dict, where: str, **given):
+    """cls from the values of its fields not `given`. A bound that cls
+    rejects raises ConfigError, whose message starts with the field's name;
+    it is raised again starting with `where`, the section or file the
+    value came from."""
+    read = {f.name: values[f.name] for f in fields(cls) if f.name not in given}
+    try:
+        return cls(**read, **given)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def _umask() -> int:

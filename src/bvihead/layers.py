@@ -170,7 +170,7 @@ class DropoutSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.rate}")
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.rate}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dist import DiagonalGaussian
 from .errors import ConfigError, NumericError, ShapeError
-from .fsio import atomic_write_text, json_object, json_value, read_json
+from .fsio import atomic_write_text, json_dataclass, json_object, json_value, read_json
 from .layers import (
     ESTIMATORS,
     FLIPOUT,
@@ -72,18 +72,21 @@ class HeadConfig:
     estimator: str = FLIPOUT
 
     def __post_init__(self):
+        # each message starts with its field's name; the reader of a config
+        # or a checkpoint adds where the field came from
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+            raise ConfigError(f"variant: unknown variant {self.variant!r}, not one of {VARIANTS}")
         if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
+            raise ConfigError(f"estimator: unknown estimator {self.estimator!r}")
         if len(self.hidden_dims) != 2:
-            raise ConfigError(f"expected exactly two hidden dims, got {self.hidden_dims}")
+            raise ConfigError(f"hidden_dims: expected two hidden dims, got {self.hidden_dims}")
         dims = (self.input_dim, *self.hidden_dims, self.num_classes)
-        if any(int(d) <= 0 for d in dims):
-            raise ConfigError(f"all layer dims must be positive, got {dims}")
+        for name, dim in zip(("input_dim", "hidden_dims", "hidden_dims", "num_classes"), dims):
+            if dim <= 0:
+                raise ConfigError(f"{name}: all layer dims must be positive, got {dims}")
         if self.num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
+            raise ConfigError(f"num_classes: need at least 2 classes, got {self.num_classes}")
         DropoutSpec(self.dropout_rate)  # checks the rate
 
     @property
@@ -384,7 +387,8 @@ def head_from_dict(doc) -> Head:
         raise ConfigError(f"unsupported checkpoint format_version {version!r}; retrain the head")
     json_object(doc, ["format_version", "config", "theta"], "checkpoint", complete=True)
     c = json_object(doc["config"], _CONFIG_LIKE, "config", complete=True)
-    cfg = HeadConfig(**{k: json_value(c[k], v, f"config.{k}") for k, v in _CONFIG_LIKE.items()})
+    values = {k: json_value(c[k], v, f"config.{k}") for k, v in _CONFIG_LIKE.items()}
+    cfg = json_dataclass(HeadConfig, values, "config.")
     try:
         raw = base64.b64decode(doc["theta"], validate=True)
     except (TypeError, ValueError) as exc:  # not a str, bad characters or padding

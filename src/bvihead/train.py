@@ -53,6 +53,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        # each message starts with its field's name; the config reader adds the section
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -60,14 +61,17 @@ class TrainConfig:
         if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.optimizer not in (SGD, ADAM):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"optimizer: unknown optimizer {self.optimizer!r}")
         if self.kl_weight_mode not in KL_MODES:
-            raise ConfigError(f"unknown kl_weight_mode {self.kl_weight_mode!r}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.adam_eps > 0):
-            raise ConfigError(
-                f"adam needs 0 <= beta1, beta2 < 1 and adam_eps > 0, got {self.beta1},"
-                f" {self.beta2} and {self.adam_eps}"
-            )
+            raise ConfigError(f"kl_weight_mode: unknown kl_weight_mode {self.kl_weight_mode!r}")
+        # a momentum of 1 or more lets the velocity grow without bound; Adam
+        # divides by 1 - beta2**t, 0 at beta2 = 1, and takes the root of a
+        # negative beyond it
+        for name in ("momentum", "beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.kl_weight_const < 0:
             raise ConfigError(f"kl_weight_const must be >= 0, got {self.kl_weight_const}")
 

@@ -222,11 +222,11 @@ def test_eval_bounds_the_mc_result_before_writing_anything(workdir):
         (["--mc-samples", "0"], None, "inference.mc_samples must be in [1,"),
         ([], ("inference", "seed", -1), "inference.seed must be >= 0"),
         ([], ("head", "init_seed", -1), "head.init_seed must be >= 0"),
-        ([], ("head", "dropout_rate", 1.5), "dropout rate must be in [0, 1)"),
+        ([], ("head", "dropout_rate", 1.5), "head.dropout_rate must be in [0, 1)"),
         ([], ("head", "estimator", "bogus"), "unknown estimator"),
         ([], ("train", "epochs", -1), "epochs must be >= 0"),
         ([], ("train", "optimizer", 3), "train.optimizer must be str"),
-        ([], ("data", "per_class", 0), "all counts must be positive"),
+        ([], ("data", "per_class", 0), "data.per_class must be positive"),
     ],
 )
 def test_compare_rejects_a_bad_key_before_writing_anything(workdir, argv, edit, words):

@@ -1,5 +1,8 @@
+import ast
 import collections
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 
 from bvihead.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, load_config, main
-from bvihead.data import SynthSpec
+from bvihead.data import LabeledFeatureSet, SynthSpec, load_features, save_features
 from bvihead.errors import ConfigError
 from bvihead.evaluate import SUMMARY_KEYS
 from bvihead.model import HeadConfig, build_head, head_to_dict, load_head
@@ -143,47 +146,49 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
-def config_with(section, key, value):
-    cfg = load_config(None)
-    cfg[section][key] = value
-    return cfg
+def config_with(tmp_path, section, key, value):
+    """load_config of a file that sets section.key to value."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    return load_config(str(path))
 
 
 @pytest.mark.parametrize("value", ["abc", 2.9, 2.0, True, None])
-def test_config_integer_field_must_be_json_integer(value):
+def test_config_integer_field_must_be_json_integer(tmp_path, value):
     with pytest.raises(ConfigError, match=r"train\.epochs must be int, got"):
-        train_config_from(config_with("train", "epochs", value))
+        config_with(tmp_path, "train", "epochs", value)
     with pytest.raises(ConfigError, match=r"data\.per_class must be int, got"):
-        synth_spec_from(config_with("data", "per_class", value))
+        config_with(tmp_path, "data", "per_class", value)
 
 
 @pytest.mark.parametrize("value", ["0.1", True, None, [0.1], float("nan"), float("inf"), 10**400])
-def test_config_float_field_must_be_finite_number(value):
+def test_config_float_field_must_be_finite_number(tmp_path, value):
     with pytest.raises(ConfigError, match=r"train\.learning_rate must be"):
-        train_config_from(config_with("train", "learning_rate", value))
+        config_with(tmp_path, "train", "learning_rate", value)
     with pytest.raises(ConfigError, match=r"data\.within_std must be"):
-        synth_spec_from(config_with("data", "within_std", value))
+        config_with(tmp_path, "data", "within_std", value)
 
 
-def test_config_float_field_accepts_integer():
-    assert train_config_from(config_with("train", "learning_rate", 1)).learning_rate == 1.0
-    assert synth_spec_from(config_with("data", "within_std", 2)).within_std == 2.0
+def test_config_float_field_accepts_integer(tmp_path):
+    cfg = config_with(tmp_path, "train", "learning_rate", 1)
+    assert train_config_from(cfg).learning_rate == 1.0
+    assert synth_spec_from(config_with(tmp_path, "data", "within_std", 2)).within_std == 2.0
 
 
 @pytest.mark.parametrize("value", ["false", 0, 1, None])
-def test_config_shuffle_must_be_bool(value):
+def test_config_shuffle_must_be_bool(tmp_path, value):
     with pytest.raises(ConfigError, match=r"train\.shuffle must be true or false"):
-        train_config_from(config_with("train", "shuffle", value))
-    assert train_config_from(config_with("train", "shuffle", False)).shuffle is False
+        config_with(tmp_path, "train", "shuffle", value)
+    assert train_config_from(config_with(tmp_path, "train", "shuffle", False)).shuffle is False
 
 
 @pytest.mark.parametrize("value", [None, [16], [16, 16, 16], [16, 16.0], [16, True], "16,16"])
-def test_config_hidden_dims_must_be_two_integers(value):
-    # another JSON type fails the type rule, another length the count
+def test_config_hidden_dims_must_be_two_integers(tmp_path, value):
+    # another JSON type fails the type rule, another length HeadConfig's count
     counted = value in ([16], [16, 16, 16])
-    text = "two integers, each at most 4096" if counted else "a list of integers"
-    with pytest.raises(ConfigError, match=rf"head\.hidden_dims must be {text}, got"):
-        head_config_from(config_with("head", "hidden_dims", value), "deterministic", 6, 3)
+    text = r": expected two hidden dims, got \(" if counted else " must be a list of integers, got"
+    with pytest.raises(ConfigError, match=rf"^head\.hidden_dims{text}"):
+        config_with(tmp_path, "head", "hidden_dims", value)
 
 
 def test_mistyped_config_value_exits_2_naming_the_key(tiny_config, tmp_path, capsys):
@@ -224,6 +229,158 @@ def test_config_range_errors_exit_2_naming_the_key(
     capsys.readouterr()
     assert run([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+# one (section, key, value) per bound a config value can fail: SynthSpec's,
+# HeadConfig's and TrainConfig's, then those of the keys no dataclass owns
+BOUNDS = [
+    ("data", "k_in", 0),
+    ("data", "k_out", 0),
+    ("data", "feature_dim", 0),
+    ("data", "per_class", 0),
+    ("data", "k_in", 1),
+    ("data", "per_class", 10**12),
+    ("data", "per_class", 2),
+    ("data", "within_std", -1.0),
+    ("data", "ood_displacement", -5.0),
+    ("data", "center_scale", -1.0),
+    ("data", "center_scale", 1e301),
+    ("head", "estimator", "bogus"),
+    ("head", "hidden_dims", [16]),
+    ("head", "hidden_dims", [-3, 4]),
+    ("head", "dropout_rate", 1.5),
+    ("train", "epochs", -1),
+    ("train", "batch_size", 0),
+    ("train", "learning_rate", 0.0),
+    ("train", "optimizer", "bogus"),
+    ("train", "kl_weight_mode", "bogus"),
+    ("train", "momentum", 5.0),
+    ("train", "beta1", 1.0),
+    ("train", "beta2", 1.0),
+    ("train", "adam_eps", 0.0),
+    ("train", "kl_weight_const", -1.0),
+    ("data", "formats", []),
+    ("data", "formats", ["hdf5"]),
+    ("data", "center_seed", -1),
+    ("data", "noise_seed", -1),
+    ("head", "init_seed", -1),
+    ("head", "hidden_dims", [4, 4097]),
+    ("train", "seed", -1),
+    ("inference", "seed", -1),
+    ("inference", "mc_samples", 0),
+    ("inference", "mc_samples", 10**4 + 1),
+    ("eval", "bins", 0),
+    ("eval", "bins", 10**6 + 1),
+]
+
+
+def snapshot(root):
+    """Every file under root, with its bytes."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def trained_ws(tmp_path_factory):
+    """A workspace with TINY's data and a deterministic head trained on it."""
+    root = tmp_path_factory.mktemp("bounds")
+    path = root / "config.json"
+    path.write_text(json.dumps(TINY))
+    out = root / "ws"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["gen-data", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        argv = ["train", "--config", str(path), "--out", str(out), "--variant", "deterministic"]
+        assert run(argv) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("section, key, value", BOUNDS,
+                         ids=[f"{s}.{k}={v!r}" for s, k, v in BOUNDS])
+def test_every_config_bound_exits_2_from_every_command_naming_its_key(
+    trained_ws, tmp_path, capsys, section, key, value
+):
+    # the whole config is checked as it loads, also the sections a command
+    # does not use, such as gen-data's train section
+    cfg = json.loads(json.dumps(TINY))
+    cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    before = snapshot(trained_ws)
+    capsys.readouterr()
+    for command in ("gen-data", "train", "eval", "compare"):
+        variant = ["--variant", "deterministic"] if command in ("train", "eval") else []
+        code = run([command, "--config", str(path), "--out", str(trained_ws), *variant])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, (command, err)
+        assert err.startswith(f"error: {section}.{key}"), (command, err)
+        assert snapshot(trained_ws) == before, command
+
+
+def test_a_checkpoint_bound_names_its_config_field(trained_ws, tmp_path, capsys):
+    doc = json.loads((trained_ws / "checkpoint_deterministic.json").read_text())
+    doc["config"]["dropout_rate"] = 1.5
+    ckpt = tmp_path / "head.json"
+    ckpt.write_text(json.dumps(doc))
+    before = snapshot(trained_ws)
+    capsys.readouterr()
+    code = run(["eval", "--out", str(trained_ws), "--variant", "deterministic",
+                "--checkpoint", str(ckpt)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: config.dropout_rate must be in [0, 1), got 1.5\n")
+    assert snapshot(trained_ws) == before
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_a_one_class_training_file_exits_2_naming_the_file(tiny_config, tmp_path, capsys,
+                                                            command):
+    # the class count comes from the data, so the error names the file, not a key
+    out = tmp_path / "ws"
+    assert run(["gen-data", "--config", tiny_config, "--out", str(out), "--format", "csv"]) == EXIT_OK
+    path = out / "train.csv"
+    rows = load_features(path, "csv")
+    one = rows.labels == 0
+    save_features(LabeledFeatureSet(rows.features[one], rows.labels[one]), path, "csv")
+    before = snapshot(out)
+    capsys.readouterr()
+    variant = ["--variant", "deterministic"] if command == "train" else []
+    assert run([command, "--config", tiny_config, "--out", str(out), *variant]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {path}: num_classes: need at least 2 classes, got 1\n")
+    assert snapshot(out) == before
+
+
+def config_writers(source: str) -> set[str]:
+    """The top-level functions of source that store into, delete from or
+    call a mutating method on an expression rooted at the name `cfg`."""
+    mutators = {"update", "setdefault", "pop", "popitem", "clear", "append", "extend", "insert"}
+
+    def rooted_at_cfg(node):
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == "cfg"
+
+    writers = set()
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            stored = (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and rooted_at_cfg(node.value))
+            called = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in mutators and rooted_at_cfg(node.func.value))
+            if stored or called:
+                writers.add(fn.name)
+    return writers
+
+
+def test_only_load_config_writes_into_the_config():
+    # a flag or a command that wrote into the config after it loaded would
+    # skip the checks load_config makes
+    source = Path(importlib.import_module("bvihead.cli").__file__).read_text()
+    assert config_writers(source) == {"load_config"}
+    # the scan sees a write a command would add
+    late = "def cmd_x(args):\n    cfg = load_config(None)\n    cfg['train']['seed'] = 1\n"
+    assert config_writers(source + late) == {"load_config", "cmd_x"}
 
 
 def test_config_file_not_utf8_exits_2_naming_the_file(tmp_path, capsys):

@@ -367,7 +367,7 @@ def test_csv_and_bfv_fail_one_content_check_with_one_text(
 
 def test_spec_needs_a_validation_row_per_class():
     for per_class in (1, 2):
-        with pytest.raises(ConfigError, match=f"data.per_class must be >= 3, .* got {per_class}$"):
+        with pytest.raises(ConfigError, match=f"^per_class must be >= 3, .* got {per_class}$"):
             tiny_spec(per_class=per_class)
     train, val, _ = generate(tiny_spec(per_class=3))
     assert (train.n, val.n) == (3 * 2, 3 * 1)

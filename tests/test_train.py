@@ -414,8 +414,16 @@ def test_loss_non_increasing_after_transient():
 )
 def test_adam_ranges_rejected(field, value):
     # beta2 = 1 divides by 1 - beta2**t = 0, and beta2 > 1 takes the root of a negative
-    with pytest.raises(ConfigError, match=f"adam needs 0 <= beta1, beta2 < 1 and adam_eps > 0"):
+    bound = "positive" if field == "adam_eps" else r"in \[0, 1\)"
+    with pytest.raises(ConfigError, match=rf"^{field} must be {bound}, got {value}$"):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.0, 5.0])
+def test_sgd_momentum_outside_0_1_rejected(value):
+    # at 5.0 the velocity grew until a tiny SGD run hit a non-finite loss
+    with pytest.raises(ConfigError, match=rf"^momentum must be in \[0, 1\), got {value}$"):
+        TrainConfig(optimizer="sgd", momentum=value)
 
 
 def test_empty_dataset_rejected():
