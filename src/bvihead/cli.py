@@ -53,10 +53,6 @@ DEFAULT_CONFIG = {
 }
 
 
-# the widest hidden layer a config may ask for, far beyond the default 256:
-# a 4096 x 4096 float64 weight array is 134 MB, and VI training keeps
-# about ten arrays of that size
-MAX_HIDDEN_DIM = 4096
 # far beyond the tens of passes an MC estimate needs; T passes over M rows
 # of K classes hold M * T * K float64 probabilities
 MAX_MC_SAMPLES = 10**4
@@ -72,9 +68,9 @@ def load_config(path: str | None, flags: dict | None = None) -> dict:
     means the flag was not given. Unknown keys reject. Then every key of
     every section is checked, whether or not the command uses it: the JSON
     type of its default (`fsio.json_value`), the bounds SynthSpec,
-    HeadConfig and TrainConfig own, and the bounds of the keys no
-    dataclass owns: `data.formats`, the seeds, `MAX_HIDDEN_DIM`,
-    `inference.mc_samples` and `eval.bins`. Any failure raises
+    HeadConfig (`model.MAX_HIDDEN_DIM` among them) and TrainConfig own,
+    and the bounds of the keys no dataclass owns: `data.formats`, the
+    seeds, `inference.mc_samples` and `eval.bins`. Any failure raises
     ConfigError naming section.key. Commands read plain values from what
     this returns, and no other function writes into it.
     """
@@ -93,8 +89,6 @@ def load_config(path: str | None, flags: dict | None = None) -> dict:
                 raise ConfigError(f"{where} must be >= 0, got {value}")
             if key in _MOST and not 1 <= value <= _MOST[key]:
                 raise ConfigError(f"{where} must be in [1, {_MOST[key]}], got {value}")
-            if key == "hidden_dims" and max(value, default=0) > MAX_HIDDEN_DIM:
-                raise ConfigError(f"{where} must each be at most {MAX_HIDDEN_DIM}, got {value!r}")
             if key == "formats" and not (value and set(value) <= set(data_mod.FORMATS)):
                 raise ConfigError(f"{where} must list one or more of {data_mod.FORMATS},"
                                   f" got {value!r}")
@@ -163,12 +157,21 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _train_data(cfg, out_dir) -> data_mod.LabeledFeatureSet:
+    """The training rows in out_dir, checked against cfg's head section:
+    a head of their feature and class counts that breaks a HeadConfig
+    bound raises ConfigError naming the file."""
+    path, fmt = _find_dataset(out_dir, "train")
+    train_set = data_mod.load_features(path, fmt)
+    head_config_from(cfg, DETERMINISTIC, train_set.feature_dim, train_set.num_classes(),
+                     f"{path}: ")
+    return train_set
+
+
 def _train_one(cfg, variant, train_set, out_dir, seed_offset=0):
-    """Train one variant on train_set and write its checkpoint and report
-    into out_dir; returns the head."""
-    # the config was checked as it loaded; the counts come from the training file
-    head_cfg = head_config_from(cfg, variant, train_set.feature_dim, train_set.num_classes(),
-                                f"{_find_dataset(out_dir, 'train')[0]}: ")
+    """Train one variant on `_train_data`'s rows and write its checkpoint
+    and report into out_dir; returns the head."""
+    head_cfg = head_config_from(cfg, variant, train_set.feature_dim, train_set.num_classes())
     head = build_head(head_cfg, init_seed=cfg["head"]["init_seed"] + seed_offset)
     train_cfg = train_config_from(cfg, seed_offset)
     head, report = train(head, train_set, train_cfg)
@@ -185,43 +188,38 @@ def _train_one(cfg, variant, train_set, out_dir, seed_offset=0):
 def cmd_train(args) -> int:
     cfg = load_config(args.config, {("train", "seed"): args.seed})
     out_dir = Path(args.out)
-    train_set = data_mod.load_features(*_find_dataset(out_dir, "train"))
-    _train_one(cfg, args.variant, train_set, out_dir)
+    _train_one(cfg, args.variant, _train_data(cfg, out_dir), out_dir)
     return EXIT_OK
 
 
-def _eval_data(out_dir) -> data_mod.LabeledFeatureSet:
-    """The evaluation rows in out_dir: val, then ood when present. An ood
-    row not labelled OOD_LABEL raises ParseError."""
-    val_set = data_mod.load_features(*_find_dataset(out_dir, "val"))
+def _eval_data(out_dir, f: int, k: int) -> data_mod.LabeledFeatureSet:
+    """The evaluation rows in out_dir, val then ood when present, checked
+    whole against a head of f features and k classes before anything is
+    written. Each error names its file: an ood row not labelled OOD_LABEL
+    raises ParseError, and a width other than f, or a class beyond k,
+    raises ConfigError."""
+    files = [_find_dataset(out_dir, "val")]
     try:
-        ood_path, ood_fmt = _find_dataset(out_dir, "ood")
+        files.append(_find_dataset(out_dir, "ood"))
     except FileNotFoundError:
-        print("notice: no OOD file found; OOD metrics will be omitted")
-        return val_set
-    ood_set = data_mod.load_features(ood_path, ood_fmt)
-    labelled = np.flatnonzero(~ood_set.is_ood)
-    if labelled.size:
-        r = labelled[0]
-        raise ParseError(f"{ood_path}: row {r}: label {ood_set.labels[r]}; an OOD file holds"
-                         f" only rows labelled {data_mod.OOD_LABEL}")
-    return data_mod.LabeledFeatureSet(np.concatenate([val_set.features, ood_set.features]),
-                                      np.concatenate([val_set.labels, ood_set.labels]))
+        pass  # the suite's notice says that OOD metrics are omitted
+    sets = [data_mod.load_features(*file) for file in files]
+    for (path, _), rows in zip(files, sets):
+        if path.stem == "ood" and not rows.is_ood.all():
+            r = np.argmin(rows.is_ood)  # the first labelled row
+            raise ParseError(f"{path}: row {r}: label {rows.labels[r]}; an OOD file holds"
+                             f" only rows labelled {data_mod.OOD_LABEL}")
+        if rows.feature_dim != f:
+            raise ConfigError(f"{path}: F={rows.feature_dim} features, but the head takes F={f}")
+        if rows.num_classes() > k:
+            raise ConfigError(f"{path}: labels need K={rows.num_classes()} classes,"
+                              f" but the head has K={k}")
+    return data_mod.LabeledFeatureSet(np.concatenate([s.features for s in sets]),
+                                      np.concatenate([s.labels for s in sets]))
 
 
 def _eval_one(cfg, head, eval_set, eval_dir):
     """Evaluate a trained head on `_eval_data`'s rows; writes artifacts."""
-    if head.config.input_dim != eval_set.feature_dim:
-        raise ConfigError(
-            f"checkpoint expects F={head.config.input_dim} features but the"
-            f" dataset has F={eval_set.feature_dim}"
-        )
-    k_data = eval_set.num_classes()
-    if k_data > head.config.num_classes:
-        raise ConfigError(
-            f"checkpoint has K={head.config.num_classes} classes but the"
-            f" dataset needs K={k_data}"
-        )
     t = cfg["inference"]["mc_samples"]
     if head.config.variant == DETERMINISTIC and t > 1:
         print(
@@ -248,7 +246,8 @@ def cmd_eval(args) -> int:
     head = load_head(ckpt)
     if head.config.variant != args.variant:
         raise ConfigError(f"{ckpt} holds a {head.config.variant} head, not --variant {args.variant}")
-    bundle = _eval_one(cfg, head, _eval_data(out_dir), out_dir / f"eval_{args.variant}")
+    eval_set = _eval_data(out_dir, head.config.input_dim, head.config.num_classes)
+    bundle = _eval_one(cfg, head, eval_set, out_dir / f"eval_{args.variant}")
     print(bundle.summary_json(), end="")
     return EXIT_OK
 
@@ -272,14 +271,16 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     if not any((out_dir / f"train.{fmt}").exists() for fmt in data_mod.FORMATS):
         _gen_data(cfg, out_dir, cfg["data"]["formats"])
-    eval_set = _eval_data(out_dir)
-    # the heads' class count is the training set's; the MC heads' result
-    # is the largest, and is bounded before the first head trains
-    train_set = data_mod.load_features(*_find_dataset(out_dir, "train"))
-    if args.classes is not None and train_set.num_classes() != args.classes:
+    # the heads' two counts are the training set's; every input is checked,
+    # and the MC heads' result, the largest, is bounded, before the first
+    # head trains
+    train_set = _train_data(cfg, out_dir)
+    f, k = train_set.feature_dim, train_set.num_classes()
+    if args.classes is not None and k != args.classes:
         raise ConfigError(f"--classes {args.classes}, but the training set in {out_dir}"
-                          f" has {train_set.num_classes()} classes")
-    check_mc_size(eval_set.n, cfg["inference"]["mc_samples"], train_set.num_classes())
+                          f" has {k} classes")
+    eval_set = _eval_data(out_dir, f, k)
+    check_mc_size(eval_set.n, cfg["inference"]["mc_samples"], k)
 
     results = {}
     for idx, variant in enumerate(VARIANTS):
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, variant=False, mc=False, checkpoint=False, fmt=False):
+    def common(p, variant=False, mc=False, checkpoint=False, fmt=False, classes=False):
         p.add_argument("--config", help="JSON experiment config (defaults apply)")
         p.add_argument("--out", default="runs/default", help="workspace directory")
         p.add_argument("--seed", type=int, help="override the command's seed")
@@ -348,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", help="checkpoint path (default from --out)")
         if fmt:
             p.add_argument("--format", choices=data_mod.FORMATS, help="dataset format")
+        if classes:
+            p.add_argument("--classes", type=int,
+                           help="preset: N in- and N out-of-distribution classes")
 
     p_gen = sub.add_parser("gen-data", help="generate synthetic feature datasets")
-    common(p_gen, fmt=True)
-    p_gen.add_argument(
-        "--classes", type=int, help="preset: N in- and N out-of-distribution classes"
-    )
+    common(p_gen, fmt=True, classes=True)
     p_gen.set_defaults(func=cmd_gen_data)
 
     p_train = sub.add_parser("train", help="train one head variant")
@@ -365,10 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="train and evaluate all three variants")
-    common(p_cmp, mc=True)
-    p_cmp.add_argument(
-        "--classes", type=int, help="preset: N in- and N out-of-distribution classes"
-    )
+    common(p_cmp, mc=True, classes=True)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_hist = sub.add_parser("hist", help="density histogram from a report CSV column")

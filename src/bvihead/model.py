@@ -61,6 +61,13 @@ VARIANTS = (DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI)
 
 CHECKPOINT_FORMAT_VERSION = 2
 
+# the widest hidden layer, far beyond the default 256, and the most weights
+# one layer may hold: a 4096 x 4096 float64 array is 134 MB, and VI training
+# keeps about ten arrays of its size. Inference holds M x width activations
+# per layer, so the width is bounded too, not only its product with F or K.
+MAX_HIDDEN_DIM = 4096
+MAX_LAYER_WEIGHTS = MAX_HIDDEN_DIM**2
+
 
 @dataclass(frozen=True)
 class HeadConfig:
@@ -87,6 +94,14 @@ class HeadConfig:
                 raise ConfigError(f"{name}: all layer dims must be positive, got {dims}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes: need at least 2 classes, got {self.num_classes}")
+        if max(self.hidden_dims) > MAX_HIDDEN_DIM:
+            raise ConfigError(f"hidden_dims: each must be at most {MAX_HIDDEN_DIM},"
+                              f" got {self.hidden_dims}")
+        for i, name in ((0, "input_dim"), (2, "num_classes")):  # the counts the data gives
+            d_in, d_out = self.layer_dims[i]
+            if d_in * d_out > MAX_LAYER_WEIGHTS:
+                raise ConfigError(f"{name}: layer {i} holds {d_in} x {d_out} weights,"
+                                  f" more than {MAX_LAYER_WEIGHTS} (4096 x 4096)")
         DropoutSpec(self.dropout_rate)  # checks the rate
 
     @property

@@ -110,6 +110,17 @@ def elbo_loss(log_probs: Tensor, labels, kl_total: Tensor, kl_weight: float) -> 
 
 
 def kl_weight_for(cfg: TrainConfig, n_examples: int, n_batches: int) -> float:
+    """The weight of the KL term: a train step's loss is the batch-mean
+    NLL plus kl_weight * KL.
+
+    `one-over-n`, the default, gives 1/N for N training examples: the KL
+    weighted per example, as in the ELBO divided by N. `one-over-batches`
+    gives 1/M for M batches per epoch, B times more at batch size B (64
+    times at the default N = 1,600 and B = 64). It equals Blundell et al.
+    2015's pi_i = 1/M (arXiv:1505.05424, section 3.4) only for an NLL
+    summed over the batch, not for the batch mean used here. `constant`
+    gives `kl_weight_const` as it is.
+    """
     if cfg.kl_weight_mode == KL_ONE_OVER_N:
         return 1.0 / n_examples
     if cfg.kl_weight_mode == KL_ONE_OVER_BATCHES:

@@ -15,7 +15,7 @@ a float for one example or an (M,) array for M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -29,43 +29,34 @@ from .model import zero_noise_bundle  # noqa: F401  # perfbench/tracer.py wraps 
 from .tensor import Tensor
 
 
-def _sample_array(probs) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim not in (2, 3) or probs.shape[-2] == 0:
-        raise DataError(f"sample_probs must be T x K or M x T x K, T >= 1, not {probs.shape}")
-    return probs
-
-
 @dataclass
 class PredictiveDistribution:
     """Per-pass probabilities, T x K for one example or M x T x K for M,
-    plus their mean over the passes (K or M x K). Indexing or iterating
-    over M examples gives one example's T x K distribution."""
+    and `mean_probs`, derived from them: their mean over the passes (K or
+    M x K). Indexing or iterating over M examples gives one example's
+    T x K distribution."""
 
     sample_probs: np.ndarray
-    mean_probs: np.ndarray
+    mean_probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.sample_probs = s = _sample_array(self.sample_probs)
-        self.mean_probs = m = np.asarray(self.mean_probs, dtype=np.float64)
+        self.sample_probs = s = np.asarray(self.sample_probs, dtype=np.float64)
+        if s.ndim not in (2, 3) or s.shape[-2] == 0:
+            raise DataError(f"sample_probs must be T x K or M x T x K, T >= 1, not {s.shape}")
         if not (np.abs(s.sum(axis=-1) - 1.0) <= 1e-9).all():
             raise DataError("each sample row must sum to 1 within 1e-9")
         if not ((s >= 0) & (s <= 1)).all():
             raise DataError("sample probabilities must lie in [0, 1]")
-        if m.shape != s.shape[:-2] + s.shape[-1:] or not (
-            np.abs(m - s.mean(axis=-2)) <= 1e-12
-        ).all():
-            raise DataError("mean_probs must be the columnwise mean of sample_probs")
-
-    @classmethod
-    def from_samples(cls, sample_probs) -> "PredictiveDistribution":
-        """The distribution of T x K or M x T x K per-pass probabilities."""
-        s = _sample_array(sample_probs)
         first = s[..., 0, :]
         # an example whose passes are identical takes its first row as the
         # mean, so that its BALD is exactly zero instead of within rounding
         identical = (s == first[..., None, :]).all(axis=(-2, -1))
-        return cls(s, np.where(identical[..., None], first, s.mean(axis=-2)))
+        self.mean_probs = np.where(identical[..., None], first, s.mean(axis=-2))
+
+    @classmethod
+    def from_samples(cls, sample_probs) -> "PredictiveDistribution":
+        """The distribution of T x K or M x T x K per-pass probabilities."""
+        return cls(sample_probs)
 
     @property
     def k(self) -> int:
@@ -77,7 +68,7 @@ class PredictiveDistribution:
         return len(self.sample_probs)
 
     def __getitem__(self, j) -> "PredictiveDistribution":  # also drives iteration
-        return PredictiveDistribution(self.sample_probs[j], self.mean_probs[j])
+        return PredictiveDistribution(self.sample_probs[j])
 
 
 class ReportColumns(NamedTuple):

@@ -265,6 +265,7 @@ BOUNDS = [
     ("data", "noise_seed", -1),
     ("head", "init_seed", -1),
     ("head", "hidden_dims", [4, 4097]),
+    ("head", "hidden_dims", [262144, 64]),
     ("train", "seed", -1),
     ("inference", "seed", -1),
     ("inference", "mc_samples", 0),
@@ -566,6 +567,71 @@ def test_eval_feature_dim_mismatch_exits_2(tiny_config, tmp_path, capsys):
     assert "F=6" in err and "F=7" in err
 
 
+def _widened(path):
+    """Rewrite the BFV at path with a seventh feature column."""
+    rows = load_features(path, "bfv")
+    save_features(LabeledFeatureSet(np.hstack([rows.features, np.ones((rows.n, 1))]),
+                                    rows.labels), path, "bfv")
+
+
+def _relabelled(path, label):
+    """Rewrite the BFV at path with its first row labelled `label`."""
+    rows = load_features(path, "bfv")
+    rows.labels[0] = label
+    save_features(rows, path, "bfv")
+
+
+# (how a workspace breaks, the file its error names, the exit code)
+BROKEN_WORKSPACES = {
+    "ood-wider-than-val": (lambda ws: _widened(ws / "ood.bfv"), "ood.bfv", EXIT_CONFIG),
+    "wider-than-the-head": (lambda ws: [_widened(ws / f"{n}.bfv") for n in ("val", "ood")],
+                            "val.bfv", EXIT_CONFIG),
+    "val-class-beyond-the-head": (lambda ws: _relabelled(ws / "val.bfv", 3), "val.bfv",
+                                  EXIT_CONFIG),
+    "ood-row-labelled-0": (lambda ws: _relabelled(ws / "ood.bfv", 0), "ood.bfv", EXIT_IO),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("case", BROKEN_WORKSPACES)
+def test_a_broken_workspace_exits_naming_the_file_before_any_write(
+    tiny_config, tmp_path, capsys, command, case
+):
+    # the evaluation files are checked against the head, and against each
+    # other, once: compare once trained and wrote a head before it found a
+    # wider file, and an ood file wider than val ended in a traceback
+    out = tmp_path / "ws"
+    run(["gen-data", "--config", tiny_config, "--out", str(out)])
+    if command == "eval":
+        run(["train", "--config", tiny_config, "--out", str(out), "--variant", "deterministic"])
+    breaks, name, code = BROKEN_WORKSPACES[case]
+    breaks(out)
+    before = snapshot(out)
+    capsys.readouterr()
+    variant = ["--variant", "deterministic"] if command == "eval" else []
+    assert run([command, "--config", tiny_config, "--out", str(out), *variant]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / name}: ") and err.count("\n") == 1, err
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_a_training_file_too_wide_for_a_layer_exits_2_naming_the_file(tmp_path, capsys, command):
+    # 65,537 x 256 weights are just over 4096 x 4096; a file 3 * 10**6 wide
+    # once ended in a raw allocation error
+    out = tmp_path / "ws"
+    out.mkdir()
+    path = out / "train.bfv"
+    save_features(LabeledFeatureSet(np.zeros((2, 65537)), [0, 1]), path, "bfv")
+    before = snapshot(out)
+    variant = ["--variant", "deterministic"] if command == "train" else []
+    assert run([command, "--out", str(out), *variant]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {path}: input_dim: layer 0 holds 65537 x 256 weights,"
+        " more than 16777216 (4096 x 4096)\n")
+    assert snapshot(out) == before
+
+
 def test_eval_of_a_checkpoint_of_another_variant_exits_2_before_writing(tiny_config, tmp_path,
                                                                         capsys):
     out = tmp_path / "ws"
@@ -840,7 +906,7 @@ def test_eval_malformed_checkpoint_exits_2(tiny_config, tmp_path, capsys):
         ("[1, 2", "not valid JSON"),
         ('{"format_version": 1}', "format_version 1"),
         ('{"format_version": 2}', "'config'"),
-        (json.dumps(huge), "checkpoint.theta holds"),
+        (json.dumps(huge), "config.hidden_dims: each must be at most 4096"),
     ):
         ckpt.write_text(text)
         assert run(argv) == EXIT_CONFIG

@@ -60,6 +60,19 @@ def test_build_head_rejects_zero_hidden_dim():
         HeadConfig(5, (0, 4), 3, DETERMINISTIC)
 
 
+def test_each_width_and_each_layer_is_bounded():
+    # a width sizes the activations, so it is bounded alone; a layer's
+    # weights bound the feature and class counts that the data gives
+    assert HeadConfig(4096, (4096, 4096), 4096, DETERMINISTIC).hidden_dims == (4096, 4096)
+    for dims in ((4, 4097), (262144, 64)):
+        with pytest.raises(ConfigError, match=r"^hidden_dims: each must be at most 4096, got \("):
+            HeadConfig(64, dims, 3, DETERMINISTIC)
+    with pytest.raises(ConfigError, match=r"^input_dim: layer 0 holds 65537 x 256 weights"):
+        HeadConfig(65537, (256, 256), 3, DETERMINISTIC)
+    with pytest.raises(ConfigError, match=r"^num_classes: layer 2 holds 256 x 65537 weights"):
+        HeadConfig(4, (256, 256), 65537, DETERMINISTIC)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         HeadConfig(5, (4, 4), 1, DETERMINISTIC)
@@ -431,13 +444,17 @@ def test_load_head_missing_theta_names_file_and_key(tmp_path):
 
 @pytest.mark.parametrize("variant", [DETERMINISTIC, STOCHASTIC_VI])
 def test_load_head_checks_array_sizes_before_allocating(tmp_path, variant):
-    # a header 10^7 wide would need 728 TiB if the head were built first
+    # the widest header the bounds allow, 4096 x 4096 x 4096, would need
+    # 268 MB (537 MB for VI) if the head were built first; one 10^7 wide
+    # fails the width bound before theta is read
     doc = head_to_dict(build_head(small_config(variant), init_seed=16))
-    doc["config"].update(input_dim=10**7, hidden_dims=[10**7, 10**7])
     path = tmp_path / "head.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=r"head\.json: checkpoint\.theta holds \d+ bytes"):
-        load_head(path)
+    for dims, match in ((4096, r"checkpoint\.theta holds \d+ bytes"),
+                        (10**7, r"config\.hidden_dims: each must be at most 4096")):
+        doc["config"].update(input_dim=dims, hidden_dims=[dims, dims])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=r"head\.json: " + match):
+            load_head(path)
 
 
 def _with_value(doc, index, value):

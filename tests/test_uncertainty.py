@@ -50,12 +50,6 @@ def test_rows_must_normalize():
         PredictiveDistribution.from_samples(np.array([[0.5, 0.4]]))
 
 
-def test_mean_must_match_columns():
-    probs = np.array([[0.2, 0.8], [0.6, 0.4]])
-    with pytest.raises(DataError, match="columnwise mean"):
-        PredictiveDistribution(probs, np.array([0.5, 0.5]))
-
-
 def test_from_samples_identical_rows_copies_exactly():
     row = np.random.default_rng(0).dirichlet(np.ones(5))
     pd = PredictiveDistribution.from_samples(np.tile(row, (40, 1)))
@@ -145,12 +139,20 @@ def test_batch_measures_equal_per_example_measures():
         np.stack([random_pd(rng, t=6, k=5).sample_probs for _ in range(20)])
     )
     assert len(batch) == 20 and batch.k == 5
-    for measure in (predictive_entropy, expected_entropy, bald):
-        values = measure(batch)
-        assert values.shape == (20,)
-        assert values.tolist() == [measure(pd) for pd in batch]
     assert batch[3].sample_probs.shape == (6, 5)
-    np.testing.assert_array_equal(batch[3].mean_probs, batch.mean_probs[3])
+    # an indexed example derives its mean from its own samples, byte-equal to
+    # the batch's row, also at T beyond the default 40 passes
+    shapes = [(20, 6, 5)] + [tuple(rng.integers((1, 1, 2), (9, 65, 9))) for _ in range(60)]
+    for m, t, k in shapes:
+        samples = rng.dirichlet(np.ones(k), size=(m, t))
+        samples[0] = samples[0, 0]  # one example whose passes are identical
+        batch = PredictiveDistribution.from_samples(samples)
+        for measure in (predictive_entropy, expected_entropy, bald):
+            values = measure(batch)
+            assert values.shape == (m,)
+            assert values.tolist() == [measure(pd) for pd in batch]
+        for j in range(m):
+            assert batch[j].mean_probs.tobytes() == batch.mean_probs[j].tobytes()
 
 
 def test_batch_identical_pass_rule_is_per_example():

@@ -16,10 +16,14 @@ each command in its own process, at the default config:
 
 Per seed it records the VI and deterministic ``pr_auc_correctness`` and
 their difference (criterion 8(d) holds when it is >= 0), VI top-1 and the
-VI head's BALD OOD AUROC. Per tree and seed set it gives the count of seeds
-where VI wins 8(d), a two-sided sign-test p-value and the means; for every
-tree after the first, the per-seed change of VI top-1 and BALD AUROC
-against the first tree. The JSON goes to ``--out``.
+VI head's BALD OOD AUROC. A metric the program leaves undefined (an empty
+``compare.csv`` cell, a JSON null) is recorded as null. Per tree and seed
+set it gives the count of seeds where VI wins 8(d), a two-sided sign-test
+p-value and the means; a seed whose VI - det difference is undefined is
+left out of all three, and ``seeds_left_out`` counts such seeds. Each mean
+is over the defined values. For every tree after the first, it gives the
+per-seed change of VI top-1 and BALD AUROC against the first tree. The JSON
+goes to ``--out``.
 """
 
 from __future__ import annotations
@@ -47,10 +51,23 @@ def run_cli(src: Path, argv: list[str], cwd: Path) -> None:
                    check=True, stdout=subprocess.DEVNULL)
 
 
-def compare_rows(path: Path) -> dict[str, dict[str, float]]:
+def compare_rows(path: Path) -> dict[str, dict[str, float | None]]:
+    """compare.csv's metrics by model; an empty cell, an undefined metric, is None."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return {r["model"]: {k: float(v) for k, v in r.items() if k != "model"}
+        return {r["model"]: {k: None if v == "" else float(v) for k, v in r.items()
+                             if k != "model"}
                 for r in csv.DictReader(fh)}
+
+
+def difference(b: float | None, a: float | None) -> float | None:
+    """b - a, or None where either is undefined."""
+    return None if a is None or b is None else b - a
+
+
+def mean(values) -> float | None:
+    """The mean of the defined values, or None where none is."""
+    values = [v for v in values if v is not None]
+    return statistics.fmean(values) if values else None
 
 
 def seed_row(seed: int, vi: dict, det: dict) -> dict:
@@ -58,7 +75,7 @@ def seed_row(seed: int, vi: dict, det: dict) -> dict:
         "seed": seed,
         "vi_pr_auc_correctness": vi["pr_auc_correctness"],
         "det_pr_auc_correctness": det["pr_auc_correctness"],
-        "vi_minus_det": vi["pr_auc_correctness"] - det["pr_auc_correctness"],
+        "vi_minus_det": difference(vi["pr_auc_correctness"], det["pr_auc_correctness"]),
         "vi_top1": vi["top1"],
         "vi_ood_auroc_bald": vi["ood_auroc_bald"],
     }
@@ -74,16 +91,18 @@ def sign_test_p(wins: int, losses: int) -> float:
 
 
 def summarize(rows: list[dict]) -> dict:
-    deltas = [r["vi_minus_det"] for r in rows]
+    kept = [r for r in rows if r["vi_minus_det"] is not None]
+    deltas = [r["vi_minus_det"] for r in kept]
     wins = sum(d >= 0 for d in deltas)  # criterion 8(d) allows a tie
     strict = sum(d > 0 for d in deltas), sum(d < 0 for d in deltas)
     return {
         "seeds": len(rows),
+        "seeds_left_out": len(rows) - len(kept),
         "vi_wins_8d": wins,
         "sign_test_p": sign_test_p(*strict),
-        "mean_vi_minus_det": statistics.fmean(deltas),
-        "mean_vi_top1": statistics.fmean(r["vi_top1"] for r in rows),
-        "mean_vi_ood_auroc_bald": statistics.fmean(r["vi_ood_auroc_bald"] for r in rows),
+        "mean_vi_minus_det": mean(deltas),
+        "mean_vi_top1": mean(r["vi_top1"] for r in kept),
+        "mean_vi_ood_auroc_bald": mean(r["vi_ood_auroc_bald"] for r in kept),
     }
 
 
@@ -114,12 +133,12 @@ def paired(first: dict, other: dict) -> dict:
         pairs = list(zip(first[kind]["rows"], other[kind]["rows"], strict=True))
         out[kind] = {}
         for key in ("vi_top1", "vi_ood_auroc_bald"):
-            diffs = [b[key] - a[key] for a, b in pairs]
+            diffs = [difference(b[key], a[key]) for a, b in pairs]
             out[kind][key] = {
                 "per_seed": diffs,
-                "mean": statistics.fmean(diffs),
-                "higher": sum(d > 0 for d in diffs),
-                "lower": sum(d < 0 for d in diffs),
+                "mean": mean(diffs),
+                "higher": sum(d is not None and d > 0 for d in diffs),
+                "lower": sum(d is not None and d < 0 for d in diffs),
             }
     return out
 
