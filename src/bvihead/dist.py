@@ -3,9 +3,10 @@
 Each parameter tensor of a variational layer owns a DiagonalGaussian whose
 scale is kept positive through a softplus of the raw `rho` values. The KL
 divergence to an independent Gaussian prior has a closed form, so it is
-computed analytically (``kl_array`` on plain arrays, ``kl_to_prior`` as a
-graph node over the same formula, ``kl_grads`` the gradient of both); the
-Monte Carlo estimator exists only in the tests as an oracle.
+computed analytically (``kl_terms`` elementwise on plain arrays, whose
+sum is the KL, ``kl_to_prior`` as a graph node over that sum,
+``kl_grads`` the gradient of both); the Monte Carlo estimator exists only
+in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -61,20 +62,22 @@ def sample(g: DiagonalGaussian, eps, std: Tensor | None = None) -> Tensor:
     return g.mu + s * eps
 
 
-def kl_array(mu: np.ndarray, std: np.ndarray, prior: PriorSpec) -> np.float64:
-    """Closed-form KL[N(mu, std^2) || prior] summed over elements, on plain arrays.
+def kl_terms(mu: np.ndarray, std: np.ndarray, prior: PriorSpec, out=None, scratch=None):
+    """The elementwise terms of the closed-form KL[N(mu, std^2) || prior],
+    whose sum over elements is the KL, on plain arrays.
 
     Per element: ln(s_p/s_q) + (s_q^2 + (m_q - m_p)^2) / (2 s_p^2) - 1/2,
-    evaluated in that order in two buffers.
+    evaluated in that order in two buffers: `out`, which it returns, and
+    `scratch`, arrays of mu's shape when given.
     """
-    dm = mu - prior.mean
+    dm = np.subtract(mu, prior.mean, out=scratch)
     dm *= dm
-    quad = std * std
+    quad = np.multiply(std, std, out=out)
     quad += dm
     quad *= 1.0 / (2.0 * prior.std**2)
     quad -= np.log(std, out=dm)
     quad += math.log(prior.std) - 0.5
-    return quad.sum()
+    return quad
 
 
 def kl_to_prior(
@@ -82,7 +85,7 @@ def kl_to_prior(
 ) -> Tensor:
     """Closed-form KL[q || p] summed over elements, as one graph node.
 
-    The value is ``kl_array`` and the gradients ``kl_grads``. `std` is an
+    The value is the sum of ``kl_terms`` and the gradients ``kl_grads``. `std` is an
     already-computed s_q = softplus(rho) to reuse; without it the KL
     computes its own, and gradients reach rho either way.
     """
@@ -91,7 +94,7 @@ def kl_to_prior(
         raise ShapeError(f"std shape {s_q.shape} != posterior shape {g.shape}")
     mu = g.mu
     s = s_q.data
-    out = Tensor(kl_array(mu.data, s, prior), (mu, s_q), _op="kl")
+    out = Tensor(kl_terms(mu.data, s, prior).sum(), (mu, s_q), _op="kl")
 
     def _bw(grad):
         for t, d in zip((mu, s_q), kl_grads(mu.data, s, prior, grad)):
@@ -101,13 +104,14 @@ def kl_to_prior(
     return out
 
 
-def kl_grads(mu: np.ndarray, std: np.ndarray, prior: PriorSpec, gk) -> tuple:
-    """The gradients of gk * kl_array(mu, std, prior) in mu and in std,
-    gk (m_q - m_p)/s_p^2 and gk (s_q/s_p^2 - 1/s_q), as two new arrays."""
+def kl_grads(mu: np.ndarray, std: np.ndarray, prior: PriorSpec, gk, out=(None, None)) -> tuple:
+    """The gradients of gk times the KL, kl_terms(mu, std, prior) summed,
+    in mu and in std, gk (m_q - m_p)/s_p^2 and gk (s_q/s_p^2 - 1/s_q), as
+    two new arrays or written into `out`, two arrays of mu's shape."""
     inv_var = 1.0 / prior.std**2
-    d_mu = mu - prior.mean
-    d_mu *= gk * inv_var
-    d_std = std * inv_var
-    d_std -= 1.0 / std
+    d_std = np.multiply(std, inv_var, out=out[1])
+    d_std -= np.divide(1.0, std, out=out[0])
     d_std *= gk
+    d_mu = np.subtract(mu, prior.mean, out=out[0])
+    d_mu *= gk * inv_var
     return d_mu, d_std

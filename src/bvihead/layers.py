@@ -5,15 +5,25 @@ is a pure function of (parameters, input, noise). That keeps stochastic
 passes reproducible and lets tests freeze the noise.
 
 Each layer function has two forms. On a plain array it returns the
-output, a variational layer's KL, and the layer's closed-form backward,
-written once: a training step keeps the backward, a Monte Carlo pass
-drops it at once. It checks its own output, and `_posterior_arrays` the
-KL, so a non-finite value raises NumericError naming what produced it.
-On a Tensor input it runs the array form and records one graph node over
-the input and the layer's leaves (and a variational layer one more scalar
-node for its KL), whose backward calls that backward: the gradient
-reference of the tests. Inference runs a variational layer of either
-estimator through the reparam forward.
+output, a variational layer's KL, and the layer's closed-form backward
+of its data terms, written once: a training step keeps the backward, a
+Monte Carlo pass drops it at once. It checks its own output, and
+`_posterior_arrays` the KL, so a non-finite value raises NumericError
+naming what produced it. On a Tensor input it runs the array form and
+records one graph node over the input and the layer's leaves (and a
+variational layer one more scalar node for its KL), whose backward calls
+that backward: the gradient reference of the tests. Inference runs a
+variational layer of either estimator through the reparam forward.
+
+A variational layer's posterior math, softplus(rho), the KL and the
+chain rule into rho, runs elementwise in one place, `posterior_sweep`
+and `posterior_chain`, over blocks of posteriors' flat values. A
+training step runs them once over the whole head's rho block; the
+graph form and a Monte Carlo pass run them over one block of the
+layer's own two posteriors, weights then bias, the layer's segment of
+that head block. Each posterior's KL is the sum of its own segment of
+the KL's terms, so either way it has the bytes of `dist.kl_terms`
+summed over that posterior alone.
 
 An array form that writes SPLIT_VALUES values or more, as an MC pass over
 a thousand rows does, runs in two row halves (`in_row_halves`), the upper
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DiagonalGaussian, PriorSpec, kl_array, kl_grads
+from .dist import DiagonalGaussian, PriorSpec, kl_grads, kl_terms
 from .dist import kl_to_prior, sample  # noqa: F401  # perfbench/tracer.py wraps them here
 from .errors import ConfigError, ContractError, ShapeError
 from .tensor import Tensor, check_finite, sigmoid_array, softplus_and_exp
@@ -199,10 +209,9 @@ def dense_forward(layer: DenseDeterministic, x, *, out=None):
 
     A Tensor x gives one graph node over (x, W, b). An array x gives the
     output, written into `out` when given, and the layer's closed-form
-    backward `backward(g, gk, grads, need_dx)`, which writes dW and db
-    into `grads` and returns dx when `need_dx` (a dense layer has no KL,
-    so it ignores gk); the node's backward calls it. A non-finite output
-    raises NumericError.
+    backward `backward(g, grads, need_dx)`, which writes dW and db into
+    `grads` and returns dx when `need_dx`; the node's backward calls it.
+    A non-finite output raises NumericError.
     """
     _check_input(x, layer.weight.shape, "weight")
     if isinstance(x, Tensor):
@@ -211,7 +220,7 @@ def dense_forward(layer: DenseDeterministic, x, *, out=None):
     w = layer.weight.data
     out = _affine(x, w, layer.bias.data, out)
 
-    def backward(g, gk, grads, need_dx):
+    def backward(g, grads, need_dx):
         np.matmul(x.T, g, out=grads[0])
         g.sum(axis=0, out=grads[1])
         return g @ w.T if need_dx else None
@@ -227,19 +236,27 @@ class _LayerNode(Tensor):
     _takes_none = True
 
 
-def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None):
+def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None, blocks=None):
     """The graph form of a layer's training forward: one node over x and
     the layer's leaves whose backward runs the layer's `backward`, and for
     a variational layer one scalar node for its KL, which hands its
-    gradient to the layer's node in the same backward pass."""
+    gradient to the layer's node in the same backward pass. A variational
+    layer's node then runs `posterior_chain` over `blocks`, its own
+    posterior sweep, on gradients laid out as that sweep's one block."""
     node = _LayerNode(out, (x, *leaves), _op=op)
     kl_grad: list = []  # the KL node's gradient, for the layer's node
 
     def _bw(g):
-        grads = [np.empty_like(t.data) for t in leaves]
-        dx = backward(g, kl_grad.pop() if kl_grad else None, grads, True)
-        if dx is not None:
-            x.accumulate_grad(dx)
+        if blocks is None:  # a dense layer's backward writes every value
+            grads = [np.empty_like(t.data) for t in leaves]
+        else:  # where only the KL reached the layer, the chain adds its terms to -0.0: exact
+            flat = np.full((2, blocks[0][0].size), -0.0)
+            (w_mu, b_mu), (w_rho, b_rho) = (_by_posterior(d, leaves[0].shape) for d in flat)
+            grads = [w_mu, w_rho, b_mu, b_rho]
+        if g is not None:
+            x.accumulate_grad(backward(g, grads, True))
+        if blocks is not None:
+            posterior_chain(blocks, [flat], kl_grad.pop() if kl_grad else None)
         for t, d in zip(leaves, grads):
             t.accumulate_grad(d)
 
@@ -251,11 +268,57 @@ def _training_node(x: Tensor, leaves: list, out, backward, op: str, kl=None):
     return node, kl_node
 
 
+def posterior_sweep(blocks) -> None:
+    """Before the layers: std = softplus(rho), its exp and the KL's
+    elementwise terms, block by block.
+
+    Each block is (mu, rho, std, exp, terms, a, b): a run of posteriors'
+    values, the sweep's three outputs and two scratch buffers (or None),
+    all of one shape. The blocks are a training run's contiguous mu and rho
+    blocks cut in pieces (`train.train`), or a layer's two posteriors
+    joined in one block (`_posterior_arrays`).
+    """
+    for mu, rho, std, e, terms, a, _ in blocks:
+        softplus_and_exp(rho, out=(std, e))
+        kl_terms(mu, std, PRIOR, out=terms, scratch=a)
+
+
+def posterior_chain(blocks, grads, gk) -> None:
+    """After the layers' backwards: with gk, the KL's gradient (None when
+    the KL did not reach the loss), add the KL's terms `dist.kl_grads` to
+    the data terms dL/dmu and dL/dstd, then dL/drho = dL/dstd *
+    sigmoid(rho) in place.
+
+    `grads` holds, for each of `posterior_sweep`'s blocks, the pair
+    (dmu, drho) of its shape, where the layers wrote dL/dmu and dL/dstd.
+    """
+    for (mu, rho, std, e, _, a, b), (dmu, drho) in zip(blocks, grads):
+        if gk is not None:
+            d_mu, d_std = kl_grads(mu, std, PRIOR, gk, out=(a, b))
+            dmu += d_mu
+            drho += d_std
+        drho *= sigmoid_array(rho, e, out=a)
+
+
+def _by_posterior(flat: np.ndarray, w_shape: tuple) -> tuple:
+    """A layer's values, its weight posterior's and then its bias
+    posterior's, in one flat vector, as (weight-shaped view, bias view)."""
+    n = flat.size - w_shape[1]
+    return flat[:n].reshape(w_shape), flat[n:]
+
+
 def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | None):
-    """(std_W, std_b, KL, the softplus's two exps) from one softplus(rho)
-    per posterior, shared by the draws, the KL and the backward's sigmoid.
-    `memo`, a dict shared by calls on the same parameters, keeps them. A
-    non-finite KL raises NumericError."""
+    """(std_W, std_b, KL) from one softplus(rho) per posterior, shared by
+    the draws, the KL and the backward's sigmoid.
+
+    `memo`, a dict shared by calls on the same parameters, keeps them. Its
+    "post" is the layer's views (std_W, std_b, terms_W, terms_b) of a
+    posterior sweep: a training step gives the views of its sweep over
+    the head; otherwise the layer sweeps its own two posteriors, joined
+    in one block (`_by_posterior`) that "blocks" keeps for
+    `posterior_chain`. The KL sums each posterior's terms, once per memo;
+    a non-finite KL raises NumericError.
+    """
     wp, bp = layer.weight_post, layer.bias_post
     if noise.weight_eps.shape != wp.shape or noise.bias_eps.shape != bp.shape:
         raise ShapeError(
@@ -263,41 +326,17 @@ def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | No
             f" posterior shapes {wp.shape}/{bp.shape}"
         )
     memo = {} if memo is None else memo
-    if "post" not in memo:
-        (w_std, w_exp), (b_std, b_exp) = softplus_and_exp(wp.rho.data), softplus_and_exp(bp.rho.data)
-        kl = kl_array(wp.mu.data, w_std, PRIOR) + kl_array(bp.mu.data, b_std, PRIOR)
-        memo["post"] = (w_std, b_std, check_finite(kl, "kl"), (w_exp, b_exp))
-    return memo["post"]
-
-
-def _variational_backward(layer: DenseVariational, post, data_grads):
-    """A variational layer's closed-form backward
-    `backward(g, gk, grads, need_dx)`: writes [dW_mu, dW_rho, db_mu, db_rho]
-    into `grads` and returns dx when `need_dx`.
-
-    `data_grads(g, grads, need_dx)` returns dx and the data terms
-    [dW_mu, dstd_W, db_mu, dstd_b], the two mu terms written into grads;
-    g is None when only the KL reached the loss. gk, the KL's gradient, is
-    None when the KL did not reach it. The KL's terms, `dist.kl_grads` as
-    a separate KL node forms them, are added to the data terms, then
-    drho = dstd * sigmoid(rho) once per posterior.
-    """
-    wp, bp = layer.weight_post, layer.bias_post
-    w_std, b_std, _, exps = post
-
-    def backward(g, gk, grads, need_dx):
-        dx, terms = (None, [None] * 4) if g is None else data_grads(g, grads, need_dx)
-        if gk is not None:
-            for i, (mu, std) in enumerate(((wp.mu.data, w_std), (bp.mu.data, b_std))):
-                for j, t in enumerate(kl_grads(mu, std, PRIOR, gk), 2 * i):
-                    terms[j] = t if terms[j] is None else np.add(terms[j], t, out=terms[j])
-        for j, rho, e in ((0, wp.rho.data, exps[0]), (2, bp.rho.data, exps[1])):
-            if terms[j] is not grads[j]:  # only the KL reached the layer
-                grads[j][...] = terms[j]
-            np.multiply(terms[j + 1], sigmoid_array(rho, e), out=grads[j + 1])
-        return dx
-
-    return backward
+    if "post" not in memo:  # the layer sweeps its own two posteriors, joined
+        mu = np.concatenate((wp.mu.data, bp.mu.data), axis=None)
+        rho = np.concatenate((wp.rho.data, bp.rho.data), axis=None)
+        std, e, terms = map(np.empty, [rho.size] * 3)
+        memo["blocks"] = [(mu, rho, std, e, terms, None, None)]
+        posterior_sweep(memo["blocks"])
+        memo["post"] = (*_by_posterior(std, wp.shape), *_by_posterior(terms, wp.shape))
+    w_std, b_std, w_terms, b_terms = memo["post"]
+    if "kl" not in memo:
+        memo["kl"] = check_finite(w_terms.sum() + b_terms.sum(), "kl")
+    return w_std, b_std, memo["kl"]
 
 
 def variational_forward_reparam(
@@ -308,31 +347,37 @@ def variational_forward_reparam(
     A Tensor x gives the layer's training node and its KL node, for a
     reparam layer only. An array x, of a layer of either estimator, gives
     the output, written into `out` when given, the KL and the layer's
-    closed-form backward (see `_variational_backward`), which the node's
-    backward calls. `_memo`, a dict shared by calls on the same
-    parameters, keeps the posterior's std and KL from the first call.
+    closed-form backward `backward(g, grads, need_dx)`, which the node's
+    backward calls. It writes the data terms [dW_mu, dstd_W, db_mu,
+    dstd_b] into `grads`, the slots of [dW_mu, dW_rho, db_mu, db_rho],
+    for `posterior_chain` to finish, and returns dx when `need_dx`.
+    `_memo`, a dict shared by calls on the same parameters, keeps the
+    posterior's std and KL from the first call (see `_posterior_arrays`).
     """
     if isinstance(x, Tensor):
         if layer.estimator != REPARAM:
             raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
-        out, kl, backward = variational_forward_reparam(layer, x.data, noise)
-        return _training_node(x, layer.leaves(), out, backward, "reparam", kl)
+        memo: dict = {}
+        out, kl, backward = variational_forward_reparam(layer, x.data, noise, memo)
+        return _training_node(x, layer.leaves(), out, backward, "reparam", kl, memo["blocks"])
     _check_input(x, layer.weight_post.shape, "weight posterior")
-    post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, _memo)
+    w_std, b_std, kl = _posterior_arrays(layer, noise, _memo)
     w = w_std * noise.weight_eps
     w += layer.weight_post.mu.data
     out = _affine(x, w, layer.bias_post.mu.data + b_std * noise.bias_eps, out)
 
-    def data_grads(g, grads, need_dx):
+    def backward(g, grads, need_dx):
         d_w = np.matmul(x.T, g, out=grads[0])
         d_b = g.sum(axis=0, out=grads[2])
-        dx = g @ w.T if need_dx else None
-        return dx, [d_w, d_w * noise.weight_eps, d_b, d_b * noise.bias_eps]
+        np.multiply(d_w, noise.weight_eps, out=grads[1])
+        np.multiply(d_b, noise.bias_eps, out=grads[3])
+        return g @ w.T if need_dx else None
 
-    return out, kl, _variational_backward(layer, post, data_grads)
+    return out, kl, backward
 
 
-def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
+def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw,
+                                _memo: dict | None = None):
     """Pseudo-independent per-example weight perturbations, for training.
 
     Row n sees x_n W_mu + ((x_n * r_n) (std * eps)) * s_n with a shared
@@ -340,16 +385,18 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
     is sampled once per batch by plain reparameterization.
 
     A Tensor x gives the layer's training node and its KL node. An array x
-    gives the output, the KL and the layer's closed-form backward (see
-    `_variational_backward`), the closed form of that affine map, which the
-    node's backward calls. Inference runs `variational_forward_reparam` on
-    a sign-less draw instead.
+    gives the output, the KL and the layer's closed-form backward of its
+    data terms, the closed form of that affine map, as
+    `variational_forward_reparam` describes it; the node's backward calls
+    it. `_memo` is as there. Inference runs `variational_forward_reparam`
+    on a sign-less draw instead.
     """
     if layer.estimator != FLIPOUT:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
     if isinstance(x, Tensor):
-        out, kl, backward = variational_forward_flipout(layer, x.data, noise)
-        return _training_node(x, layer.leaves(), out, backward, "flipout", kl)
+        memo: dict = {}
+        out, kl, backward = variational_forward_flipout(layer, x.data, noise, memo)
+        return _training_node(x, layer.leaves(), out, backward, "flipout", kl, memo["blocks"])
     _check_input(x, layer.weight_post.shape, "weight posterior")
     m = x.shape[0]
     d_in, d_out = layer.weight_post.shape
@@ -360,7 +407,7 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
             f"sign shapes {noise.sign_in.shape}/{noise.sign_out.shape} do not match"
             f" batch {m} with dims ({d_in}, {d_out})"
         )
-    post = w_std, b_std, kl, _ = _posterior_arrays(layer, noise, None)
+    w_std, b_std, kl = _posterior_arrays(layer, noise, _memo)
     mua = layer.weight_post.mu.data
     eps, r, s = noise.weight_eps, noise.sign_in, noise.sign_out
     xs = x * r
@@ -372,19 +419,21 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw):
     out += x @ mua
     out += layer.bias_post.mu.data + b_std * noise.bias_eps  # one bias draw per batch
 
-    def data_grads(g, grads, need_dx):
+    def backward(g, grads, need_dx):
         gs = g * s
         dx = None
         if need_dx:
             dx = gs @ delta.T
             dx *= r
             dx += g @ mua.T
-        d_std = xs.T @ gs
-        d_std *= eps
+        np.matmul(x.T, g, out=grads[0])
+        np.matmul(xs.T, gs, out=grads[1])
+        grads[1] *= eps
         d_b = g.sum(axis=0, out=grads[2])
-        return dx, [np.matmul(x.T, g, out=grads[0]), d_std, d_b, d_b * noise.bias_eps]
+        np.multiply(d_b, noise.bias_eps, out=grads[3])
+        return dx
 
-    return check_finite(out, "forward"), kl, _variational_backward(layer, post, data_grads)
+    return check_finite(out, "forward"), kl, backward
 
 
 def dropout_forward(spec: DropoutSpec, x, mask_noise: np.ndarray | None, phase: str, *, out=None):

@@ -9,6 +9,9 @@ variational layers whose weights carry mean-field Gaussian posteriors.
 A training step (`train_step`) runs each layer function's array form,
 forward and closed-form backward, on the parameters' plain arrays and
 writes the gradient into a flat vector; it records no autodiff graph.
+A variational head's posterior math runs once per step over the flat
+rho block, before the layers and after their backwards
+(`layers.posterior_sweep` and `layers.posterior_chain`).
 `forward(..., TRAIN)` runs their Tensor form in the same order and
 records one: the gradient reference of the tests. A Monte Carlo pass,
 `forward(..., MC_INFERENCE)`, runs their array form in a reused
@@ -40,6 +43,8 @@ from .layers import (
     draw_layer_noise,
     dropout_forward,
     in_row_halves,
+    posterior_chain,
+    posterior_sweep,
     uniform_rows,
     variational_forward_flipout,
     variational_forward_reparam,
@@ -231,9 +236,7 @@ def forward(
         for i, layer in enumerate(head.layers):
             try:
                 if isinstance(layer, DenseVariational):
-                    fwd = (variational_forward_flipout if layer.estimator == FLIPOUT
-                           else variational_forward_reparam)
-                    h, kl = fwd(layer, h, noise[i])
+                    h, kl = _training_forward(layer)(layer, h, noise[i])
                     kl_total = kl if kl_total is None else kl_total + kl
                 else:
                     h = dense_forward(layer, h)
@@ -285,6 +288,11 @@ def forward(
     )
 
 
+def _training_forward(layer: DenseVariational):
+    """The training forward of the layer's estimator, looked up when called."""
+    return variational_forward_flipout if layer.estimator == FLIPOUT else variational_forward_reparam
+
+
 def _by_rows(ufunc, a: np.ndarray, scalar: float, out: np.ndarray) -> np.ndarray:
     """ufunc(a, scalar, out=out), in row halves."""
     in_row_halves(lambda lo, hi: ufunc(a[lo:hi], scalar, out=out[lo:hi]), *out.shape)
@@ -292,21 +300,34 @@ def _by_rows(ufunc, a: np.ndarray, scalar: float, out: np.ndarray) -> np.ndarray
 
 
 def train_step(
-    head: Head, x: np.ndarray, labels: np.ndarray, noise: list, kl_weight: float, grads: list
+    head: Head, x: np.ndarray, labels: np.ndarray, noise: list, kl_weight: float, grads: list,
+    posterior: tuple | None = None,
 ) -> tuple[np.ndarray, float, float, float]:
     """One training step on plain arrays: (log_probs, nll, kl, loss) of the
     batch x under the negated single-sample ELBO, mean NLL plus kl_weight
     times the KL, with the loss's gradient with respect to each parameter
-    written into `grads`, its views in Head.parameters() order.
+    written into `grads`: per layer, its views in the order of the layer's
+    leaves().
+
+    A variational head needs `posterior`, which `train.train` builds once
+    per run over the rho block of its flat vectors: the blocks of
+    `layers.posterior_sweep`, the gradient's blocks for
+    `layers.posterior_chain`, and each layer's views (std_W, std_b,
+    terms_W, terms_b) of the sweep. The sweep runs before the layers,
+    which take their std and KL from it, and the chain after their
+    backwards, which write only their data terms.
 
     Every value equals that of forward(..., TRAIN), elbo_loss and
-    Tensor.backward: the same layer functions and backward functions run
-    in the same order, and a zero kl_weight adds no KL term. The first
-    layer forms no gradient of x. The layer functions check their own
-    outputs, so a non-finite pre-activation, KL or dropout product raises
-    NumericError naming its layer; a non-finite total KL,
-    log-probability, NLL or loss raises one too.
+    Tensor.backward: the same formulas run on the same values, each
+    posterior's KL is summed over its own terms, and a zero kl_weight adds
+    no KL term. The first layer forms no gradient of x. The layer
+    functions check their own outputs and KL, so a non-finite
+    pre-activation, KL or dropout product raises NumericError naming its
+    layer; a non-finite total KL, log-probability, NLL or loss raises one
+    too.
     """
+    blocks, grad_blocks, posts = posterior or ((), (), None)
+    posterior_sweep(blocks)
     kl_total = None
     saved = []  # per layer: its backward, then its ReLU mask and dropout backward
     h = x
@@ -314,9 +335,7 @@ def train_step(
         mask = drop = None
         try:
             if isinstance(layer, DenseVariational):
-                fwd = (variational_forward_flipout if layer.estimator == FLIPOUT
-                       else variational_forward_reparam)
-                h, kl, back = fwd(layer, h, noise[i])
+                h, kl, back = _training_forward(layer)(layer, h, noise[i], {"post": posts[i]})
                 kl_total = kl if kl_total is None else kl_total + kl
             else:
                 h, back = dense_forward(layer, h)
@@ -334,16 +353,14 @@ def train_step(
 
     gk = None if kl_weight == 0.0 else kl_weight
     g = log_softmax_backward(log_probs, nll_backward(log_probs.shape, labels, 1.0))
-    end = len(grads)
     for i in reversed(range(len(head.layers))):
         back, mask, drop = saved[i]
         if mask is not None:  # the layer's output went through ReLU and dropout
             if drop is not None:
                 g = drop(g)
             g = relu_backward(mask, g)
-        start = end - len(head.layers[i].leaves())
-        g = back(g, gk, grads[start:end], i > 0)
-        end = start
+        g = back(g, grads[i], i > 0)
+    posterior_chain(blocks, grad_blocks, gk)
     return log_probs, nll, kl, loss
 
 

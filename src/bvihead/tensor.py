@@ -41,11 +41,12 @@ def check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def softplus_and_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def softplus_and_exp(x: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
     """ln(1 + exp(x)), overflow-safe (x itself above 30), and the
-    exp(min(x, 30)) it is computed from, for sigmoid_array to reuse."""
-    e = np.exp(np.minimum(x, 30.0))
-    sp = np.log1p(e)
+    exp(min(x, 30)) it is computed from, for sigmoid_array to reuse;
+    written into `out`, two arrays of x's shape, when given."""
+    e = np.exp(np.minimum(x, 30.0, out=out[1]), out=out[1])
+    sp = np.log1p(e, out=out[0])
     np.copyto(sp, x, where=x > 30.0)
     return sp, e
 
@@ -69,18 +70,19 @@ def log_softmax_array(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def sigmoid_array(x: np.ndarray, exp_x: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below; never overflows.
+def sigmoid_array(x: np.ndarray, exp_x: np.ndarray | None = None, out=None) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below; never
+    overflows. Written into `out`, an array of x's shape, when given.
 
     `exp_x`, the exp of softplus_and_exp(x), replaces the exp when every x
     is negative, since exp(-|x|) is then that same exp(x).
     """
     if exp_x is not None and (x < 0).all():
-        d = 1.0 + exp_x
+        d = np.add(1.0, exp_x, out=out)
         return np.divide(exp_x, d, out=d)
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.divide(np.where(x >= 0, 1.0, e), d, out=out)
 
 
 class Tensor:

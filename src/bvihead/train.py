@@ -6,12 +6,16 @@ given the config seed: shuffling and per-batch noise derive their own
 sub-seeded generators from (seed, epoch, batch).
 
 For the length of a run the head's parameters are views into one flat
-float64 vector. Each step (`model.train_step`) runs forward and
-closed-form backward on plain arrays and writes every parameter's
-gradient into its view of a second one; the optimizers update the first
-in place with a few vector operations, which Adam runs block by block so
-that each block stays in cache between them. No autodiff graph is
-recorded.
+float64 vector: in Head.parameters() order, or for a variational head
+every mu leaf and then every rho leaf, in layer order. Each step
+(`model.train_step`) runs forward and closed-form backward on plain
+arrays and writes every parameter's gradient into its view of a second
+one; the optimizers update the first in place with a few vector
+operations, which Adam runs block by block so that each block stays in
+cache between them. A variational head's posterior math runs over the
+contiguous rho block in the same blocks, once before the layers and
+once after their backwards, in buffers built once per run. No autodiff
+graph is recorded.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import numpy as np
 from .data import LabeledFeatureSet, batches
 from .errors import ConfigError, ContractError, NumericError
 from .fsio import atomic_write_text, csv_text
-from .model import Head, bind_parameters, draw_noise_bundle, parameter_views, train_step
+from .model import STOCHASTIC_VI, Head, bind_parameters, draw_noise_bundle, parameter_views
+from .model import train_step
 from .model import forward  # noqa: F401  # perfbench/tracer.py wraps it here
 from .tensor import Tensor, nll
 
@@ -130,10 +135,11 @@ def kl_weight_for(cfg: TrainConfig, n_examples: int, n_batches: int) -> float:
 
 # ---- optimizers ------------------------------------------------------------
 
-# Values per block of an Adam step. Each array's block, 256 KB, stays in
-# a core's L2 cache through the step's in-place ufunc calls, where a whole
-# vector of a default VI head (1.35 MB per array) is streamed from memory on
-# every call; 8,192-value blocks measured slower.
+# Values per block of an Adam step and of the posterior sweep. Each
+# array's block, 256 KB, stays in a core's L2 cache through the step's
+# in-place ufunc calls, where a whole vector of a default VI head (1.35 MB
+# per array) is streamed from memory on every call; 8,192-value blocks
+# measured slower.
 BLOCK = 32_768
 
 
@@ -183,14 +189,13 @@ class Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
-        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self._scratch: np.ndarray | None = None
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         if self.m is None:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
-            k = min(theta.size, BLOCK)
-            self._scratch = (np.empty(k), np.empty(k))
+            self._scratch = np.empty((2, min(theta.size, BLOCK)))
         _check_flat(theta, grad, self.m)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
@@ -243,9 +248,15 @@ def train(head: Head, data: LabeledFeatureSet, cfg: TrainConfig) -> tuple[Head, 
 
     optimizer = make_optimizer(cfg)
     params = head.parameters()
-    theta = flatten_parameters(params)
+    variational = head.config.variant == STOCHASTIC_VI
+    # a layer's leaves are [W_mu, W_rho, b_mu, b_rho]: every mu, then every rho
+    order = params[0::2] + params[1::2] if variational else params
+    theta = flatten_parameters(order)
     grad = np.empty_like(theta)
-    grads = parameter_views(params, grad)  # train_step writes every value each step
+    views = dict(zip(map(id, order), parameter_views(order, grad)))
+    # train_step writes every value each step
+    grads = [[views[id(p)] for p in layer.leaves()] for layer in head.layers]
+    posterior = _posterior_buffers(params[1::2], theta, grad) if variational else None
     report = TrainReport()
 
     for epoch in range(cfg.epochs):
@@ -257,16 +268,14 @@ def train(head: Head, data: LabeledFeatureSet, cfg: TrainConfig) -> tuple[Head, 
             shuffle=cfg.shuffle,
         )
         kl_weight = kl_weight_for(cfg, data.n, len(epoch_batches))
-        sum_nll = 0.0
-        sum_kl = 0.0
-        sum_loss = 0.0
+        sum_nll = sum_kl = sum_loss = 0.0
         correct = 0
         for b_idx, batch in enumerate(epoch_batches):
             noise_rng = np.random.default_rng((cfg.seed, epoch, b_idx))
             bundle = draw_noise_bundle(head, batch.n, noise_rng)
             try:
                 log_probs, batch_nll, kl, loss = train_step(
-                    head, batch.features, batch.labels, bundle, kl_weight, grads
+                    head, batch.features, batch.labels, bundle, kl_weight, grads, posterior
                 )
             except NumericError as exc:
                 raise NumericError(
@@ -278,17 +287,27 @@ def train(head: Head, data: LabeledFeatureSet, cfg: TrainConfig) -> tuple[Head, 
             sum_kl += float(kl) * batch.n
             sum_loss += float(loss) * batch.n
             correct += int((log_probs.argmax(axis=1) == batch.labels).sum())
-        report.epochs.append(
-            EpochStats(
-                epoch=epoch,
-                nll=sum_nll / data.n,
-                kl=sum_kl / data.n,
-                loss=sum_loss / data.n,
-                accuracy=correct / data.n,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        # nll, kl, loss and accuracy: the epoch's sums over its examples, per example
+        per_example = (s / data.n for s in (sum_nll, sum_kl, sum_loss, correct))
+        report.epochs.append(EpochStats(epoch, *per_example, time.perf_counter() - start))
     return head, report
+
+
+def _posterior_buffers(rhos: list[Tensor], theta: np.ndarray, grad: np.ndarray) -> tuple:
+    """`model.train_step`'s posterior for a variational head whose theta
+    and grad hold every mu leaf, then the `rhos` in the same order.
+
+    The mu and rho halves, with the std, exp and KL-term buffers the sweep
+    writes and two scratch buffers, cut in BLOCK-value blocks; the
+    gradient's halves in the same blocks; and each layer's views (std_W,
+    std_b, terms_W, terms_b) of the buffers, built once for the run.
+    """
+    n = theta.size // 2
+    std, e, terms = np.empty((3, n))
+    blocks = _blocks((theta[:n], theta[n:], std, e, terms), np.empty((2, min(n, BLOCK))))
+    stds, segments = parameter_views(rhos, std), parameter_views(rhos, terms)
+    layers = [(*stds[i:i + 2], *segments[i:i + 2]) for i in range(0, len(rhos), 2)]
+    return blocks, _blocks((grad[:n], grad[n:]), ()), layers
 
 
 def flatten_parameters(params: list[Tensor]) -> np.ndarray:

@@ -10,6 +10,7 @@ instead of in a failed benchmark run.
 import importlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,23 @@ def test_every_per_layer_metric_is_defined(bench, tmp_path):
     assert metrics["tensor.nodes_per_pass.stochastic-vi"] <= 2
     # the eval's MC run builds one batched distribution, not one per example
     assert metrics["uncertainty.pd_objects"] == 1
+
+
+def test_traced_vi_train_runs_each_layer_once_per_step(bench, tmp_path):
+    # the posterior sweep still reaches each layer through the names the
+    # tracer wraps: one "layers.fwd" span per layer per training step
+    _, tracer = bench
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    common = ["--config", str(cfg), "--out", str(tmp_path / "ws")]
+    assert main(["gen-data"] + common) == EXIT_OK
+    tr = tracer.Tracer()
+    tr.install_layers()
+    try:
+        assert main(["train"] + common + ["--variant", "stochastic-vi"]) == EXIT_OK
+    finally:
+        tr.uninstall()
+    steps = sum(1 for span in tr.spans if span[0] == "train.step")
+    fwd = Counter(span[1] for span in tr.spans if span[0] == "layers.fwd")
+    assert steps > 0
+    assert fwd == {f"train.stochastic-vi.l{i}": steps for i in range(3)}

@@ -397,15 +397,25 @@ def test_fused_node_equals_op_level_composition_bit_for_bit(kind, loss_case):
     for value, expected in zip(got, want, strict=True):
         assert_same_bits(value, expected)
     # the array form a training step runs: from the node's upstream
-    # gradients, the same bytes, and no gradient of the batch
-    array_args = (layer, x_arr) if kind == "dense" else (layer, x_arr, noise)
+    # gradients, the data terms and then the posterior chain over the
+    # layer's own sweep give the same bytes, and no gradient of the batch
+    memo = {}
+    array_args = (layer, x_arr) if kind == "dense" else (layer, x_arr, noise, memo)
     res = FUSED[kind](*array_args)
-    backward = res[-1]
-    grads = [np.empty_like(t.data) for t in leaves]
-    assert backward(g, gk, grads, False) is None
     assert_same_bits(res[0], want[0])
     if kind != "dense":
         assert_same_bits(res[1], want[1])
+    if g is None:  # only the KL reached the node, which a training step never has
+        return
+    if kind == "dense":
+        grads = [np.empty_like(t.data) for t in leaves]
+    else:  # the layer's (dmu, drho), weights then bias, as its sweep lays them out
+        flat = np.empty((2, memo["blocks"][0][0].size))
+        (w_mu, b_mu), (w_rho, b_rho) = (layers._by_posterior(d, leaves[0].shape) for d in flat)
+        grads = [w_mu, w_rho, b_mu, b_rho]
+    assert res[-1](g, grads, False) is None
+    if kind != "dense":
+        layers.posterior_chain(memo["blocks"], [flat], gk)
     for value, expected in zip(grads, want[3:], strict=True):
         assert_same_bits(value, expected)
 

@@ -256,7 +256,7 @@ def test_dropout_overflow_names_the_same_layer_in_training_and_mc_passes():
     weight.data[0, :] = 1.5e8
     x = np.full((3, 5), 1e300)
     want = "^layer 0: dropout produced non-finite values$"
-    grads = [np.empty_like(p.data) for p in head.parameters()]
+    grads = [[np.empty_like(p.data) for p in layer.leaves()] for layer in head.layers]
     with np.errstate(over="ignore", invalid="ignore"):
         for phase in (TRAIN, MC_INFERENCE):
             noise = draw_noise_bundle(head, 3, np.random.default_rng(22), phase)

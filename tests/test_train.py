@@ -459,24 +459,31 @@ def test_report_csv_format():
     assert lines[1].startswith("0,")
 
 
-def test_vi_flipout_step_computes_each_softplus_once(monkeypatch):
-    # one softplus per posterior (3 layers x weight/bias), shared by the
-    # sample and the KL
+@pytest.mark.parametrize("estimator", [FLIPOUT, REPARAM])
+@pytest.mark.parametrize("hidden", [(8, 8), (192, 192)], ids=["one-rho-block", "two-rho-blocks"])
+def test_vi_step_computes_softplus_once_over_every_rho(estimator, hidden, monkeypatch):
+    # one step's softplus inputs tile the rho block of theta, each value
+    # once, shared by the samples, the KL and the chain rule; at (192, 192)
+    # the block spans two sweep blocks
     calls = []
     original = layers.softplus_and_exp
 
-    def counting(rho):
-        calls.append(rho.shape)
-        return original(rho)
+    def counting(rho, **kwargs):
+        calls.append((rho.__array_interface__["data"][0], rho.size))
+        return original(rho, **kwargs)
 
     monkeypatch.setattr(layers, "softplus_and_exp", counting)
-    head = small_head(STOCHASTIC_VI)
+    cfg = HeadConfig(2, hidden, 2, STOCHASTIC_VI, estimator=estimator)
+    head = build_head(cfg, init_seed=5)
     data = blobs_2class(n_per_class=4)
     train(head, data, TrainConfig(epochs=1, batch_size=data.n))
-    assert len(calls) == 6
-    assert sorted(calls) == sorted(
-        s for layer in head.layers for s in (layer.weight_post.shape, layer.bias_post.shape)
-    )
+    rhos = [layer_post.rho.data for layer in head.layers
+            for layer_post in (layer.weight_post, layer.bias_post)]
+    start = rhos[0].__array_interface__["data"][0]
+    n = sum(r.size for r in rhos)
+    assert all(start <= r.__array_interface__["data"][0] < start + 8 * n for r in rhos)
+    assert n > BLOCK or hidden == (8, 8)
+    assert sorted(calls) == [(start + 8 * lo, min(BLOCK, n - lo)) for lo in range(0, n, BLOCK)]
 
 
 @pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
@@ -538,6 +545,10 @@ def reference_train(head, data, cfg):
         pytest.param(STOCHASTIC_VI, REPARAM, (7, 6), id="stochastic-vi-reparam"),
         # 35,334 values: the optimizer steps over two blocks, the second short
         pytest.param(STOCHASTIC_VI, FLIPOUT, (128, 128), id="stochastic-vi-flipout-two-blocks"),
+        # 38,787 rho values: the posterior sweep crosses a block edge too,
+        # inside layer 1's weight posterior
+        pytest.param(STOCHASTIC_VI, FLIPOUT, (192, 192), id="stochastic-vi-flipout-two-rho-blocks"),
+        pytest.param(STOCHASTIC_VI, REPARAM, (192, 192), id="stochastic-vi-reparam-two-rho-blocks"),
     ],
 )
 def test_training_step_equals_graph_reference_bit_for_bit(
@@ -555,6 +566,7 @@ def test_training_step_equals_graph_reference_bit_for_bit(
     theta = np.concatenate([p.data.ravel() for p in head.parameters()])
     want_theta, want_rows = reference_train(build_head(head_cfg, init_seed=4), data, cfg)
     assert hidden == (7, 6) or theta.size > BLOCK
+    assert hidden != (192, 192) or theta.size // 2 > BLOCK
     assert theta.tobytes() == want_theta.tobytes()
     rows = [(e.epoch, e.nll, e.kl, e.loss, e.accuracy) for e in report.epochs]
     assert repr(rows) == repr(want_rows)
@@ -569,6 +581,16 @@ def test_layer_one_overflow_names_epoch_batch_and_layer(variant):
     weight.data[:] = 1e308
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"epoch 0, batch 0: layer 1: "):
+            train(head, data, TrainConfig(epochs=1, batch_size=8))
+
+
+def test_rho_underflow_names_epoch_batch_and_layer():
+    # softplus(-800) underflows to 0, so layer 2's KL takes log(0) = -inf
+    data = blobs_2class(n_per_class=20)
+    head = small_head(STOCHASTIC_VI)
+    head.layers[2].weight_post.rho.data[0, 0] = -800.0
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NumericError, match=r"epoch 0, batch 0: layer 2: kl "):
             train(head, data, TrainConfig(epochs=1, batch_size=8))
 
 

@@ -287,24 +287,26 @@ def test_flipout_and_reparam_heads_with_one_theta_predict_the_same_bytes():
 
 @pytest.mark.parametrize("estimator", ["flipout", "reparam"])
 def test_mc_predict_computes_each_posterior_kl_once(estimator, monkeypatch):
-    # the std and KL of a posterior do not change between passes
+    # the std and KL of a posterior do not change between passes: each
+    # layer's sweep forms the KL terms of its two posteriors, joined, once
     layers_mod = importlib.import_module("bvihead.layers")
     calls = []
-    real_kl_array = layers_mod.kl_array
+    real_kl_terms = layers_mod.kl_terms
 
-    def counting(mu, std, prior):
-        calls.append(mu.shape)
-        return real_kl_array(mu, std, prior)
+    def counting(mu, std, prior, **kwargs):
+        calls.append(mu.tobytes())
+        return real_kl_terms(mu, std, prior, **kwargs)
 
-    monkeypatch.setattr(layers_mod, "kl_array", counting)
+    monkeypatch.setattr(layers_mod, "kl_terms", counting)
     head = build_head(HeadConfig(5, (7, 3), 3, STOCHASTIC_VI, estimator=estimator), init_seed=12)
     x = Tensor(np.random.default_rng(13).normal(size=(9, 5)))
     for _ in range(2):
         calls.clear()
         mc_predict(head, x, t=6, seed=7)
-        assert sorted(calls) == sorted(
-            s for layer in head.layers for s in (layer.weight_post.shape, layer.bias_post.shape)
-        )
+        assert calls == [
+            layer.weight_post.mu.data.tobytes() + layer.bias_post.mu.data.tobytes()
+            for layer in head.layers
+        ]
 
 
 def test_mc_predict_computes_the_dense_first_layer_once(monkeypatch):
