@@ -7,8 +7,9 @@ passes reproducible and lets tests freeze the noise.
 Each layer function has two forms. On a plain array it returns the
 output, a variational layer's KL, and the layer's closed-form backward
 of its data terms, written once: a training step keeps the backward, a
-Monte Carlo pass drops it at once. It checks its own output, and
-`_posterior_arrays` the KL, so a non-finite value raises NumericError
+Monte Carlo pass drops it at once. It checks its own output, and a
+variational layer its KL, which every call sums afresh from the views it
+takes (`_posterior_arrays`), so a non-finite value raises NumericError
 naming what produced it. On a Tensor input it runs the array form and
 records one graph node over the input and the layer's leaves (and a
 variational layer one more scalar node for its KL), whose backward calls
@@ -18,12 +19,14 @@ variational layer of either estimator through the reparam forward.
 A variational layer's posterior math, softplus(rho), the KL and the
 chain rule into rho, runs elementwise in one place, `posterior_sweep`
 and `posterior_chain`, over blocks of posteriors' flat values. A
-training step runs them once over the whole head's rho block; the
-graph form and a Monte Carlo pass run them over one block of the
-layer's own two posteriors, weights then bias, the layer's segment of
-that head block. Each posterior's KL is the sum of its own segment of
-the KL's terms, so either way it has the bytes of `dist.kl_terms`
-summed over that posterior alone.
+training step runs them once over the whole head's rho block. The graph
+form, once per node, and a Monte Carlo workspace, once per
+`mc_predict`, run them over one block of the layer's own two
+posteriors, weights then bias, the layer's segment of that head block
+(`layer_posterior`). A variational forward takes the layer's views of
+either sweep as `post`. Each posterior's KL is the sum of its own
+segment of the KL's terms, so either way it has the bytes of
+`dist.kl_terms` summed over that posterior alone.
 
 An array form that writes SPLIT_VALUES values or more, as an MC pass over
 a thousand rows does, runs in two row halves (`in_row_halves`), the upper
@@ -97,23 +100,27 @@ def in_row_halves(body, m: int, n: int) -> None:
     thread, in this thread's context, so its np.errstate holds there too.
     If the worker has not started the upper half when the lower one ends,
     as on a busy or a single CPU, this thread runs it instead. No half
-    runs after it returns, and an error of the lower half is raised
-    first. body must touch only rows [lo, hi) of its arrays and call no
-    function that perfbench/tracer.py wraps.
+    runs after it returns, a cancelled one left in the worker's queue no
+    longer holds body, and an error of the lower half is raised first.
+    body must touch only rows [lo, hi) of its arrays and call no function
+    that perfbench/tracer.py wraps.
     """
     if m * n < SPLIT_VALUES:
         body(0, m)
         return
     h = m // 2
+    # the worker reads body from a cell emptied before this returns, so an
+    # upper half cancelled while it waits in the queue keeps no array alive
+    cell = [body]
     # cancel() succeeds only while the worker has not started the call
-    future = _worker().submit(contextvars.copy_context().run, body, h, m)
+    future = _worker().submit(contextvars.copy_context().run, lambda: cell[0](h, m))
     try:
         body(0, h)
-    except BaseException:
+    finally:
         if not future.cancel():
             future.exception()  # waits for the worker's upper half
-        raise
-    if future.cancel():
+        cell.clear()
+    if future.cancelled():
         body(h, m)
     else:
         future.result()
@@ -276,7 +283,7 @@ def posterior_sweep(blocks) -> None:
     values, the sweep's three outputs and two scratch buffers (or None),
     all of one shape. The blocks are a training run's contiguous mu and rho
     blocks cut in pieces (`train.train`), or a layer's two posteriors
-    joined in one block (`_posterior_arrays`).
+    joined in one block (`layer_posterior`).
     """
     for mu, rho, std, e, terms, a, _ in blocks:
         softplus_and_exp(rho, out=(std, e))
@@ -307,17 +314,28 @@ def _by_posterior(flat: np.ndarray, w_shape: tuple) -> tuple:
     return flat[:n].reshape(w_shape), flat[n:]
 
 
-def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | None):
-    """(std_W, std_b, KL) from one softplus(rho) per posterior, shared by
-    the draws, the KL and the backward's sigmoid.
+def layer_posterior(layer: DenseVariational) -> tuple:
+    """The layer's own posterior sweep, (blocks, views): its two
+    posteriors joined in one block, weights then bias (`_by_posterior`),
+    and swept once. `blocks` is that block, for `posterior_chain`; `views`,
+    a variational forward's `post`, is (std_W, std_b, terms_W, terms_b) of
+    the sweep's std and KL terms. The joined mu and rho and the exp are in
+    `blocks` alone, so a caller that keeps only `views` frees them."""
+    wp, bp = layer.weight_post, layer.bias_post
+    mu = np.concatenate((wp.mu.data, bp.mu.data), axis=None)
+    rho = np.concatenate((wp.rho.data, bp.rho.data), axis=None)
+    std, e, terms = map(np.empty, [rho.size] * 3)
+    blocks = [(mu, rho, std, e, terms, None, None)]
+    posterior_sweep(blocks)
+    return blocks, (*_by_posterior(std, wp.shape), *_by_posterior(terms, wp.shape))
 
-    `memo`, a dict shared by calls on the same parameters, keeps them. Its
-    "post" is the layer's views (std_W, std_b, terms_W, terms_b) of a
-    posterior sweep: a training step gives the views of its sweep over
-    the head; otherwise the layer sweeps its own two posteriors, joined
-    in one block (`_by_posterior`) that "blocks" keeps for
-    `posterior_chain`. The KL sums each posterior's terms, once per memo;
-    a non-finite KL raises NumericError.
+
+def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, post: tuple | None):
+    """(std_W, std_b, KL) from `post`, the layer's views (std_W, std_b,
+    terms_W, terms_b) of a posterior sweep: a training step's sweep over
+    the head, or a Monte Carlo workspace's, or, for None, the layer's own
+    (`layer_posterior`). The KL sums each posterior's terms; a non-finite
+    KL raises NumericError.
     """
     wp, bp = layer.weight_post, layer.bias_post
     if noise.weight_eps.shape != wp.shape or noise.bias_eps.shape != bp.shape:
@@ -325,22 +343,12 @@ def _posterior_arrays(layer: DenseVariational, noise: NoiseDraw, memo: dict | No
             f"eps shapes {noise.weight_eps.shape}/{noise.bias_eps.shape} do not match"
             f" posterior shapes {wp.shape}/{bp.shape}"
         )
-    memo = {} if memo is None else memo
-    if "post" not in memo:  # the layer sweeps its own two posteriors, joined
-        mu = np.concatenate((wp.mu.data, bp.mu.data), axis=None)
-        rho = np.concatenate((wp.rho.data, bp.rho.data), axis=None)
-        std, e, terms = map(np.empty, [rho.size] * 3)
-        memo["blocks"] = [(mu, rho, std, e, terms, None, None)]
-        posterior_sweep(memo["blocks"])
-        memo["post"] = (*_by_posterior(std, wp.shape), *_by_posterior(terms, wp.shape))
-    w_std, b_std, w_terms, b_terms = memo["post"]
-    if "kl" not in memo:
-        memo["kl"] = check_finite(w_terms.sum() + b_terms.sum(), "kl")
-    return w_std, b_std, memo["kl"]
+    w_std, b_std, w_terms, b_terms = layer_posterior(layer)[1] if post is None else post
+    return w_std, b_std, check_finite(w_terms.sum() + b_terms.sum(), "kl")
 
 
 def variational_forward_reparam(
-    layer: DenseVariational, x, noise: NoiseDraw, _memo: dict | None = None, *, out=None
+    layer: DenseVariational, x, noise: NoiseDraw, post: tuple | None = None, *, out=None
 ):
     """One weight/bias draw shared by the whole batch: x W_sample + b_sample.
 
@@ -351,17 +359,17 @@ def variational_forward_reparam(
     backward calls. It writes the data terms [dW_mu, dstd_W, db_mu,
     dstd_b] into `grads`, the slots of [dW_mu, dW_rho, db_mu, db_rho],
     for `posterior_chain` to finish, and returns dx when `need_dx`.
-    `_memo`, a dict shared by calls on the same parameters, keeps the
-    posterior's std and KL from the first call (see `_posterior_arrays`).
+    `post` is the layer's views of a posterior sweep, or None for the
+    layer to sweep its own (see `_posterior_arrays`).
     """
     if isinstance(x, Tensor):
         if layer.estimator != REPARAM:
             raise ContractError(f"layer estimator is {layer.estimator!r}, not {REPARAM!r}")
-        memo: dict = {}
-        out, kl, backward = variational_forward_reparam(layer, x.data, noise, memo)
-        return _training_node(x, layer.leaves(), out, backward, "reparam", kl, memo["blocks"])
+        blocks, post = layer_posterior(layer)
+        out, kl, backward = variational_forward_reparam(layer, x.data, noise, post)
+        return _training_node(x, layer.leaves(), out, backward, "reparam", kl, blocks)
     _check_input(x, layer.weight_post.shape, "weight posterior")
-    w_std, b_std, kl = _posterior_arrays(layer, noise, _memo)
+    w_std, b_std, kl = _posterior_arrays(layer, noise, post)
     w = w_std * noise.weight_eps
     w += layer.weight_post.mu.data
     out = _affine(x, w, layer.bias_post.mu.data + b_std * noise.bias_eps, out)
@@ -377,7 +385,7 @@ def variational_forward_reparam(
 
 
 def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw,
-                                _memo: dict | None = None):
+                                post: tuple | None = None):
     """Pseudo-independent per-example weight perturbations, for training.
 
     Row n sees x_n W_mu + ((x_n * r_n) (std * eps)) * s_n with a shared
@@ -388,15 +396,15 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw,
     gives the output, the KL and the layer's closed-form backward of its
     data terms, the closed form of that affine map, as
     `variational_forward_reparam` describes it; the node's backward calls
-    it. `_memo` is as there. Inference runs `variational_forward_reparam`
+    it. `post` is as there. Inference runs `variational_forward_reparam`
     on a sign-less draw instead.
     """
     if layer.estimator != FLIPOUT:
         raise ContractError(f"layer estimator is {layer.estimator!r}, not {FLIPOUT!r}")
     if isinstance(x, Tensor):
-        memo: dict = {}
-        out, kl, backward = variational_forward_flipout(layer, x.data, noise, memo)
-        return _training_node(x, layer.leaves(), out, backward, "flipout", kl, memo["blocks"])
+        blocks, post = layer_posterior(layer)
+        out, kl, backward = variational_forward_flipout(layer, x.data, noise, post)
+        return _training_node(x, layer.leaves(), out, backward, "flipout", kl, blocks)
     _check_input(x, layer.weight_post.shape, "weight posterior")
     m = x.shape[0]
     d_in, d_out = layer.weight_post.shape
@@ -407,7 +415,7 @@ def variational_forward_flipout(layer: DenseVariational, x, noise: NoiseDraw,
             f"sign shapes {noise.sign_in.shape}/{noise.sign_out.shape} do not match"
             f" batch {m} with dims ({d_in}, {d_out})"
         )
-    w_std, b_std, kl = _posterior_arrays(layer, noise, _memo)
+    w_std, b_std, kl = _posterior_arrays(layer, noise, post)
     mua = layer.weight_post.mu.data
     eps, r, s = noise.weight_eps, noise.sign_in, noise.sign_out
     xs = x * r

@@ -43,6 +43,7 @@ from .layers import (
     draw_layer_noise,
     dropout_forward,
     in_row_halves,
+    layer_posterior,
     posterior_chain,
     posterior_sweep,
     uniform_rows,
@@ -196,8 +197,18 @@ def zero_noise_bundle(head: Head, m: int) -> list:
     return [None] * len(head.layers)
 
 
+def mc_workspace(head: Head) -> list:
+    """What `forward(..., MC_INFERENCE)` keeps between passes over the
+    same rows, built once per `mc_predict`: per layer, a list of its
+    posterior's views from `layers.layer_posterior` (None for a dense
+    layer) and its output array, which the first pass allocates. A dense
+    first layer's output is kept after its ReLU, since no pass changes it."""
+    return [[layer_posterior(layer)[1] if isinstance(layer, DenseVariational) else None, None]
+            for layer in head.layers]
+
+
 def forward(
-    head: Head, x: Tensor, noise: list, phase: str, _memo: dict | None = None
+    head: Head, x: Tensor, noise: list, phase: str, workspace: list | None = None
 ) -> tuple[Tensor, Tensor]:
     """Batched forward pass returning (log_probs, total KL).
 
@@ -207,15 +218,13 @@ def forward(
     inference. TRAIN records the autodiff graph over the layer functions'
     Tensor form, the gradient reference of `train_step`. MC_INFERENCE runs
     their array form, records no graph, runs every variational layer's
-    reparam forward and returns two leaf tensors. `_memo`, a dict shared
-    by inference forwards of the same x, keeps per layer what does not
-    change between them: each posterior's std and KL, a dense first
-    layer's ReLU'd output, and the array each other layer writes its
-    output into. With a `_memo`, a masked dropout layer writes over its
-    mask noise instead, once read off as booleans, so that bundle serves
-    one forward; without one, the forward leaves its bundle unchanged.
-    The mask read-off and the ReLU run in row halves, as the layer
-    functions do (`layers.in_row_halves`).
+    reparam forward and returns two leaf tensors. It runs in `workspace`,
+    an `mc_workspace(head)` shared by the passes over the same x, or in a
+    fresh one. In a given workspace a masked dropout layer writes over its
+    mask noise instead of an output array, once read off as booleans, so
+    that bundle serves one forward; without one, the forward leaves its
+    bundle unchanged. The mask read-off and the ReLU run in row halves, as
+    the layer functions do (`layers.in_row_halves`).
     """
     if len(x.shape) != 2 or x.shape[1] != head.config.input_dim:
         raise ShapeError(
@@ -248,33 +257,28 @@ def forward(
                 raise NumericError(f"layer {i}: {exc}") from exc
         return h.log_softmax(), Tensor(0.0) if kl_total is None else kl_total
 
-    memo = {} if _memo is None else _memo
     h = x.data
-    for i, layer in enumerate(head.layers):
-        reused, mask = False, None  # the last layer's mask is freed first
-        layer_memo = memo.setdefault(i, {})  # its "out" is the layer's output array
+    for i, (layer, slot) in enumerate(zip(head.layers, workspace or mc_workspace(head))):
+        mask = None  # the last layer's mask is freed first
+        post, out = slot
         shape = (x.shape[0], head.config.layer_dims[i][1])
-        # only mc_predict's passes, which give a memo and draw each bundle
-        # afresh, write over their masks; a mask of another shape goes to
-        # dropout_forward, which rejects it
-        over_mask = (_memo is not None and spec is not None and i < 2
+        # only mc_predict's passes, which give a workspace and draw each
+        # bundle afresh, write over their masks; a mask of another shape
+        # goes to dropout_forward, which rejects it
+        over_mask = (workspace is not None and spec is not None and i < 2
                      and noise[i] is not None and noise[i].shape == shape)
         mask = (_by_rows(np.greater_equal, noise[i], spec.rate, np.empty(shape, bool))
                 if over_mask else noise[i])
+        reused = i == 0 and post is None and out is not None  # a dense layer's ReLU'd output
         try:
-            if isinstance(layer, DenseVariational):
-                h, kl = variational_forward_reparam(
-                    layer, h, noise[i], layer_memo, out=layer_memo.get("out")
-                )[:2]
+            if post is not None:
+                h, kl = variational_forward_reparam(layer, h, noise[i], post, out=out)[:2]
                 kl_total = kl if kl_total is None else kl_total + kl
-            elif i == 0:
-                reused = "out" in layer_memo  # then it holds the ReLU'd output
-                h = layer_memo["out"] if reused else dense_forward(layer, h)[0]
-                layer_memo["out"] = h
-            else:
-                h = dense_forward(layer, h, out=noise[i] if over_mask else layer_memo.get("out"))[0]
-            if not over_mask:
-                layer_memo["out"] = h
+            else:  # past the first, a masked layer writes over its mask noise
+                into = noise[i] if over_mask and i > 0 else out
+                h = out if reused else dense_forward(layer, h, out=into)[0]
+            if not over_mask or i == 0:  # mask noise goes with its bundle
+                slot[1] = h
             if i < 2:
                 if not reused:
                     _by_rows(np.maximum, h, 0.0, h)
@@ -335,7 +339,7 @@ def train_step(
         mask = drop = None
         try:
             if isinstance(layer, DenseVariational):
-                h, kl, back = _training_forward(layer)(layer, h, noise[i], {"post": posts[i]})
+                h, kl, back = _training_forward(layer)(layer, h, noise[i], posts[i])
                 kl_total = kl if kl_total is None else kl_total + kl
             else:
                 h, back = dense_forward(layer, h)

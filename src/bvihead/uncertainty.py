@@ -24,7 +24,7 @@ from .data import MAX_FEATURE_VALUES, OOD_LABEL
 from .errors import ConfigError, DataError
 from .fsio import atomic_write_text, csv_text
 from .layers import MC_INFERENCE
-from .model import Head, draw_noise_bundle, forward
+from .model import Head, draw_noise_bundle, forward, mc_workspace
 from .model import zero_noise_bundle  # noqa: F401  # perfbench/tracer.py wraps it here
 from .tensor import Tensor
 
@@ -137,15 +137,17 @@ def mc_predict(head: Head, x: Tensor, t: int, seed: int) -> PredictiveDistributi
     """Run t stochastic passes over the M examples of x; one M x T x K
     distribution. Pass i draws its MC_INFERENCE noise bundle from a
     generator sub-seeded with (seed, i), so results do not depend on
-    execution order and are reproducible. A dense first layer's output is
-    computed once and the passes share one workspace."""
+    execution order and are reproducible. The passes share one
+    `mc_workspace`: each posterior is swept once per call, a dense first
+    layer's output is computed once, and each layer's output array is
+    allocated once."""
     m, k = x.shape[0], head.config.num_classes
     check_mc_size(m, t, k)  # before any pass
     all_probs = np.empty((m, t, k))
-    memo: dict = {}
+    workspace = mc_workspace(head)
     for i in range(t):
         bundle = draw_noise_bundle(head, m, np.random.default_rng((seed, i)), MC_INFERENCE)
-        log_probs, _ = forward(head, x, bundle, MC_INFERENCE, _memo=memo)
+        log_probs, _ = forward(head, x, bundle, MC_INFERENCE, workspace)
         del bundle  # its masks hold this pass's activations: freed before the next draw
         np.exp(log_probs.data, out=all_probs[:, i])
     return PredictiveDistribution.from_samples(all_probs)

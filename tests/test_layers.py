@@ -3,6 +3,7 @@ import math
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -399,8 +400,9 @@ def test_fused_node_equals_op_level_composition_bit_for_bit(kind, loss_case):
     # the array form a training step runs: from the node's upstream
     # gradients, the data terms and then the posterior chain over the
     # layer's own sweep give the same bytes, and no gradient of the batch
-    memo = {}
-    array_args = (layer, x_arr) if kind == "dense" else (layer, x_arr, noise, memo)
+    if kind != "dense":  # the layer's own sweep, as the node's
+        blocks, post = layers.layer_posterior(layer)
+    array_args = (layer, x_arr) if kind == "dense" else (layer, x_arr, noise, post)
     res = FUSED[kind](*array_args)
     assert_same_bits(res[0], want[0])
     if kind != "dense":
@@ -410,12 +412,12 @@ def test_fused_node_equals_op_level_composition_bit_for_bit(kind, loss_case):
     if kind == "dense":
         grads = [np.empty_like(t.data) for t in leaves]
     else:  # the layer's (dmu, drho), weights then bias, as its sweep lays them out
-        flat = np.empty((2, memo["blocks"][0][0].size))
+        flat = np.empty((2, blocks[0][0].size))
         (w_mu, b_mu), (w_rho, b_rho) = (layers._by_posterior(d, leaves[0].shape) for d in flat)
         grads = [w_mu, w_rho, b_mu, b_rho]
     assert res[-1](g, grads, False) is None
     if kind != "dense":
-        layers.posterior_chain(memo["blocks"], [flat], gk)
+        layers.posterior_chain(blocks, [flat], gk)
     for value, expected in zip(grads, want[3:], strict=True):
         assert_same_bits(value, expected)
 
@@ -493,8 +495,8 @@ def test_inference_form_is_one_sampled_weight_for_either_estimator(estimator):
     wp, bp = layer.weight_post, layer.bias_post
     w = wp.mu.data + np.log1p(np.exp(wp.rho.data)) * noise.weight_eps
     want = (x @ w) + (bp.mu.data + np.log1p(np.exp(bp.rho.data)) * noise.bias_eps)
-    memo = {}
-    for kept in (None, memo, memo):
+    post = layers.layer_posterior(layer)[1]  # as mc_predict's passes share it
+    for kept in (None, post, post):
         out, _, _ = variational_forward_reparam(layer, x, noise, kept)
         np.testing.assert_array_equal(out, want)
     # the graph form keeps its estimator check
@@ -512,10 +514,10 @@ def test_shared_weight_draw_has_the_flipout_law_per_example():
     rng = np.random.default_rng(52)
     n = 20000
     shared, flip = np.empty((n, 4, 2)), np.empty((n, 4, 2))
-    memo = {}  # the posterior's std, as mc_predict keeps it across passes
+    post = layers.layer_posterior(layer)[1]  # as mc_predict's workspace keeps it
     for t in range(n):
         shared[t] = variational_forward_reparam(
-            layer, x, draw_layer_noise(layer, 4, rng, MC_INFERENCE), memo
+            layer, x, draw_layer_noise(layer, 4, rng, MC_INFERENCE), post
         )[0]
         flip[t] = variational_forward_flipout(layer, x, draw_layer_noise(layer, 4, rng))[0]
     for stat in (lambda a: a, lambda a: (a - a.mean(axis=0)) ** 2):
@@ -785,14 +787,26 @@ def test_in_row_halves_runs_the_upper_half_itself_if_the_worker_has_not_started_
     release = threading.Event()
     busy = layers._worker().submit(release.wait, 10)
     calls = []
+
+    def body_over(a):  # a body that closes over `a`, which nothing else holds
+        return lambda lo, hi: calls.append((lo, hi, threading.current_thread(), a.size))
+
+    held = np.empty(2 * ROWS)
+    alive = weakref.ref(held)
+    body = body_over(held)
+    del held
     try:
-        in_row_halves(lambda lo, hi: calls.append((lo, hi, threading.current_thread())),
-                      2 * ROWS, 256)
+        in_row_halves(body, 2 * ROWS, 256)
+        del body
+        # the cancelled upper half still waits in the queue of the held
+        # worker, and keeps neither body nor what it closes over
+        assert alive() is None
     finally:
         release.set()
     busy.result()
     layers._worker().submit(lambda: None).result()  # the queued upper half is a no-op
-    assert calls == [(0, ROWS, threading.main_thread()), (ROWS, 2 * ROWS, threading.main_thread())]
+    main = threading.main_thread()
+    assert calls == [(0, ROWS, main, 2 * ROWS), (ROWS, 2 * ROWS, main, 2 * ROWS)]
 
 
 def test_in_row_halves_raises_the_lower_half_error_first_after_both_end():

@@ -339,7 +339,7 @@ def test_a_head_assembled_from_config_and_layers_survives_its_checkpoint(tmp_pat
 
 
 def test_a_lone_mc_pass_leaves_its_bundle_unchanged():
-    # only mc_predict, which passes its memo and draws each bundle afresh,
+    # only mc_predict, which passes its workspace and draws each bundle afresh,
     # lets a pass write over its masks; a lone pass once did too
     head = build_head(small_config(MC_DROPOUT), init_seed=20)
     rng = np.random.default_rng(21)

@@ -1,5 +1,6 @@
 import importlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -381,15 +382,20 @@ def test_mc_predict_hidden_overflow_names_its_layer_on_the_first_pass(
     assert passes == [0]
 
 
+@pytest.mark.parametrize("worker", ["idle", "busy"])
 @pytest.mark.parametrize("variant", [DETERMINISTIC, MC_DROPOUT, STOCHASTIC_VI])
-def test_mc_predict_peak_memory_is_at_most_four_hidden_arrays(variant):
-    # the passes reuse one workspace: a dense first layer's output, one
+def test_mc_predict_peak_memory_is_at_most_four_hidden_arrays(variant, worker):
+    # the passes reuse one mc_workspace: a dense first layer's output, one
     # array per other layer or the dropout masks, and nothing as wide
     # per pass; an MC-dropout pass that allocates every layer output and
-    # dropout product anew peaks at about six
+    # dropout product anew peaks at about six. A busy worker leaves each
+    # cancelled upper row half in its queue, which must not keep that
+    # step's arrays alive
     m = 2000
     head = build_head(HeadConfig(16, (256, 256), 8, variant), init_seed=12)
     x = Tensor(np.random.default_rng(13).normal(size=(m, 16)))
+    release = threading.Event()
+    busy = layers._worker().submit(release.wait, 10) if worker == "busy" else None
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -397,6 +403,9 @@ def test_mc_predict_peak_memory_is_at_most_four_hidden_arrays(variant):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+        release.set()
+    if busy is not None:
+        busy.result()
     hidden_array = m * 256 * 8
     assert peak <= 4 * hidden_array, f"{peak / hidden_array:.2f} hidden arrays"
 
